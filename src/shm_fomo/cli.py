@@ -504,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--seed", type=int, default=None, help="global seed override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS worker threads (1 = bitwise deterministic)")
         p.add_argument("--out", default=None,
                        help=f"output root (default ${ENV_OUT} or ./runs)")
     return parser
@@ -523,15 +521,6 @@ def run(argv) -> int:
         write_run_info(run_dir, args.command, args.config, _global_seed(args, cfg))
     else:
         run_dir = None
-
-    if args.threads is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            threadpool_limits = None
-        if threadpool_limits is not None:
-            with threadpool_limits(limits=args.threads):
-                return handler(args, cfg, run_dir)
     return handler(args, cfg, run_dir)
 
 

@@ -30,6 +30,10 @@ DEC_HEADS = {512: 8, 256: 8, 128: 4, 64: 4, 32: 4, 16: 2}
 
 INIT_STD = 0.02
 
+# windows per forward pass when scoring many windows; bounds the activations
+# held at once, which the scoring pass frees block by block
+EVAL_BATCH = 16
+
 
 def _default_heads(dim: int, table: dict) -> int:
     if dim in table:
@@ -288,8 +292,20 @@ def sample_mask_batch(num_patches: int, p: float, batch: int,
 # forward / backward
 
 
+def _stack(x: np.ndarray, p: dict, side: str, n_blocks: int, n_heads: int,
+           keep_cache: bool):
+    """``nn_core.stack_fwd``; without ``keep_cache`` each block's activations,
+    which only backward reads, are freed as soon as the next block starts."""
+    if keep_cache:
+        return nn_core.stack_fwd(x, p, side, n_blocks, n_heads)
+    for i in range(n_blocks):
+        x, _ = nn_core.block_fwd(x, p, f"{side}.{i}", n_heads)
+    y, _ = nn_core.layernorm_fwd(x, p[f"{side}.norm.g"], p[f"{side}.norm.b"])
+    return y, None
+
+
 def _encode_batch(model: MaeModel, images: np.ndarray,
-                  visible_idx: Optional[np.ndarray]):
+                  visible_idx: Optional[np.ndarray], keep_cache: bool = True):
     cfg = model.config
     p = model.params
     patches = patchify(np.asarray(images), cfg.patch_size).astype(model.dtype, copy=False)
@@ -300,7 +316,7 @@ def _encode_batch(model: MaeModel, images: np.ndarray,
         vis_patches = np.take_along_axis(patches, visible_idx[:, :, None], axis=1)
         pos = model.enc_pos[visible_idx]
     tokens = nn_core.linear_fwd(vis_patches, p["patch_embed.w"], p["patch_embed.b"]) + pos
-    latents, stack_cache = nn_core.stack_fwd(tokens, p, "enc", cfg.n_blocks, cfg.e_heads)
+    latents, stack_cache = _stack(tokens, p, "enc", cfg.n_blocks, cfg.e_heads, keep_cache)
     return latents, (patches, vis_patches, stack_cache)
 
 
@@ -323,8 +339,8 @@ def encode(model: MaeModel, image: np.ndarray,
     return latents[0]
 
 
-def _decode_batch(model: MaeModel, latents: np.ndarray,
-                  masked_idx: np.ndarray, visible_idx: np.ndarray):
+def _decode_batch(model: MaeModel, latents: np.ndarray, masked_idx: np.ndarray,
+                  visible_idx: np.ndarray, keep_cache: bool = True):
     cfg = model.config
     p = model.params
     b = latents.shape[0]
@@ -332,7 +348,7 @@ def _decode_batch(model: MaeModel, latents: np.ndarray,
     tokens = np.broadcast_to(p["mask_token"], (b, cfg.num_patches, cfg.d_dim)).copy()
     np.put_along_axis(tokens, visible_idx[:, :, None], z, axis=1)
     tokens = tokens + model.dec_pos[None, :, :]
-    hidden, stack_cache = nn_core.stack_fwd(tokens, p, "dec", cfg.n_blocks, cfg.d_heads)
+    hidden, stack_cache = _stack(tokens, p, "dec", cfg.n_blocks, cfg.d_heads, keep_cache)
     pred_patches = nn_core.linear_fwd(hidden, p["recon_head.w"], p["recon_head.b"])
     return pred_patches, (latents, z, hidden, stack_cache, masked_idx, visible_idx)
 
@@ -379,15 +395,20 @@ def pretrain_loss(pred_image: np.ndarray, true_image: np.ndarray,
     return float(np.mean((pred - true) ** 2))
 
 
+def _masked_diff(pred_patches: np.ndarray, true_patches: np.ndarray,
+                 masked_idx: np.ndarray) -> np.ndarray:
+    """Predicted minus true patches at each row's masked positions."""
+    idx = masked_idx[:, :, None]
+    return (np.take_along_axis(pred_patches, idx, axis=1)
+            - np.take_along_axis(true_patches, idx, axis=1))
+
+
 def pretrain_forward_batch(model: MaeModel, images: np.ndarray,
                            masked_idx: np.ndarray, visible_idx: np.ndarray):
     """Batched masked reconstruction; returns (loss, cache for backward)."""
     latents, enc_cache = _encode_batch(model, images, visible_idx)
     pred_patches, dec_cache = _decode_batch(model, latents, masked_idx, visible_idx)
-    true_patches = enc_cache[0]
-    pred_m = np.take_along_axis(pred_patches, masked_idx[:, :, None], axis=1)
-    true_m = np.take_along_axis(true_patches, masked_idx[:, :, None], axis=1)
-    diff = pred_m - true_m
+    diff = _masked_diff(pred_patches, enc_cache[0], masked_idx)
     loss = float(np.mean(diff.astype(np.float64) ** 2))
     return loss, (enc_cache, dec_cache, diff, pred_patches.shape, masked_idx)
 
@@ -436,24 +457,46 @@ def forward_regress(model: MaeModel, image: np.ndarray) -> float:
     return float(yhat[0])
 
 
+def _masked_errors(model: MaeModel, images: np.ndarray, seeds) -> np.ndarray:
+    """Masked-patch MSE of each image under the evaluation mask of its seed,
+    all images in one forward pass."""
+    if not model.has_decoder:
+        raise ConfigError("reconstruction error needs the decoder")
+    cfg = model.config
+    plans = [sample_mask(cfg.num_patches, cfg.mask_ratio, seed) for seed in seeds]
+    masked_idx = np.stack([plan.masked_idx for plan in plans])
+    visible_idx = np.stack([plan.visible_idx for plan in plans])
+    latents, enc_cache = _encode_batch(model, images, visible_idx, keep_cache=False)
+    pred_patches, _ = _decode_batch(model, latents, masked_idx, visible_idx,
+                                    keep_cache=False)
+    d2 = _masked_diff(pred_patches, enc_cache[0], masked_idx).astype(np.float64) ** 2
+    return np.mean(d2.reshape(len(plans), -1), axis=1)
+
+
 def reconstruction_error(model: MaeModel, image: np.ndarray, eval_seed: int) -> float:
     """Masked-patch MSE under a deterministic evaluation mask.
 
     The mask is drawn with the model's training ratio from ``eval_seed`` so the
     error for a given window is bit-reproducible.
     """
-    if not model.has_decoder:
-        raise ConfigError("reconstruction error needs the decoder")
-    plan = sample_mask(model.config.num_patches, model.config.mask_ratio, eval_seed)
-    loss, _ = pretrain_forward_batch(model, image[None],
-                                     plan.masked_idx[None], plan.visible_idx[None])
-    return loss
+    return float(_masked_errors(model, image[None], [eval_seed])[0])
 
 
 def reconstruction_errors(model: MaeModel, windows, base_seed: int = 0) -> np.ndarray:
-    """Per-window reconstruction errors with seeds base_seed XOR window index."""
-    return np.array([reconstruction_error(model, w.image, base_seed ^ i)
-                     for i, w in enumerate(windows)])
+    """Reconstruction errors of a sequence of windows, as float64 of shape (n,).
+
+    Window ``i`` is scored under the evaluation mask of seed ``base_seed ^ i``.
+    Windows go through the model EVAL_BATCH at a time, so memory is bounded
+    by one chunk whatever the number of windows, and each error is bit-identical
+    to ``reconstruction_error(model, windows[i].image, base_seed ^ i)``.
+    """
+    errors = np.empty(len(windows))
+    for start in range(0, len(windows), EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, len(windows))
+        errors[start:stop] = _masked_errors(
+            model, np.stack([w.image for w in windows[start:stop]]),
+            [base_seed ^ i for i in range(start, stop)])
+    return errors
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ All functions are pure and deterministic.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -23,6 +24,8 @@ logger = logging.getLogger(__name__)
 SPEC_SIZE = 100          # spectrogram is SPEC_SIZE time frames x SPEC_SIZE frequency bins
 STFT_NFFT = 198          # one-sided rfft of 198 samples -> exactly 100 bins
 NORM_EPS = 1e-8          # guard for zero-variance windows
+HANN_TAPER = get_window("hann", STFT_NFFT)
+HANN_TAPER.setflags(write=False)
 
 TAG_NORMAL = "normal"
 TAG_ANOMALY = "anomaly"
@@ -35,7 +38,8 @@ class RawRecording:
     """Uniformly sampled z-axis acceleration, optionally with per-sample labels.
 
     Labels take values in {0, 1, 2}: 0 = no vehicle, 1 = light vehicle,
-    2 = heavy vehicle, aligned one-to-one with ``samples``.
+    2 = heavy vehicle, aligned one-to-one with ``samples``. Samples must be
+    finite: a NaN would otherwise pass as a low-energy window.
     """
 
     samples: np.ndarray
@@ -44,6 +48,9 @@ class RawRecording:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
+        bad = ~np.isfinite(self.samples)
+        if bad.any():
+            raise DataError(f"non-finite samples at {np.flatnonzero(bad)[:5]}")
         if self.fs <= 0:
             raise ConfigError(f"sampling rate must be positive, got {self.fs}")
         if self.labels is not None:
@@ -157,17 +164,18 @@ def normalize(w: TimeWindow) -> TimeWindow:
     return TimeWindow(values=values, start_index=w.start_index, raw_energy=w.raw_energy)
 
 
-def _stft_frames(values: np.ndarray) -> tuple[np.ndarray, int]:
-    t = values.shape[0]
+@functools.lru_cache(maxsize=8)
+def _frame_index(t: int) -> np.ndarray:
+    """Sample indices of the SPEC_SIZE frames of a t-sample window."""
     hop = (t - STFT_NFFT) // (SPEC_SIZE - 1)
     if hop < 1:
         raise ConfigError(
             f"window of {t} samples is too short for {SPEC_SIZE} spectrogram frames "
             f"(needs at least {STFT_NFFT + SPEC_SIZE - 1})"
         )
-    starts = np.arange(SPEC_SIZE) * hop
-    frames = values[starts[:, None] + np.arange(STFT_NFFT)[None, :]]
-    return frames, hop
+    index = np.arange(SPEC_SIZE)[:, None] * hop + np.arange(STFT_NFFT)[None, :]
+    index.setflags(write=False)
+    return index
 
 
 def spectrogram(w: TimeWindow) -> np.ndarray:
@@ -177,9 +185,9 @@ def spectrogram(w: TimeWindow) -> np.ndarray:
     slices of 198 samples with hop floor((T-198)/99); log(1+|rfft|) is taken
     per cell and the whole image standardized to zero mean / unit std.
     """
-    frames, _ = _stft_frames(np.asarray(w.values, dtype=np.float64))
-    taper = get_window("hann", STFT_NFFT)
-    mag = np.abs(np.fft.rfft(frames * taper, axis=1))
+    values = np.asarray(w.values, dtype=np.float64)
+    frames = values[_frame_index(values.shape[0])]
+    mag = np.abs(np.fft.rfft(frames * HANN_TAPER, axis=1))
     img = np.log1p(mag)
     img = (img - img.mean()) / (img.std() + NORM_EPS)
     return img

@@ -203,6 +203,11 @@ class TestExitCodes:
         code, _ = exit_code_of(["pretrain", "--bogus", "x"])
         assert code == 2
 
+    def test_threads_flag_removed(self, tmp_path):
+        code, err = exit_code_of(["pretrain", "--config", "c.ini", "--threads", "1"])
+        assert code == 2
+        assert "--threads" in err
+
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("not an ini file [[[")

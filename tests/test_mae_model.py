@@ -4,7 +4,9 @@ from scipy.stats import chi2
 
 from shm_fomo import nn_core
 from shm_fomo.errors import ConfigError, DataError, FormatError
+from shm_fomo.signal_pipeline import SpectrogramWindow
 from shm_fomo.mae_model import (
+    EVAL_BATCH,
     SIZE_FAMILY,
     MaskPlan,
     ModelConfig,
@@ -22,6 +24,7 @@ from shm_fomo.mae_model import (
     pretrain_forward_batch,
     pretrain_loss,
     reconstruction_error,
+    reconstruction_errors,
     sample_mask,
     sample_mask_batch,
     save_model,
@@ -229,6 +232,45 @@ class TestReconstructionError:
         img = rand_image(8)
         errs = {reconstruction_error(tiny_model, img, eval_seed=s) for s in range(5)}
         assert len(errs) > 1
+
+    def test_equals_training_loss_under_same_mask(self, tiny_model):
+        # scoring drops the backward caches; the training forward is the reference
+        img = rand_image(8)
+        plan = sample_mask(TINY.num_patches, TINY.mask_ratio, 99)
+        loss, _ = pretrain_forward_batch(tiny_model, img[None],
+                                         plan.masked_idx[None], plan.visible_idx[None])
+        assert reconstruction_error(tiny_model, img, eval_seed=99) == loss
+
+
+class TestReconstructionErrors:
+    BASE = 0x5EED
+
+    @staticmethod
+    def windows(n):
+        return [SpectrogramWindow(image=rand_image(s).astype(np.float32))
+                for s in range(n)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_to_single_window_bit_for_bit(self, dtype):
+        # crosses a chunk boundary and ends on a partial chunk
+        model = build_model(TINY, seed=0, dtype=dtype)
+        ws = self.windows(2 * EVAL_BATCH + 3)
+        batched = reconstruction_errors(model, ws, base_seed=self.BASE)
+        single = [reconstruction_error(model, w.image, self.BASE ^ i)
+                  for i, w in enumerate(ws)]
+        assert batched.dtype == np.float64
+        assert np.array_equal(batched, single)
+
+    def test_empty(self, tiny_model):
+        assert reconstruction_errors(tiny_model, [], base_seed=self.BASE).shape == (0,)
+
+    def test_decoderless_rejected_on_both_paths(self, tiny_model):
+        model = attach_regression_head(tiny_model, seed=1)
+        ws = self.windows(2)
+        with pytest.raises(ConfigError):
+            reconstruction_errors(model, ws)
+        with pytest.raises(ConfigError):
+            reconstruction_error(model, ws[0].image, 0)
 
 
 class TestParamCount:

@@ -25,6 +25,15 @@ def rec_of(n, fs=100, seed=0, labels=None):
     return RawRecording(samples=rng.normal(size=n), fs=fs, labels=labels)
 
 
+class TestRawRecording:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.random.default_rng(0).normal(size=2000)
+        samples[1234] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            RawRecording(samples=samples)
+
+
 class TestMakeWindows:
     def test_count_and_offsets(self):
         windows = make_windows(rec_of(900), PipelineConfig(window_s=5, stride_s=2))
@@ -170,6 +179,21 @@ class TestSpectrogram:
         w = TimeWindow(values=np.zeros(250), start_index=0, raw_energy=0.0)
         with pytest.raises(ConfigError):
             spectrogram(w)
+
+    @pytest.mark.parametrize("t_len", [297, 500, 6000])
+    def test_equals_per_call_formula_bit_for_bit(self, t_len):
+        # the cached taper and frame index give the uncached result exactly,
+        # on the call that fills the cache and on the one that reuses it
+        from scipy.signal import get_window
+        values = np.random.default_rng(t_len).normal(size=t_len)
+        hop = (t_len - 198) // 99
+        frames = values[np.arange(100)[:, None] * hop + np.arange(198)[None, :]]
+        mag = np.abs(np.fft.rfft(frames * get_window("hann", 198), axis=1))
+        img = np.log1p(mag)
+        expected = (img - img.mean()) / (img.std() + 1e-8)
+        w = TimeWindow(values=values, start_index=0, raw_energy=1.0)
+        for _ in range(2):
+            assert np.array_equal(spectrogram(w), expected)
 
 
 class TestComputeTarget:
