@@ -4,9 +4,16 @@ All functions operate on plain numpy arrays with shapes (batch, tokens,
 features) and return gradient dictionaries keyed by parameter name, so the
 whole model stays a flat dict of arrays. Forward passes are deterministic and
 dtype-preserving (float32 for training, float64 for gradient checks).
+
+The elementwise steps run in place on arrays the function itself has just
+created, in the same operation order as the plain formulas, so results are
+bit-identical to them; no function writes into an array it was given or into
+one a cache holds.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 from scipy.special import erf
@@ -15,9 +22,41 @@ LN_EPS = 1e-6
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _pin_allocator() -> None:
+    """Keep freed activation memory mapped between passes.
+
+    At glibc's defaults each forward and backward pass hands its activations
+    back to the kernel and faults them in again on the next pass. Both
+    thresholds are set: setting only the trim threshold would also freeze
+    the mmap threshold at its 128 KiB start, and every activation above that
+    would still be mapped and unmapped per pass. 32 MiB is the ceiling of
+    glibc's own dynamic mmap threshold, and glibc keeps the trim threshold at
+    twice it. A C library without ``mallopt`` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_pin_allocator()
+
 
 def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w + b
+    y = x @ w
+    y += b
+    return y
 
 
 def linear_bwd(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
@@ -32,44 +71,67 @@ def linear_bwd(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
 
 def layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    xhat = x - mu
+    y = xhat * xhat
+    var = np.mean(y, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv)
+    xhat *= inv
+    np.multiply(xhat, g, out=y)
+    y += b
+    return y, (xhat, inv)
 
 
 def layernorm_bwd(dy: np.ndarray, cache, g: np.ndarray):
     xhat, inv = cache
     lead = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=lead)
+    tmp = dy * xhat
+    dg = tmp.sum(axis=lead)
     db = dy.sum(axis=lead)
-    dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    dx = dy * g
+    m1 = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=tmp)
+    m2 = tmp.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, m2, out=tmp)
+    dx -= m1
+    dx -= tmp
+    dx *= inv
     return dx, dg, db
 
 
 def gelu_fwd(x: np.ndarray):
-    c = erf(x * np.asarray(_INV_SQRT2, dtype=x.dtype))
-    return 0.5 * x * (1.0 + c), (x, c)
+    c = x * np.asarray(_INV_SQRT2, dtype=x.dtype)
+    erf(c, out=c)
+    y = 0.5 * x
+    y *= 1.0 + c
+    return y, (x, c)
 
 
 def gelu_bwd(dy: np.ndarray, cache):
     x, c = cache
-    pdf = np.exp(-0.5 * x * x) * np.asarray(_INV_SQRT2PI, dtype=x.dtype)
-    return dy * (0.5 * (1.0 + c) + x * pdf)
+    xpdf = -0.5 * x
+    xpdf *= x
+    np.exp(xpdf, out=xpdf)
+    xpdf *= np.asarray(_INV_SQRT2PI, dtype=x.dtype)
+    xpdf *= x
+    dx = 1.0 + c
+    dx *= 0.5
+    dx += xpdf
+    dx *= dy
+    return dx
 
 
 def softmax_last(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_bwd(dy: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return a * (dy - (dy * a).sum(axis=-1, keepdims=True))
+    dx = dy * a
+    np.subtract(dy, dx.sum(axis=-1, keepdims=True), out=dx)
+    dx *= a
+    return dx
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -88,7 +150,9 @@ def attention_fwd(x: np.ndarray, p: dict, prefix: str, n_heads: int):
     k = _split_heads(linear_fwd(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), n_heads)
     v = _split_heads(linear_fwd(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), n_heads)
     scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=x.dtype)
-    attn = softmax_last((q @ k.transpose(0, 1, 3, 2)) * scale)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= scale
+    attn = softmax_last(scores)
     ctx = _merge_heads(attn @ v)
     out = linear_fwd(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     return out, (x, q, k, v, attn, ctx, scale)
@@ -102,15 +166,16 @@ def attention_bwd(dy: np.ndarray, cache, p: dict, prefix: str, n_heads: int):
     dctx = _split_heads(dctx, n_heads)
     dattn = dctx @ v.transpose(0, 1, 3, 2)
     dv = attn.transpose(0, 1, 3, 2) @ dctx
-    ds = softmax_bwd(dattn, attn) * scale
+    ds = softmax_bwd(dattn, attn)
+    ds *= scale
     dq = ds @ k
     dk = ds.transpose(0, 1, 3, 2) @ q
-    dx = np.zeros_like(x)
+    dx = None
     for name, dproj in (("q", dq), ("k", dk), ("v", dv)):
         dxi, dw, db = linear_bwd(_merge_heads(dproj), x, p[f"{prefix}.w{name}"])
         grads[f"{prefix}.w{name}"] = dw
         grads[f"{prefix}.b{name}"] = db
-        dx += dxi
+        dx = dxi if dx is None else np.add(dx, dxi, out=dx)
     return dx, grads
 
 
@@ -118,13 +183,14 @@ def block_fwd(x: np.ndarray, p: dict, prefix: str, n_heads: int):
     """Pre-norm transformer block: x + MHSA(LN(x)), then x + MLP(LN(x))."""
     h1, c_ln1 = layernorm_fwd(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
     a_out, c_attn = attention_fwd(h1, p, f"{prefix}.attn", n_heads)
-    x2 = x + a_out
+    x2 = a_out
+    x2 += x
     h2, c_ln2 = layernorm_fwd(x2, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     m1 = linear_fwd(h2, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"])
     act, c_gelu = gelu_fwd(m1)
     m2 = linear_fwd(act, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
-    y = x2 + m2
-    return y, (c_ln1, c_attn, h1, c_ln2, h2, c_gelu, act, x2)
+    m2 += x2
+    return m2, (c_ln1, c_attn, h1, c_ln2, h2, c_gelu, act, x2)
 
 
 def block_bwd(dy: np.ndarray, cache, p: dict, prefix: str, n_heads: int):
@@ -137,13 +203,12 @@ def block_bwd(dy: np.ndarray, cache, p: dict, prefix: str, n_heads: int):
         dm1, h2, p[f"{prefix}.mlp.w1"])
     dx2, grads[f"{prefix}.ln2.g"], grads[f"{prefix}.ln2.b"] = layernorm_bwd(
         dh2, c_ln2, p[f"{prefix}.ln2.g"])
-    dx2 = dx2 + dy
-    da_out = dx2
-    dh1, attn_grads = attention_bwd(da_out, c_attn, p, f"{prefix}.attn", n_heads)
+    dx2 += dy
+    dh1, attn_grads = attention_bwd(dx2, c_attn, p, f"{prefix}.attn", n_heads)
     grads.update(attn_grads)
     dx, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = layernorm_bwd(
         dh1, c_ln1, p[f"{prefix}.ln1.g"])
-    dx = dx + dx2
+    dx += dx2
     return dx, grads
 
 

@@ -9,6 +9,9 @@ writing into any array it was given.
 """
 
 import copy
+import ctypes
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -480,3 +483,48 @@ class TestMatchesReference:
         _, cache = _same_as_reference(nn_core.stack_fwd, ref_stack_fwd, x, p, "enc", 2, HEADS)
         _same_as_reference(nn_core.stack_bwd, ref_stack_bwd,
                            _arr(rng, x.shape, dtype), cache, p, "enc", 2, HEADS)
+
+
+# ---------------------------------------------------------------------------
+# allocator
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+FAULT_SCRIPT = """
+import resource
+import numpy as np
+from shm_fomo import mae_model
+
+cfg = mae_model.ModelConfig(e_dim=96, d_dim=64)
+model = mae_model.attach_regression_head(mae_model.build_model(cfg, seed=0), seed=1)
+images = np.random.default_rng(0).normal(size=(8, 100, 100)).astype(np.float32)
+dyhat = np.ones(8)
+
+def step():
+    _, cache = mae_model.regress_forward_batch(model, images)
+    mae_model.regress_backward(model, cache, dyhat)
+
+for _ in range(3):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="C library has no mallopt")
+def test_training_steps_keep_activation_memory_mapped():
+    """Once warm, 96/64 batch-8 steps reuse freed activations instead of
+    faulting them in again (about 8k minor faults per step otherwise)."""
+    proc = subprocess.run([sys.executable, "-c", FAULT_SCRIPT],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
