@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, DataError, EmptyInputError
+from .errors import CalibrationError, ConfigError, DataError, EmptyInputError
 
 FILTER_LENGTHS = (1, 15, 30, 60, 120, 240)
 
@@ -27,9 +27,9 @@ class ThresholdConfig:
 
     def __post_init__(self):
         if self.step_fraction <= 0:
-            raise ValueError("step_fraction must be positive")
+            raise ConfigError("step_fraction must be positive")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise ConfigError("max_steps must be >= 1")
 
 
 @dataclass
@@ -79,7 +79,7 @@ def median_smooth(errors: Sequence[float], L: int) -> np.ndarray:
     if errors.size == 0:
         raise EmptyInputError("cannot smooth an empty series")
     if L < 1:
-        raise ValueError(f"filter length must be >= 1, got {L}")
+        raise ConfigError(f"filter length must be >= 1, got {L}")
     if L == 1:
         return errors.copy()
     out = np.empty_like(errors)
@@ -92,7 +92,7 @@ def median_smooth(errors: Sequence[float], L: int) -> np.ndarray:
 def classify(smoothed: Sequence[float], threshold: float) -> np.ndarray:
     """Anomaly iff smoothed error strictly exceeds the threshold."""
     if not np.isfinite(threshold):
-        raise ValueError("threshold must be finite")
+        raise ConfigError("threshold must be finite")
     return np.asarray(smoothed, dtype=np.float64) > threshold
 
 

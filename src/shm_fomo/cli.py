@@ -234,22 +234,11 @@ def cmd_preprocess(args, cfg, run_dir: Path) -> int:
     return 0
 
 
-def _train_plan(cfg, phase: str, seed: int):
-    values = dict(section(cfg, "train"))
-    values.setdefault("phase", phase)
+def _train_plan(cfg, phase: str, seed: int, name: str = "train"):
+    """The ``phase`` defaults with section ``name``'s keys laid over them."""
+    values = dict(section(cfg, name))
     values.setdefault("seed", str(derive_seed(seed, "trainer")))
-    defaults = {
-        "pretrain": trainer.pretrain_plan,
-        "finetune_ad": trainer.finetune_ad_plan,
-        "finetune_tle": trainer.finetune_tle_plan,
-        "finetune_kd": lambda **kw: trainer.TrainPlan(**{**dict(
-            phase="finetune_kd", base_lr=2.5e-6, weight_decay=0.05,
-            epochs=500, batch_size=8, warmup_epochs=0), **kw}),
-    }[phase]
-    plan = parse_train_plan(values)
-    if not section(cfg, "train"):
-        plan = defaults(seed=plan.seed)
-    return plan
+    return parse_train_plan(values, phase)
 
 
 def cmd_pretrain(args, cfg, run_dir: Path) -> int:
@@ -359,10 +348,7 @@ def cmd_ablation(args, cfg, run_dir: Path) -> int:
         cfg, "pretrain_all_dataset", "task_dataset", "finetune_dataset", "test_dataset")
     model_cfg = build_from_section(ModelConfig, section(cfg, "model"))
     pre_plan = _train_plan(cfg, "pretrain", seed)
-    ft_values = dict(section(cfg, "finetune"))
-    ft_values.setdefault("phase", "finetune_tle")
-    ft_values.setdefault("seed", str(derive_seed(seed, "trainer")))
-    ft_plan = parse_train_plan(ft_values)
+    ft_plan = _train_plan(cfg, "finetune_tle", seed, name="finetune")
     results = evaluation.ablation_protocol(
         model_cfg, _load_dataset_dir(all_dir), _load_dataset_dir(task_dir),
         _load_dataset_dir(ft_dir), _load_dataset_dir(test_dir),

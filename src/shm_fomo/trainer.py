@@ -76,6 +76,18 @@ def finetune_tle_plan(**overrides) -> TrainPlan:
     return TrainPlan(**base)
 
 
+def finetune_kd_plan(**overrides) -> TrainPlan:
+    """Distilled fine-tune defaults: lr 2.5e-6, 500 epochs, batch 8."""
+    base = dict(phase="finetune_kd", base_lr=2.5e-6, weight_decay=0.05,
+                epochs=500, batch_size=8, warmup_epochs=0)
+    base.update(overrides)
+    return TrainPlan(**base)
+
+
+PHASE_PLANS = {"pretrain": pretrain_plan, "finetune_ad": finetune_ad_plan,
+               "finetune_tle": finetune_tle_plan, "finetune_kd": finetune_kd_plan}
+
+
 @dataclass(frozen=True)
 class KDConfig:
     """Loss mix for distilled fine-tuning; the two weights must sum to 1."""
@@ -346,8 +358,10 @@ _PLAN_FIELD_TYPES = {
 }
 
 
-def parse_train_plan(values: dict) -> TrainPlan:
-    """Build a TrainPlan from string-valued key=value pairs."""
+def parse_train_plan(values: dict, phase: Optional[str] = None) -> TrainPlan:
+    """Build a TrainPlan from string-valued key=value pairs laid over the
+    defaults of its phase: ``phase`` if given, else the pairs' own ``phase``,
+    else pretraining. Pairs naming a phase other than ``phase`` are rejected."""
     kwargs = {}
     for key, raw in values.items():
         if key not in _PLAN_FIELD_TYPES:
@@ -356,7 +370,14 @@ def parse_train_plan(values: dict) -> TrainPlan:
             kwargs[key] = _PLAN_FIELD_TYPES[key](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return TrainPlan(**kwargs)
+    named = kwargs.pop("phase", None)
+    if phase is None:
+        phase = named or "pretrain"
+    elif named not in (None, phase):
+        raise ConfigError(f"a {phase} plan cannot name phase {named!r}")
+    if phase not in PHASE_PLANS:
+        raise ConfigError(f"unknown phase {phase!r}")
+    return PHASE_PLANS[phase](**kwargs)
 
 
 def load_train_plan(path) -> TrainPlan:

@@ -11,7 +11,7 @@ from shm_fomo.anomaly_head import (
     median_smooth,
     write_decisions_csv,
 )
-from shm_fomo.errors import CalibrationError, DataError, EmptyInputError
+from shm_fomo.errors import CalibrationError, ConfigError, DataError, EmptyInputError
 
 
 def oracle_median_smooth(errors, L):
@@ -67,6 +67,11 @@ class TestCalibrateThreshold:
         with pytest.raises(EmptyInputError):
             calibrate_threshold([], [1.0])
 
+    @pytest.mark.parametrize("kwargs", [{"step_fraction": 0.0}, {"max_steps": 0}])
+    def test_bad_config_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ThresholdConfig(**kwargs)
+
 
 class TestMedianSmooth:
     def test_constant_series_unchanged(self):
@@ -108,6 +113,10 @@ class TestMedianSmooth:
         with pytest.raises(EmptyInputError):
             median_smooth([], 3)
 
+    def test_bad_filter_length_rejected(self):
+        with pytest.raises(ConfigError):
+            median_smooth([1.0, 2.0], 0)
+
 
 class TestClassify:
     def test_equal_to_threshold_is_normal(self):
@@ -126,7 +135,7 @@ class TestClassify:
         assert np.array_equal(classify(smoothed, thr), expected)
 
     def test_nonfinite_threshold_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             classify(np.zeros(3), float("inf"))
 
 

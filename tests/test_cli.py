@@ -1,3 +1,4 @@
+import configparser
 import subprocess
 import sys
 
@@ -251,3 +252,40 @@ def test_env_out_root(tmp_path, monkeypatch):
                    .replace("count = 2", "count = 1"))
     assert cli.run(["synth-gen", "--config", str(cfg)]) == 0
     assert any((tmp_path / "env_runs").iterdir())
+
+
+def _config(text):
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    return cfg
+
+
+PHASE_DEFAULTS = {   # (base_lr, weight_decay, batch_size, warmup_epochs)
+    "pretrain": (2.5e-4, 0.0, 128, 100),
+    "finetune_ad": (2.5e-3, 0.05, 64, 0),
+    "finetune_tle": (2.5e-6, 0.05, 8, 0),
+    "finetune_kd": (2.5e-6, 0.05, 8, 0),
+}
+
+
+class TestPartialPlanSections:
+    """A section that sets some plan keys keeps its phase's other defaults."""
+
+    @pytest.mark.parametrize("phase", sorted(PHASE_DEFAULTS))
+    def test_train_section_overrides_phase_defaults(self, phase):
+        plan = cli._train_plan(_config("[train]\nepochs = 300\n"), phase, seed=7)
+        assert plan.phase == phase and plan.epochs == 300
+        assert plan.seed == cli.derive_seed(7, "trainer")
+        assert (plan.base_lr, plan.weight_decay, plan.batch_size,
+                plan.warmup_epochs) == PHASE_DEFAULTS[phase]
+
+    def test_ablation_finetune_section(self):
+        cfg = _config("[finetune]\nepochs = 300\nseed = 4\n")
+        plan = cli._train_plan(cfg, "finetune_tle", seed=7, name="finetune")
+        assert (plan.phase, plan.epochs, plan.seed) == ("finetune_tle", 300, 4)
+        assert (plan.base_lr, plan.weight_decay, plan.batch_size,
+                plan.warmup_epochs) == PHASE_DEFAULTS["finetune_tle"]
+
+    def test_section_naming_another_phase_rejected(self):
+        with pytest.raises(ConfigError):
+            cli._train_plan(_config("[train]\nphase = pretrain\n"), "finetune_tle", seed=7)

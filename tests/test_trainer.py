@@ -296,6 +296,13 @@ class TestPlanParsing:
         assert plan.base_lr == 2.5e-6
         assert plan.epochs == 500 and plan.batch_size == 8 and plan.seed == 42
 
+    def test_partial_file_keeps_phase_defaults(self, tmp_path):
+        path = tmp_path / "plan.cfg"
+        path.write_text("phase = finetune_tle\nepochs = 300\n")
+        plan = load_train_plan(path)
+        assert (plan.base_lr, plan.batch_size, plan.warmup_epochs) == (2.5e-6, 8, 0)
+        assert plan.epochs == 300
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "plan.cfg"
         path.write_text("learning_rate = 0.1\n")
