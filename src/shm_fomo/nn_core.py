@@ -72,7 +72,7 @@ def linear_bwd(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
 def layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     mu = x.mean(axis=-1, keepdims=True)
     xhat = x - mu
-    y = xhat * xhat
+    y = xhat * xhat   # the squares' buffer is reused for the output
     var = np.mean(y, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
     xhat *= inv
