@@ -29,19 +29,14 @@ from .signal_pipeline import (
 )
 from .mae_model import (
     MaeModel,
-    MaskPlan,
     ModelConfig,
     SIZE_FAMILY,
     attach_regression_head,
     build_model,
-    decode_reconstruct,
-    depatchify,
-    encode,
     forward_regress,
     load_model,
     param_count,
     patchify,
-    pretrain_loss,
     reconstruction_error,
     sample_mask,
     save_model,
@@ -55,10 +50,8 @@ from .trainer import (
     finetune_kd,
     finetune_tle,
     kd_loss,
-    load_checkpoint,
     lr_at,
     pretrain,
-    save_checkpoint,
 )
 
 __version__ = "0.1.0"

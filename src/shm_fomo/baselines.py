@@ -60,18 +60,13 @@ def pca_fit(normal_windows: np.ndarray, cf: int = 32) -> PcaModel:
     return PcaModel(mean=mean, components=components, explained_variance=explained)
 
 
-def pca_error(model: PcaModel, window: np.ndarray) -> float:
-    """Mean squared residual of project-then-reconstruct."""
-    w = np.asarray(window, dtype=np.float64)
-    if w.shape != model.mean.shape:
-        raise DataError(f"window length {w.shape} != model length {model.mean.shape}")
-    r = w - model.mean
-    recon = model.components @ (model.components.T @ r)
-    return float(np.mean((r - recon) ** 2))
-
-
 def pca_errors(model: PcaModel, windows: np.ndarray) -> np.ndarray:
-    x = np.asarray(windows, dtype=np.float64) - model.mean
+    """Mean squared residual of project-then-reconstruct, one per window row."""
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.mean.shape[0]:
+        raise DataError(f"windows of shape {x.shape} do not match model length "
+                        f"{model.mean.shape[0]}")
+    x = x - model.mean
     recon = (x @ model.components) @ model.components.T
     return np.mean((x - recon) ** 2, axis=1)
 
@@ -114,10 +109,6 @@ def extract_features(window: np.ndarray) -> np.ndarray:
     sign = x >= 0
     crossings = int(np.count_nonzero(sign[1:] != sign[:-1]))
     return np.array([mu, std, x.min(), x.max(), skew, kurt, rms, crossings])
-
-
-def feature_matrix(windows) -> np.ndarray:
-    return np.stack([extract_features(np.asarray(w)) for w in windows])
 
 
 def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,

@@ -34,7 +34,7 @@ from .mae_model import ModelConfig
 from .signal_pipeline import (TAG_ANOMALY, TAG_NORMAL, PipelineConfig,
                               build_dataset, energy_keep, make_windows, normalize)
 from .synth_bench import BridgeConfig, TrafficConfig
-from .trainer import KDConfig, parse_train_plan
+from .trainer import KDConfig, TrainPlan
 
 ENV_OUT = "SHM_FOMO_OUT"
 
@@ -73,8 +73,10 @@ def _coerce(raw: str, typ):
     return typ(raw)
 
 
-def build_from_section(cls, section: dict):
-    """Instantiate a config dataclass from a string-valued mapping."""
+def build_from_section(cls, section: dict, factory=None):
+    """Instantiate a config dataclass from a string-valued mapping, each value
+    coerced to the type of its field's default. ``factory`` (default ``cls``)
+    receives the coerced keys, so it can lay them over its own defaults."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, raw in section.items():
@@ -82,14 +84,12 @@ def build_from_section(cls, section: dict):
             raise ConfigError(f"unknown key {key!r} for {cls.__name__}")
         default = fields[key].default
         typ = type(default) if default is not dataclasses.MISSING else str
-        if typ is int and "." in raw:
-            typ = float
         try:
             kwargs[key] = _coerce(raw, typ)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     try:
-        return cls(**kwargs)
+        return (factory or cls)(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot build {cls.__name__}: {exc}") from exc
 
@@ -168,7 +168,7 @@ def _load_dataset_dir(path: Path):
 def _load_checkpoint(path: Path):
     if not Path(path).is_file():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    return trainer.load_checkpoint(path)
+    return mae_model.load_model(path)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,9 @@ def _train_plan(cfg, phase: str, seed: int, name: str = "train"):
     """The ``phase`` defaults with section ``name``'s keys laid over them."""
     values = dict(section(cfg, name))
     values.setdefault("seed", str(derive_seed(seed, "trainer")))
-    return parse_train_plan(values, phase)
+    if values.get("phase", phase) != phase:
+        raise ConfigError(f"a {phase} plan cannot name phase {values['phase']!r}")
+    return build_from_section(TrainPlan, values, trainer.PHASE_PLANS[phase])
 
 
 def cmd_pretrain(args, cfg, run_dir: Path) -> int:
@@ -256,7 +258,7 @@ def cmd_pretrain(args, cfg, run_dir: Path) -> int:
 def _save_training_outputs(model, log, run_dir: Path, plan, cfg_note: str) -> None:
     ckpt = run_dir / "checkpoint.ckpt"
     provenance = config_hash({"plan": plan, "note": cfg_note})
-    trainer.save_checkpoint(model, ckpt, provenance=provenance)
+    mae_model.save_model(model, ckpt, provenance=provenance)
     log.write_csv(run_dir / "trainlog.csv")
     print(f"{cfg_note}: final loss {log.final_loss:.6g}; checkpoint at {ckpt}")
 

@@ -148,14 +148,14 @@ def write_container(path, magic: bytes, meta: dict, tensors: dict[str, np.ndarra
     everything after the magic so tampering is detectable on load.
     """
     if len(magic) != 4:
-        raise ValueError("magic must be 4 bytes")
+        raise FormatError(f"magic must be 4 bytes, got {magic!r}")
     body = bytearray()
     body += struct.pack("<I", CONTAINER_VERSION)
     meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     body += struct.pack("<I", len(meta_blob)) + meta_blob
     body += struct.pack("<I", len(tensors))
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+        arr = np.asarray(tensors[name], dtype="<f4")   # tobytes() is C order
         name_b = name.encode("utf-8")
         body += struct.pack("<H", len(name_b)) + name_b
         body += struct.pack("<B", arr.ndim)
@@ -206,12 +206,6 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if off != len(body):
         raise FormatError(f"{path}: {len(body) - off} trailing bytes in container")
     return meta, tensors
-
-
-def file_sha256(path) -> str:
-    import hashlib
-
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def save_manifest(path, entries: list[dict]) -> None:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import nn_core
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, FormatError
 from .io_formats import read_container, write_container
 from .signal_pipeline import SPEC_SIZE
 
@@ -237,45 +237,14 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
     return patches[0] if single else patches
 
 
-def depatchify(patches: np.ndarray, patch_size: int) -> np.ndarray:
-    """Inverse of patchify; exact round-trip."""
-    single = patches.ndim == 2
-    if single:
-        patches = patches[None]
-    b, n, p2 = patches.shape
-    g = int(round(np.sqrt(n)))
-    images = (patches.reshape(b, g, g, patch_size, patch_size)
-              .transpose(0, 1, 3, 2, 4)
-              .reshape(b, g * patch_size, g * patch_size))
-    return images[0] if single else images
-
-
-@dataclass
-class MaskPlan:
-    """Partition of patch indices into masked and visible sets."""
-
-    masked_idx: np.ndarray
-    visible_idx: np.ndarray
-    seed: Optional[int] = None
-
-    @property
-    def n_masked(self) -> int:
-        return int(self.masked_idx.shape[0])
-
-
-def full_plan(num_patches: int) -> MaskPlan:
-    return MaskPlan(masked_idx=np.empty(0, dtype=np.int64),
-                    visible_idx=np.arange(num_patches), seed=None)
-
-
-def sample_mask(num_patches: int, p: float, seed: int) -> MaskPlan:
-    """Uniformly random subset of exactly round(p * num_patches) masked indices."""
+def sample_mask(num_patches: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masked_idx, visible_idx): a uniformly random subset of exactly
+    round(p * num_patches) masked indices, drawn from ``seed``."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"mask ratio must be in [0,1), got {p}")
     n_mask = int(round(p * num_patches))
     perm = np.random.default_rng(seed).permutation(num_patches)
-    return MaskPlan(masked_idx=np.sort(perm[:n_mask]),
-                    visible_idx=np.sort(perm[n_mask:]), seed=seed)
+    return np.sort(perm[:n_mask]), np.sort(perm[n_mask:])
 
 
 def sample_mask_batch(num_patches: int, p: float, batch: int,
@@ -331,14 +300,6 @@ def _encode_backward(model: MaeModel, dlatents: np.ndarray, cache) -> dict:
     return grads
 
 
-def encode(model: MaeModel, image: np.ndarray,
-           plan: Optional[MaskPlan] = None) -> np.ndarray:
-    """Latent vectors for the visible patches of one image (all, if plan=None)."""
-    visible = None if plan is None else plan.visible_idx[None, :]
-    latents, _ = _encode_batch(model, image[None], visible)
-    return latents[0]
-
-
 def _decode_batch(model: MaeModel, latents: np.ndarray, masked_idx: np.ndarray,
                   visible_idx: np.ndarray, keep_cache: bool = True):
     cfg = model.config
@@ -371,33 +332,12 @@ def _decode_backward(model: MaeModel, dpred: np.ndarray, cache):
     return dlatents, grads
 
 
-def decode_reconstruct(model: MaeModel, latents: np.ndarray,
-                       plan: MaskPlan) -> np.ndarray:
-    """Reconstruct the full image from visible-patch latents and the mask plan."""
-    if not model.has_decoder:
-        raise ConfigError("model has no decoder")
-    if latents.shape[0] != plan.visible_idx.shape[0]:
-        raise DataError("latents do not match the plan's visible set")
-    pred_patches, _ = _decode_batch(model, latents[None],
-                                    plan.masked_idx[None], plan.visible_idx[None])
-    return depatchify(pred_patches[0], model.config.patch_size)
-
-
-def pretrain_loss(pred_image: np.ndarray, true_image: np.ndarray,
-                  plan: MaskPlan, patch_size: int = 10) -> float:
-    """Mean squared error over pixels of masked patches only."""
-    if pred_image.shape != true_image.shape:
-        raise DataError(f"shape mismatch {pred_image.shape} vs {true_image.shape}")
-    if plan.n_masked == 0:
-        raise DataError("pretraining loss undefined for an empty masked set")
-    pred = patchify(np.asarray(pred_image, dtype=np.float64), patch_size)[plan.masked_idx]
-    true = patchify(np.asarray(true_image, dtype=np.float64), patch_size)[plan.masked_idx]
-    return float(np.mean((pred - true) ** 2))
-
-
 def _masked_diff(pred_patches: np.ndarray, true_patches: np.ndarray,
                  masked_idx: np.ndarray) -> np.ndarray:
     """Predicted minus true patches at each row's masked positions."""
+    if masked_idx.shape[1] == 0:
+        raise ConfigError("masked-patch error is undefined: the mask ratio "
+                          "leaves no patch masked")
     idx = masked_idx[:, :, None]
     return (np.take_along_axis(pred_patches, idx, axis=1)
             - np.take_along_axis(true_patches, idx, axis=1))
@@ -421,12 +361,6 @@ def pretrain_backward(model: MaeModel, cache) -> dict:
     dlatents, grads = _decode_backward(model, dpred, dec_cache)
     grads.update(_encode_backward(model, dlatents, enc_cache))
     return grads
-
-
-def pretrain_loss_and_grads(model: MaeModel, images: np.ndarray,
-                            masked_idx: np.ndarray, visible_idx: np.ndarray):
-    loss, cache = pretrain_forward_batch(model, images, masked_idx, visible_idx)
-    return loss, pretrain_backward(model, cache)
 
 
 def regress_forward_batch(model: MaeModel, images: np.ndarray):
@@ -463,14 +397,13 @@ def _masked_errors(model: MaeModel, images: np.ndarray, seeds) -> np.ndarray:
     if not model.has_decoder:
         raise ConfigError("reconstruction error needs the decoder")
     cfg = model.config
-    plans = [sample_mask(cfg.num_patches, cfg.mask_ratio, seed) for seed in seeds]
-    masked_idx = np.stack([plan.masked_idx for plan in plans])
-    visible_idx = np.stack([plan.visible_idx for plan in plans])
+    masks = [sample_mask(cfg.num_patches, cfg.mask_ratio, seed) for seed in seeds]
+    masked_idx, visible_idx = (np.stack(idx) for idx in zip(*masks))
     latents, enc_cache = _encode_batch(model, images, visible_idx, keep_cache=False)
     pred_patches, _ = _decode_batch(model, latents, masked_idx, visible_idx,
                                     keep_cache=False)
     d2 = _masked_diff(pred_patches, enc_cache[0], masked_idx).astype(np.float64) ** 2
-    return np.mean(d2.reshape(len(plans), -1), axis=1)
+    return np.mean(d2.reshape(len(masks), -1), axis=1)
 
 
 def reconstruction_error(model: MaeModel, image: np.ndarray, eval_seed: int) -> float:

@@ -114,15 +114,6 @@ def gen_ambient(cfg: BridgeConfig, duration_s: float, damaged: bool = False,
     return RawRecording(samples=signal, fs=FS)
 
 
-def count_labels(labels: np.ndarray, lo: int, hi: int, k: int) -> float:
-    """Plain-loop label counter over [lo, hi); the generator's own bookkeeping."""
-    count = 0
-    for i in range(lo, hi):
-        if labels[i] == k:
-            count += 1
-    return count / 10.0
-
-
 def write_vehicle_label(labels: np.ndarray, arrival_s: float, cls: int,
                         pulse_dur_s: float) -> None:
     """Mark a vehicle: round(pulse_dur_s) consecutive 10-sample groups get its

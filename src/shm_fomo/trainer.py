@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mae_model
 from .errors import ConfigError, DataError, DivergenceError, EmptyInputError
-from .mae_model import MaeModel, save_model as save_checkpoint, load_model as load_checkpoint  # noqa: F401
+from .mae_model import MaeModel
 from .signal_pipeline import TAG_ANOMALY
 
 logger = logging.getLogger(__name__)
@@ -105,7 +105,6 @@ class EpochRecord:
     epoch: int
     lr: float
     loss: float
-    val_metric: Optional[float]
     seconds: float
 
 
@@ -118,11 +117,10 @@ class TrainLog:
 
     def write_csv(self, path) -> None:
         with open(path, "w") as f:
-            f.write("epoch,lr,loss,val_metric,seconds\n")
+            f.write("epoch,lr,loss,seconds\n")
             for r in self.records:
-                val = "" if r.val_metric is None else repr(float(r.val_metric))
                 f.write(f"{r.epoch},{float(r.lr)!r},{float(r.loss)!r},"
-                        f"{val},{r.seconds:.3f}\n")
+                        f"{r.seconds:.3f}\n")
 
     @property
     def final_loss(self) -> float:
@@ -221,7 +219,7 @@ def _run_loop(model: MaeModel, n: int, plan: TrainPlan,
             losses.append(loss)
             log.step_losses.append(loss)
         rec = EpochRecord(epoch=epoch, lr=lr, loss=float(np.mean(losses)),
-                          val_metric=None, seconds=time.perf_counter() - t0)
+                          seconds=time.perf_counter() - t0)
         log.records.append(rec)
         if epoch % log_every == 0 or epoch == plan.epochs - 1:
             logger.info("%s epoch %d/%d lr %.3g loss %.5g",
@@ -243,7 +241,8 @@ def pretrain(model: MaeModel, windows: Sequence, plan: TrainPlan) -> TrainLog:
     def step(idx, rng):
         masked, visible = mae_model.sample_mask_batch(
             num_patches, plan.mask_ratio, len(idx), rng)
-        return mae_model.pretrain_loss_and_grads(model, images[idx], masked, visible)
+        loss, cache = mae_model.pretrain_forward_batch(model, images[idx], masked, visible)
+        return loss, mae_model.pretrain_backward(model, cache)
 
     return _run_loop(model, len(windows), plan, step)
 
@@ -350,46 +349,3 @@ def finetune_kd(student: MaeModel, teacher: Optional[MaeModel], labeled_windows,
         return loss, grads
 
     return _run_loop(student, len(labeled_windows), plan, step)
-
-
-_PLAN_FIELD_TYPES = {
-    "phase": str, "base_lr": float, "weight_decay": float, "epochs": int,
-    "batch_size": int, "warmup_epochs": int, "mask_ratio": float, "seed": int,
-}
-
-
-def parse_train_plan(values: dict, phase: Optional[str] = None) -> TrainPlan:
-    """Build a TrainPlan from string-valued key=value pairs laid over the
-    defaults of its phase: ``phase`` if given, else the pairs' own ``phase``,
-    else pretraining. Pairs naming a phase other than ``phase`` are rejected."""
-    kwargs = {}
-    for key, raw in values.items():
-        if key not in _PLAN_FIELD_TYPES:
-            raise ConfigError(f"unknown train plan key {key!r}")
-        try:
-            kwargs[key] = _PLAN_FIELD_TYPES[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    named = kwargs.pop("phase", None)
-    if phase is None:
-        phase = named or "pretrain"
-    elif named not in (None, phase):
-        raise ConfigError(f"a {phase} plan cannot name phase {named!r}")
-    if phase not in PHASE_PLANS:
-        raise ConfigError(f"unknown phase {phase!r}")
-    return PHASE_PLANS[phase](**kwargs)
-
-
-def load_train_plan(path) -> TrainPlan:
-    """Parse a plain key=value text file into a TrainPlan."""
-    values = {}
-    with open(path) as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line or line.startswith("["):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: malformed line {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = val
-    return parse_train_plan(values)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shm_fomo.anomaly_head import (
     AdMetrics,
@@ -73,7 +74,25 @@ class TestCalibrateThreshold:
             ThresholdConfig(**kwargs)
 
 
+def brute_force_median_smooth(errors, L):
+    """Lower median by counting: the least trailing-window value that at least
+    half the window (rounded up) does not exceed."""
+    out = []
+    for i in range(len(errors)):
+        window = errors[max(0, i - L + 1):i + 1]
+        need = (len(window) + 1) // 2
+        out.append(min(v for v in window if sum(u <= v for u in window) >= need))
+    return np.array(out)
+
+
 class TestMedianSmooth:
+    @settings(max_examples=60, deadline=None)
+    @given(series=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+           L=st.integers(1, 45))
+    def test_matches_brute_force_property(self, series, L):
+        assert np.array_equal(median_smooth(series, L),
+                              brute_force_median_smooth(series, L))
+
     def test_constant_series_unchanged(self):
         series = np.full(50, 2.5)
         for L in (1, 15, 30):

@@ -5,17 +5,22 @@ from shm_fomo.baselines import (
     FEATURE_NAMES,
     LinregModel,
     extract_features,
-    feature_matrix,
     knn_predict,
     linreg_fit,
     linreg_predict,
     load_pca,
-    pca_error,
     pca_errors,
     pca_fit,
     save_pca,
 )
 from shm_fomo.errors import DataError
+
+
+def pca_error(model, window):
+    """Single-window reference: mean squared residual of project-then-reconstruct."""
+    r = np.asarray(window, dtype=np.float64) - model.mean
+    recon = model.components @ (model.components.T @ r)
+    return float(np.mean((r - recon) ** 2))
 
 
 def subspace_data(n, t, k, seed=0):
@@ -29,8 +34,7 @@ class TestPca:
     def test_exact_subspace_reconstruction(self):
         data = subspace_data(50, 64, 3, seed=1)
         model = pca_fit(data, cf=16)  # n_comp = 4 >= 3
-        for w in data[:10]:
-            assert pca_error(model, w) < 1e-8
+        assert (pca_errors(model, data[:10]) < 1e-8).all()
 
     def test_cf32_component_arithmetic(self):
         data = np.random.default_rng(2).normal(size=(40, 500))
@@ -62,9 +66,9 @@ class TestPca:
     def test_error_zero_at_mean_and_in_span(self):
         data = np.random.default_rng(5).normal(size=(30, 40))
         model = pca_fit(data, cf=8)
-        assert pca_error(model, model.mean) < 1e-20
+        assert pca_errors(model, model.mean[None])[0] < 1e-20
         in_span = model.mean + model.components[:, 0]
-        assert pca_error(model, in_span) < 1e-8
+        assert pca_errors(model, in_span[None])[0] < 1e-8
 
     def test_residual_orthogonal_to_components(self):
         rng = np.random.default_rng(6)
@@ -79,7 +83,7 @@ class TestPca:
         rng = np.random.default_rng(7)
         data = rng.normal(size=(50, 64))
         query = rng.normal(size=64)
-        errs = [pca_error(pca_fit(data, cf=cf), query) for cf in (32, 16, 8, 4)]
+        errs = [pca_errors(pca_fit(data, cf=cf), query[None])[0] for cf in (32, 16, 8, 4)]
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_deterministic_sign_convention(self):
@@ -103,6 +107,11 @@ class TestPca:
         batch = pca_errors(model, queries)
         singles = [pca_error(model, q) for q in queries]
         assert np.allclose(batch, singles, rtol=1e-12)
+
+    def test_window_length_mismatch(self):
+        model = pca_fit(np.random.default_rng(11).normal(size=(30, 50)), cf=10)
+        with pytest.raises(DataError):
+            pca_errors(model, np.zeros((2, 49)))
 
     def test_persistence_round_trip(self, tmp_path):
         data = np.random.default_rng(10).normal(size=(30, 40))
@@ -146,10 +155,6 @@ class TestFeatures:
     def test_empty_window(self):
         with pytest.raises(DataError):
             extract_features(np.empty(0))
-
-    def test_feature_matrix_shape(self):
-        windows = [np.random.default_rng(i).normal(size=30) for i in range(5)]
-        assert feature_matrix(windows).shape == (5, 8)
 
 
 class TestKnn:

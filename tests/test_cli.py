@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shm_fomo import cli
+from shm_fomo.anomaly_head import ThresholdConfig
 from shm_fomo.errors import ConfigError
 from shm_fomo.io_formats import load_dataset, load_manifest
 from shm_fomo.mae_model import ModelConfig, build_model, save_model
@@ -82,7 +83,7 @@ def test_full_recipe(tmp_path):
     pt_dir = only_run_dir(out, "pretrain")
     ckpt = pt_dir / "checkpoint.ckpt"
     assert ckpt.is_file()
-    assert (pt_dir / "trainlog.csv").read_text().startswith("epoch,lr,loss")
+    assert (pt_dir / "trainlog.csv").read_text().startswith("epoch,lr,loss,seconds\n")
     assert (pt_dir / "run.json").is_file()
     assert (pt_dir / "config.ini").is_file()
 
@@ -289,3 +290,19 @@ class TestPartialPlanSections:
     def test_section_naming_another_phase_rejected(self):
         with pytest.raises(ConfigError):
             cli._train_plan(_config("[train]\nphase = pretrain\n"), "finetune_tle", seed=7)
+
+
+class TestTypedValues:
+    """An int field takes only an integer literal."""
+
+    def test_fractional_model_int_rejected(self, tmp_path):
+        # main() maps ConfigError to exit code 3
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[model]\ne_dim = 24\nd_dim = 16\nn_blocks = 2.5\n"
+                       "[paths]\ndataset = x\n")
+        with pytest.raises(ConfigError, match="n_blocks"):
+            cli.run(["pretrain", "--config", str(cfg), "--out", str(tmp_path)])
+
+    def test_fractional_threshold_int_rejected(self):
+        with pytest.raises(ConfigError):
+            cli.build_from_section(ThresholdConfig, {"max_steps": "2.5"})

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from shm_fomo.errors import FormatError
 from shm_fomo.io_formats import (
@@ -134,6 +136,67 @@ def test_container_detects_truncation(tmp_path):
     path = tmp_path / "box.bin"
     write_container(path, b"TEST", {}, {"x": np.ones(8, np.float32)})
     path.write_bytes(path.read_bytes()[:-6])
+    with pytest.raises(FormatError):
+        read_container(path, b"TEST")
+
+
+def test_container_magic_must_be_4_bytes(tmp_path):
+    with pytest.raises(FormatError):
+        write_container(tmp_path / "box.bin", b"TOOLONG", {}, {})
+
+
+# a file per example under one tmp_path; each example overwrites it
+CONTAINER_SETTINGS = settings(max_examples=40, deadline=None,
+                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+# multi-byte characters exercise the UTF-8 length fields
+names = st.text(alphabet="ab.é☃\U0001d11e", max_size=6)
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 53, 2 ** 53), names)
+containers = st.tuples(
+    st.dictionaries(names, json_scalars, max_size=4),
+    st.dictionaries(names,
+                    arrays(np.float32, array_shapes(min_dims=0, max_dims=3, max_side=4),
+                           elements=st.floats(width=32)),
+                    max_size=3))
+
+
+def container_bytes(path, meta, tensors) -> bytes:
+    write_container(path, b"TEST", meta, tensors)
+    return path.read_bytes()
+
+
+@CONTAINER_SETTINGS
+@given(box=containers)
+def test_container_round_trip_property(tmp_path, box):
+    meta, tensors = box
+    path = tmp_path / "box.bin"
+    write_container(path, b"TEST", meta, tensors)
+    meta2, tensors2 = read_container(path, b"TEST")
+    assert meta2 == meta
+    assert set(tensors2) == set(tensors)
+    for name, arr in tensors.items():
+        assert tensors2[name].shape == arr.shape
+        assert tensors2[name].tobytes() == arr.tobytes()   # NaN payloads too
+
+
+@CONTAINER_SETTINGS
+@given(box=containers, data=st.data())
+def test_container_any_truncation_rejected(tmp_path, box, data):
+    path = tmp_path / "box.bin"
+    blob = container_bytes(path, *box)
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    path.write_bytes(blob[:cut])
+    with pytest.raises(FormatError):
+        read_container(path, b"TEST")
+
+
+@CONTAINER_SETTINGS
+@given(box=containers, data=st.data())
+def test_container_any_bit_flip_rejected(tmp_path, box, data):
+    path = tmp_path / "box.bin"
+    blob = bytearray(container_bytes(path, *box))
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+    blob[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
         read_container(path, b"TEST")
 

@@ -1,36 +1,65 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from shm_fomo import nn_core
-from shm_fomo.errors import ConfigError, DataError, FormatError
+from shm_fomo.errors import ConfigError, FormatError
 from shm_fomo.signal_pipeline import SpectrogramWindow
 from shm_fomo.mae_model import (
     EVAL_BATCH,
     SIZE_FAMILY,
-    MaskPlan,
     ModelConfig,
+    _decode_batch,
+    _encode_batch,
+    _masked_diff,
     attach_regression_head,
     build_model,
-    decode_reconstruct,
-    depatchify,
-    encode,
     forward_regress,
-    full_plan,
     load_model,
     param_count,
     param_shapes,
     patchify,
     pretrain_forward_batch,
-    pretrain_loss,
     reconstruction_error,
     reconstruction_errors,
     sample_mask,
     sample_mask_batch,
     save_model,
 )
+from shm_fomo.trainer import pretrain, pretrain_plan
 
 TINY = ModelConfig(e_dim=24, d_dim=16)
+DIVISORS_OF_100 = [1, 2, 4, 5, 10, 20, 25, 50, 100]
+
+
+def depatchify(patches, patch_size):
+    """Inverse of patchify: the oracle for its round trip."""
+    single = patches.ndim == 2
+    if single:
+        patches = patches[None]
+    b, n, _ = patches.shape
+    g = int(round(np.sqrt(n)))
+    images = (patches.reshape(b, g, g, patch_size, patch_size)
+              .transpose(0, 1, 3, 2, 4)
+              .reshape(b, g * patch_size, g * patch_size))
+    return images[0] if single else images
+
+
+def reconstruct(model, image, masked, visible):
+    """One image through the batched encoder and decoder, as an image."""
+    latents, _ = _encode_batch(model, image[None], visible[None])
+    pred, _ = _decode_batch(model, latents, masked[None], visible[None])
+    return depatchify(pred[0], model.config.patch_size)
+
+
+def masked_mse(pred_image, true_image, masked_idx, patch_size=10):
+    """The training loss of one image pair, through the production masked
+    difference and the loss's float64 mean."""
+    pred = patchify(np.asarray(pred_image), patch_size)[None]
+    true = patchify(np.asarray(true_image), patch_size)[None]
+    diff = _masked_diff(pred, true, masked_idx[None])
+    return float(np.mean(diff.astype(np.float64) ** 2))
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +86,19 @@ class TestPatchify:
             img = rand_image(seed)
             assert np.array_equal(depatchify(patchify(img, 10), 10), img)
 
-    @pytest.mark.parametrize("p", [1, 2, 4, 5, 10, 20, 25, 50, 100])
+    @pytest.mark.parametrize("p", DIVISORS_OF_100)
     def test_round_trip_all_divisors(self, p):
         img = rand_image(1)
         assert np.array_equal(depatchify(patchify(img, p), p), img)
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.sampled_from(DIVISORS_OF_100), batch=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_trip_property(self, p, batch, seed):
+        images = np.random.default_rng(seed).normal(size=(batch, 100, 100))
+        patches = patchify(images, p)
+        assert patches.shape == (batch, (100 // p) ** 2, p * p)
+        assert np.array_equal(depatchify(patches, p), images)
 
     def test_indivisible_patch_size(self):
         with pytest.raises(ConfigError):
@@ -76,28 +114,28 @@ class TestPatchify:
 class TestMasking:
     def test_exact_masked_count(self):
         for seed in range(20):
-            plan = sample_mask(100, 0.8, seed)
-            assert plan.n_masked == 80
-            assert plan.visible_idx.shape[0] == 20
+            masked, visible = sample_mask(100, 0.8, seed)
+            assert masked.shape[0] == 80
+            assert visible.shape[0] == 20
 
     def test_zero_ratio(self):
-        plan = sample_mask(100, 0.0, 1)
-        assert plan.n_masked == 0
-        assert np.array_equal(plan.visible_idx, np.arange(100))
+        masked, visible = sample_mask(100, 0.0, 1)
+        assert masked.shape[0] == 0
+        assert np.array_equal(visible, np.arange(100))
 
     def test_partition_property(self):
-        plan = sample_mask(100, 0.8, 7)
-        union = np.union1d(plan.masked_idx, plan.visible_idx)
+        masked, visible = sample_mask(100, 0.8, 7)
+        union = np.union1d(masked, visible)
         assert np.array_equal(union, np.arange(100))
-        assert np.intersect1d(plan.masked_idx, plan.visible_idx).size == 0
+        assert np.intersect1d(masked, visible).size == 0
 
     def test_same_seed_identical(self):
         a, b = sample_mask(100, 0.8, 42), sample_mask(100, 0.8, 42)
-        assert np.array_equal(a.masked_idx, b.masked_idx)
+        assert np.array_equal(a[0], b[0])
 
     def test_different_seeds_differ(self):
-        plans = {tuple(sample_mask(100, 0.8, s).masked_idx) for s in range(50)}
-        assert len(plans) == 50
+        masks = {tuple(sample_mask(100, 0.8, s)[0]) for s in range(50)}
+        assert len(masks) == 50
 
     def test_uniformity_chi_square(self):
         # inclusion frequency per index over 1e5 draws of 5-of-10 subsets
@@ -115,13 +153,13 @@ class TestMasking:
 
 class TestEncodeDecode:
     def test_encode_all_patches(self, tiny_model):
-        latents = encode(tiny_model, rand_image())
-        assert latents.shape == (100, TINY.e_dim)
+        latents, _ = _encode_batch(tiny_model, rand_image()[None], None)
+        assert latents.shape == (1, 100, TINY.e_dim)
 
     def test_encode_masked(self, tiny_model):
-        plan = sample_mask(100, 0.8, 5)
-        latents = encode(tiny_model, rand_image(), plan)
-        assert latents.shape == (20, TINY.e_dim)
+        _, visible = sample_mask(100, 0.8, 5)
+        latents, _ = _encode_batch(tiny_model, rand_image()[None], visible[None])
+        assert latents.shape == (1, 20, TINY.e_dim)
 
     def test_permutation_equivariance_with_zero_pos(self):
         model = build_model(ModelConfig(e_dim=24, d_dim=16), seed=3, dtype=np.float64)
@@ -136,65 +174,65 @@ class TestEncodeDecode:
         assert np.allclose(out[:, perm], out_perm, atol=1e-10)
 
     def test_decode_shape(self, tiny_model):
-        plan = sample_mask(100, 0.8, 2)
-        latents = encode(tiny_model, rand_image(), plan)
-        recon = decode_reconstruct(tiny_model, latents, plan)
+        masked, visible = sample_mask(100, 0.8, 2)
+        recon = reconstruct(tiny_model, rand_image(), masked, visible)
         assert recon.shape == (100, 100)
 
     def test_decode_deterministic(self, tiny_model):
-        plan = sample_mask(100, 0.0, 2)
+        masked, visible = sample_mask(100, 0.0, 2)
         img = rand_image(4)
-        r1 = decode_reconstruct(tiny_model, encode(tiny_model, img, plan), plan)
-        r2 = decode_reconstruct(tiny_model, encode(tiny_model, img, plan), plan)
+        r1 = reconstruct(tiny_model, img, masked, visible)
+        r2 = reconstruct(tiny_model, img, masked, visible)
         assert np.array_equal(r1, r2)
-
-    def test_latents_plan_mismatch(self, tiny_model):
-        plan = sample_mask(100, 0.8, 2)
-        latents = encode(tiny_model, rand_image(), plan)
-        other = sample_mask(100, 0.5, 2)
-        with pytest.raises(DataError):
-            decode_reconstruct(tiny_model, latents, other)
 
 
 class TestPretrainLoss:
     def test_zero_for_perfect_prediction(self):
         img = rand_image(1)
-        plan = sample_mask(100, 0.8, 0)
-        assert pretrain_loss(img, img, plan) == 0.0
+        masked, _ = sample_mask(100, 0.8, 0)
+        assert masked_mse(img, img, masked) == 0.0
 
     def test_constant_offset_closed_form(self):
         img = rand_image(2)
-        plan = sample_mask(100, 0.8, 1)
+        masked, _ = sample_mask(100, 0.8, 1)
         pred = img.copy()
         patches = patchify(pred, 10)
-        patches[plan.masked_idx] += 0.3
+        patches[masked] += 0.3
         pred = depatchify(patches, 10)
-        assert pretrain_loss(pred, img, plan) == pytest.approx(0.09, rel=1e-12)
+        assert masked_mse(pred, img, masked) == pytest.approx(0.09, rel=1e-12)
 
     def test_visible_perturbation_invariance_exact(self):
         img = rand_image(3)
-        plan = sample_mask(100, 0.8, 2)
+        masked, visible = sample_mask(100, 0.8, 2)
         pred = img + 0.1
-        base = pretrain_loss(pred, img, plan)
+        base = masked_mse(pred, img, masked)
         patches = patchify(pred, 10)
-        patches[plan.visible_idx] += np.random.default_rng(0).normal(
+        patches[visible] += np.random.default_rng(0).normal(
             size=(20, 100)) * 100
         perturbed = depatchify(patches, 10)
-        assert pretrain_loss(perturbed, img, plan) == base
+        assert masked_mse(perturbed, img, masked) == base
 
     def test_empty_masked_set_rejected(self):
-        img = rand_image(4)
-        with pytest.raises(DataError):
-            pretrain_loss(img, img, full_plan(100))
+        # a ratio that rounds to no masked patch leaves the loss undefined
+        windows = [SpectrogramWindow(image=rand_image(s)) for s in range(2)]
+        for ratio in (0.0, 0.004):
+            model = build_model(ModelConfig(e_dim=24, d_dim=16, mask_ratio=ratio), seed=0)
+            with pytest.raises(ConfigError):
+                reconstruction_error(model, windows[0].image, eval_seed=0)
+            with pytest.raises(ConfigError):
+                reconstruction_errors(model, windows)
+            plan = pretrain_plan(epochs=1, warmup_epochs=0, batch_size=2,
+                                 mask_ratio=ratio)
+            with pytest.raises(ConfigError):
+                pretrain(model, windows, plan)
 
     def test_batch_loss_matches_single(self, tiny_model):
         img = rand_image(5)
-        plan = sample_mask(100, 0.8, 3)
+        masked, visible = sample_mask(100, 0.8, 3)
         loss_batch, _ = pretrain_forward_batch(
-            tiny_model, img[None], plan.masked_idx[None], plan.visible_idx[None])
-        latents = encode(tiny_model, img, plan)
-        recon = decode_reconstruct(tiny_model, latents, plan)
-        loss_single = pretrain_loss(recon, img.astype(np.float32), plan)
+            tiny_model, img[None], masked[None], visible[None])
+        recon = reconstruct(tiny_model, img, masked, visible)
+        loss_single = masked_mse(recon, img.astype(np.float32), masked)
         assert loss_batch == pytest.approx(loss_single, rel=1e-5)
 
 
@@ -236,9 +274,9 @@ class TestReconstructionError:
     def test_equals_training_loss_under_same_mask(self, tiny_model):
         # scoring drops the backward caches; the training forward is the reference
         img = rand_image(8)
-        plan = sample_mask(TINY.num_patches, TINY.mask_ratio, 99)
+        masked, visible = sample_mask(TINY.num_patches, TINY.mask_ratio, 99)
         loss, _ = pretrain_forward_batch(tiny_model, img[None],
-                                         plan.masked_idx[None], plan.visible_idx[None])
+                                         masked[None], visible[None])
         assert reconstruction_error(tiny_model, img, eval_seed=99) == loss
 
 

@@ -16,11 +16,20 @@ from shm_fomo.synth_bench import (
     FS,
     BridgeConfig,
     TrafficConfig,
-    count_labels,
     gen_ambient,
     gen_traffic,
     write_vehicle_label,
 )
+
+
+def count_labels(labels, lo, hi, k):
+    """Plain-loop label counter over [lo, hi), in the generator's units
+    (10-sample groups): the oracle for compute_target."""
+    count = 0
+    for i in range(lo, hi):
+        if labels[i] == k:
+            count += 1
+    return count / 10.0
 
 
 class TestGenAmbient:

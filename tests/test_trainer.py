@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shm_fomo import cli
 from shm_fomo.errors import ConfigError, DataError, DivergenceError
 from shm_fomo.mae_model import ModelConfig, attach_regression_head, build_model
 from shm_fomo.signal_pipeline import SpectrogramWindow
@@ -17,13 +18,10 @@ from shm_fomo.trainer import (
     finetune_kd,
     finetune_tle,
     kd_loss,
-    load_checkpoint,
-    load_train_plan,
     lr_at,
     mae_loss,
     pretrain,
     pretrain_plan,
-    save_checkpoint,
 )
 
 TINY = ModelConfig(e_dim=24, d_dim=16)
@@ -285,35 +283,40 @@ class TestPhases:
             assert losses[e + 50] <= losses[e]
 
 
+def plan_from_file(path, phase):
+    """The plan ``cli`` builds from the ``[train]`` section of a config file."""
+    return cli._train_plan(cli.load_config(path), phase, seed=0)
+
+
 class TestPlanParsing:
     def test_load_key_value_file(self, tmp_path):
-        path = tmp_path / "plan.cfg"
+        path = tmp_path / "plan.ini"
         path.write_text(
-            "# fine-tune settings\nphase = finetune_tle\nbase_lr = 2.5e-6\n"
+            "# fine-tune settings\n[train]\nphase = finetune_tle\nbase_lr = 2.5e-6\n"
             "epochs = 500\nbatch_size = 8\nwarmup_epochs = 0\nseed = 42\n")
-        plan = load_train_plan(path)
+        plan = plan_from_file(path, "finetune_tle")
         assert plan.phase == "finetune_tle"
         assert plan.base_lr == 2.5e-6
         assert plan.epochs == 500 and plan.batch_size == 8 and plan.seed == 42
 
     def test_partial_file_keeps_phase_defaults(self, tmp_path):
-        path = tmp_path / "plan.cfg"
-        path.write_text("phase = finetune_tle\nepochs = 300\n")
-        plan = load_train_plan(path)
+        path = tmp_path / "plan.ini"
+        path.write_text("[train]\nphase = finetune_tle\nepochs = 300\n")
+        plan = plan_from_file(path, "finetune_tle")
         assert (plan.base_lr, plan.batch_size, plan.warmup_epochs) == (2.5e-6, 8, 0)
         assert plan.epochs == 300
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "plan.cfg"
-        path.write_text("learning_rate = 0.1\n")
+        path = tmp_path / "plan.ini"
+        path.write_text("[train]\nlearning_rate = 0.1\n")
         with pytest.raises(ConfigError):
-            load_train_plan(path)
+            plan_from_file(path, "pretrain")
 
     def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "plan.cfg"
-        path.write_text("base_lr 0.1\n")
+        path = tmp_path / "plan.ini"
+        path.write_text("[train]\nbase_lr 0.1\n")
         with pytest.raises(ConfigError):
-            load_train_plan(path)
+            plan_from_file(path, "pretrain")
 
     def test_phase_defaults(self):
         from shm_fomo.trainer import finetune_ad_plan, finetune_tle_plan
@@ -330,12 +333,3 @@ class TestPlanParsing:
 
     def test_mask_ratio_default(self):
         assert pretrain_plan().mask_ratio == 0.8
-
-
-def test_checkpoint_roundtrip_through_trainer_api(tmp_path):
-    model = build_model(TINY, seed=0)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(model, path)
-    back = load_checkpoint(path)
-    for k in model.params:
-        assert np.array_equal(back.params[k], model.params[k])
