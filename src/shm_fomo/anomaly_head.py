@@ -8,7 +8,7 @@ classification, and the detection metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,11 +139,9 @@ def decisions(errors: Sequence[float], threshold: float, L: int) -> list[AdDecis
             for i in range(errors.size)]
 
 
-def write_decisions_csv(path, decs: list[AdDecision],
-                        truth: Optional[Sequence[bool]] = None) -> None:
+def write_decisions_csv(path, decs: list[AdDecision], truth: Sequence[bool]) -> None:
     with open(path, "w") as f:
         f.write("window_index,raw_error,smoothed_error,verdict,truth\n")
         for i, d in enumerate(decs):
-            t = "" if truth is None else int(bool(truth[i]))
             f.write(f"{d.window_index},{d.raw_error!r},{d.smoothed_error!r},"
-                    f"{int(d.verdict)},{t}\n")
+                    f"{int(d.verdict)},{int(bool(truth[i]))}\n")

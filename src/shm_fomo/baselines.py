@@ -16,6 +16,7 @@ from .errors import DataError, FormatError
 from .io_formats import read_container, write_container
 
 PCA_MAGIC = b"PCAM"
+LINREG_RIDGE = 1e-8      # added to the Gram diagonal in linreg_fit
 
 FEATURE_NAMES = ("mean", "std", "min", "max", "skewness", "kurtosis",
                  "rms_energy", "zero_crossings")
@@ -135,16 +136,15 @@ class LinregModel:
     intercept: float
 
 
-def linreg_fit(features: np.ndarray, targets: np.ndarray,
-               jitter: float = 1e-8) -> LinregModel:
-    """Least squares with intercept via normal equations; a small ridge jitter
-    keeps rank-deficient designs solvable."""
+def linreg_fit(features: np.ndarray, targets: np.ndarray) -> LinregModel:
+    """Least squares with intercept via normal equations; a small ridge term
+    (LINREG_RIDGE) keeps rank-deficient designs solvable."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if x.shape[0] < x.shape[1] + 1:
         raise DataError(f"need at least {x.shape[1] + 1} samples, got {x.shape[0]}")
     design = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
-    gram = design.T @ design + jitter * np.eye(design.shape[1])
+    gram = design.T @ design + LINREG_RIDGE * np.eye(design.shape[1])
     beta = np.linalg.solve(gram, design.T @ y)
     return LinregModel(coef=beta[1:], intercept=float(beta[0]))
 

@@ -5,6 +5,24 @@ dataclasses, runs one stage, and writes its artifacts plus the resolved
 config, seeds, and hashes into a fresh per-run directory so results can be
 reproduced exactly.
 
+Sections and the keys they take (every value is typed like its default; an
+unknown key or a value of the wrong type is a config error):
+
+- ``[experiment]``: ``seed`` (default 0; ``--seed`` overrides it).
+- ``[synth]``: ``kind`` (ambient | traffic), ``duration_s``, ``damaged``,
+  ``count``, plus the fields of ``synth_bench.BridgeConfig``.
+- ``[traffic]``: ``synth_bench.TrafficConfig``.
+- ``[pipeline]``: ``signal_pipeline.PipelineConfig``.
+- ``[model]``: ``mae_model.ModelConfig``. Its ``mask_ratio`` alone sets the
+  ratio pretraining masks at; ``finetune-ad`` takes it from the checkpoint.
+- ``[train]``, and the ablation's ``[finetune]``: ``trainer.TrainPlan``
+  without ``phase`` and ``mask_ratio``, laid over the phase's defaults. The
+  subcommand sets the phase and the model the mask ratio.
+- ``[kd]``: ``trainer.KDConfig``.
+- ``[threshold]``: ``anomaly_head.ThresholdConfig``.
+- ``[baseline]``: ``mode`` (pca-ad | knn-tle | linreg-tle), ``cf``, ``k``.
+- ``[paths]``: the input and checkpoint paths each subcommand names.
+
 Exit codes: 0 success, 2 usage error, 3 malformed config, 4 missing or
 malformed input file (checkpoint, dataset, recording).
 """
@@ -26,7 +44,7 @@ import numpy as np
 from . import __version__, baselines, evaluation, mae_model, synth_bench, trainer
 from .anomaly_head import (ThresholdConfig, calibrate_threshold, decisions,
                            write_decisions_csv)
-from .errors import ConfigError, FormatError, ShmFomoError
+from .errors import ConfigError, DataError, FormatError, ShmFomoError
 from .io_formats import (config_hash, load_dataset, load_manifest,
                          load_recording_binary, load_recording_csv,
                          save_dataset, save_manifest, save_recording_binary)
@@ -37,6 +55,11 @@ from .synth_bench import BridgeConfig, TrafficConfig
 from .trainer import KDConfig, TrainPlan
 
 ENV_OUT = "SHM_FOMO_OUT"
+
+# keys of the sections that configure the CLI itself, with their defaults
+EXPERIMENT_OPTIONS = {"seed": 0}
+SYNTH_OPTIONS = {"kind": "ambient", "duration_s": 600.0, "damaged": False, "count": 1}
+BASELINE_OPTIONS = {"mode": "pca-ad", "cf": 32, "k": 7}
 
 
 def derive_seed(global_seed: int, module_name: str) -> int:
@@ -73,21 +96,33 @@ def _coerce(raw: str, typ):
     return typ(raw)
 
 
+def typed_values(values: dict, defaults: dict, owner: str) -> dict:
+    """Each string in ``values`` coerced to the type of its key's entry in
+    ``defaults``; a key not in ``defaults`` or a bad value is a ConfigError."""
+    out = {}
+    for key, raw in values.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown key {key!r} for {owner}")
+        default = defaults[key]
+        typ = type(default) if default is not dataclasses.MISSING else str
+        try:
+            out[key] = _coerce(raw, typ)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
+    return out
+
+
+def options(values: dict, defaults: dict, owner: str) -> dict:
+    """``defaults`` with the typed ``values`` laid over them."""
+    return {**defaults, **typed_values(values, defaults, owner)}
+
+
 def build_from_section(cls, section: dict, factory=None):
     """Instantiate a config dataclass from a string-valued mapping, each value
     coerced to the type of its field's default. ``factory`` (default ``cls``)
     receives the coerced keys, so it can lay them over its own defaults."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, raw in section.items():
-        if key not in fields:
-            raise ConfigError(f"unknown key {key!r} for {cls.__name__}")
-        default = fields[key].default
-        typ = type(default) if default is not dataclasses.MISSING else str
-        try:
-            kwargs[key] = _coerce(raw, typ)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
+    kwargs = typed_values(section, {f.name: f.default for f in dataclasses.fields(cls)},
+                          cls.__name__)
     try:
         return (factory or cls)(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -98,17 +133,12 @@ def section(cfg: configparser.ConfigParser, name: str) -> dict:
     return dict(cfg[name]) if cfg.has_section(name) else {}
 
 
-def paths_of(cfg: configparser.ConfigParser, *keys, required=True) -> list[Path]:
+def paths_of(cfg: configparser.ConfigParser, *keys) -> list[Path]:
     sec = section(cfg, "paths")
-    out = []
     for key in keys:
         if key not in sec:
-            if required:
-                raise ConfigError(f"[paths] section needs {key!r}")
-            out.append(None)
-            continue
-        out.append(Path(sec[key]))
-    return out
+            raise ConfigError(f"[paths] section needs {key!r}")
+    return [Path(sec[key]) for key in keys]
 
 
 def make_run_dir(root: Path, command: str, cfg_hash: str) -> Path:
@@ -123,29 +153,22 @@ def make_run_dir(root: Path, command: str, cfg_hash: str) -> Path:
     return run_dir
 
 
-def write_run_info(run_dir: Path, command: str, cfg_path, seed: int) -> None:
+def write_run_info(run_dir: Path, command: str, cfg_path, cfg_sha: str,
+                   seed: int) -> None:
     info = {
         "command": command,
-        "config": str(cfg_path) if cfg_path else None,
-        "config_sha": config_hash(_config_dict(cfg_path)) if cfg_path else None,
+        "config": str(cfg_path),
+        "config_sha": cfg_sha,
         "seed": seed,
         "version": __version__,
     }
     (run_dir / "run.json").write_text(json.dumps(info, indent=2) + "\n")
-    if cfg_path:
-        (run_dir / "config.ini").write_text(Path(cfg_path).read_text())
-
-
-def _config_dict(cfg_path) -> dict:
-    parser = load_config(cfg_path)
-    return {s: dict(parser[s]) for s in parser.sections()}
+    (run_dir / "config.ini").write_text(Path(cfg_path).read_text())
 
 
 def _global_seed(args, cfg) -> int:
-    if args.seed is not None:
-        return args.seed
-    exp = section(cfg, "experiment")
-    return int(exp.get("seed", 0))
+    exp = options(section(cfg, "experiment"), EXPERIMENT_OPTIONS, "[experiment]")
+    return exp["seed"] if args.seed is None else args.seed
 
 
 def _load_recording(path: Path):
@@ -176,12 +199,12 @@ def _load_checkpoint(path: Path):
 
 
 def cmd_synth_gen(args, cfg, run_dir: Path) -> int:
-    seed = derive_seed(_global_seed(args, cfg), "synth_bench")
+    seed = derive_seed(args.seed, "synth_bench")
     synth = section(cfg, "synth")
-    kind = synth.pop("kind", "ambient")
-    duration = float(synth.pop("duration_s", "600"))
-    damaged = _coerce(synth.pop("damaged", "false"), bool)
-    count = int(synth.pop("count", "1"))
+    opts = options({k: synth.pop(k) for k in SYNTH_OPTIONS if k in synth},
+                   SYNTH_OPTIONS, "[synth]")
+    kind, duration, damaged, count = (opts["kind"], opts["duration_s"],
+                                      opts["damaged"], opts["count"])
     bridge = build_from_section(BridgeConfig, synth)
     entries = []
     for i in range(count):
@@ -234,22 +257,29 @@ def cmd_preprocess(args, cfg, run_dir: Path) -> int:
     return 0
 
 
-def _train_plan(cfg, phase: str, seed: int, name: str = "train"):
-    """The ``phase`` defaults with section ``name``'s keys laid over them."""
-    values = dict(section(cfg, name))
+def _train_plan(cfg, phase: str, seed: int, name: str = "train",
+                mask_ratio: float | None = None):
+    """The ``phase`` defaults with section ``name``'s keys laid over them.
+
+    The subcommand sets the phase, and a masking phase takes ``mask_ratio``
+    from its model, so the section may set neither.
+    """
+    values = section(cfg, name)
+    for key in ("phase", "mask_ratio"):
+        if key in values:
+            raise ConfigError(f"[{name}] cannot set {key!r}: the subcommand "
+                              "sets the phase and the model the mask ratio")
     values.setdefault("seed", str(derive_seed(seed, "trainer")))
-    if values.get("phase", phase) != phase:
-        raise ConfigError(f"a {phase} plan cannot name phase {values['phase']!r}")
-    return build_from_section(TrainPlan, values, trainer.PHASE_PLANS[phase])
+    plan = build_from_section(TrainPlan, values, trainer.PHASE_PLANS[phase])
+    return plan if mask_ratio is None else dataclasses.replace(plan, mask_ratio=mask_ratio)
 
 
 def cmd_pretrain(args, cfg, run_dir: Path) -> int:
-    seed = _global_seed(args, cfg)
     model_cfg = build_from_section(ModelConfig, section(cfg, "model"))
+    plan = _train_plan(cfg, "pretrain", args.seed, mask_ratio=model_cfg.mask_ratio)
     (data_dir,) = paths_of(cfg, "dataset")
     windows = _load_dataset_dir(data_dir)
-    plan = _train_plan(cfg, "pretrain", seed)
-    model = mae_model.build_model(model_cfg, seed=derive_seed(seed, "mae_model"))
+    model = mae_model.build_model(model_cfg, seed=derive_seed(args.seed, "mae_model"))
     log = trainer.pretrain(model, windows, plan)
     _save_training_outputs(model, log, run_dir, plan, cfg_note="pretrain")
     return 0
@@ -264,50 +294,46 @@ def _save_training_outputs(model, log, run_dir: Path, plan, cfg_note: str) -> No
 
 
 def cmd_finetune_ad(args, cfg, run_dir: Path) -> int:
-    seed = _global_seed(args, cfg)
     (data_dir, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
     model = _load_checkpoint(ckpt_in)
     windows = _load_dataset_dir(data_dir)
-    plan = _train_plan(cfg, "finetune_ad", seed)
+    plan = _train_plan(cfg, "finetune_ad", args.seed, mask_ratio=model.config.mask_ratio)
     log = trainer.finetune_ad(model, windows, plan)
     _save_training_outputs(model, log, run_dir, plan, cfg_note="finetune-ad")
     return 0
 
 
 def cmd_finetune_tle(args, cfg, run_dir: Path) -> int:
-    seed = _global_seed(args, cfg)
     (data_dir, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
     model = _load_checkpoint(ckpt_in)
     windows = _load_dataset_dir(data_dir)
-    plan = _train_plan(cfg, "finetune_tle", seed)
-    student = mae_model.attach_regression_head(model, seed=derive_seed(seed, "reg_head"))
+    plan = _train_plan(cfg, "finetune_tle", args.seed)
+    student = mae_model.attach_regression_head(model, seed=derive_seed(args.seed, "reg_head"))
     log = trainer.finetune_tle(student, windows, plan)
     _save_training_outputs(student, log, run_dir, plan, cfg_note="finetune-tle")
     return 0
 
 
 def cmd_distill(args, cfg, run_dir: Path) -> int:
-    seed = _global_seed(args, cfg)
     (data_dir, ckpt_in, teacher_path) = paths_of(cfg, "dataset", "checkpoint", "teacher")
     student_base = _load_checkpoint(ckpt_in)
     teacher = _load_checkpoint(teacher_path)
     windows = _load_dataset_dir(data_dir)
-    plan = _train_plan(cfg, "finetune_kd", seed)
+    plan = _train_plan(cfg, "finetune_kd", args.seed)
     kd = build_from_section(KDConfig, section(cfg, "kd"))
     student = mae_model.attach_regression_head(student_base,
-                                               seed=derive_seed(seed, "reg_head"))
+                                               seed=derive_seed(args.seed, "reg_head"))
     log = trainer.finetune_kd(student, teacher, windows, plan, kd)
     _save_training_outputs(student, log, run_dir, plan, cfg_note="distill")
     return 0
 
 
 def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
-    seed = _global_seed(args, cfg)
     (train_dir, calib_dir, test_dir, ckpt) = paths_of(
         cfg, "train_dataset", "calibration_dataset", "test_dataset", "checkpoint")
     model = _load_checkpoint(ckpt)
     thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
-    eval_seed = derive_seed(seed, "eval_ad")
+    eval_seed = derive_seed(args.seed, "eval_ad")
     train_err = mae_model.reconstruction_errors(model, _load_dataset_dir(train_dir),
                                                 base_seed=eval_seed)
     calib_err = mae_model.reconstruction_errors(model, _load_dataset_dir(calib_dir),
@@ -345,16 +371,15 @@ def cmd_eval_tle(args, cfg, run_dir: Path) -> int:
 
 
 def cmd_ablation(args, cfg, run_dir: Path) -> int:
-    seed = _global_seed(args, cfg)
     (all_dir, task_dir, ft_dir, test_dir) = paths_of(
         cfg, "pretrain_all_dataset", "task_dataset", "finetune_dataset", "test_dataset")
     model_cfg = build_from_section(ModelConfig, section(cfg, "model"))
-    pre_plan = _train_plan(cfg, "pretrain", seed)
-    ft_plan = _train_plan(cfg, "finetune_tle", seed, name="finetune")
+    pre_plan = _train_plan(cfg, "pretrain", args.seed, mask_ratio=model_cfg.mask_ratio)
+    ft_plan = _train_plan(cfg, "finetune_tle", args.seed, name="finetune")
     results = evaluation.ablation_protocol(
         model_cfg, _load_dataset_dir(all_dir), _load_dataset_dir(task_dir),
         _load_dataset_dir(ft_dir), _load_dataset_dir(test_dir),
-        pre_plan, ft_plan, seed=derive_seed(seed, "ablation"))
+        pre_plan, ft_plan, seed=derive_seed(args.seed, "ablation"))
     reports = []
     for regime, res in results.items():
         if res.error:
@@ -385,35 +410,41 @@ def _feature_targets(manifest_path: Path, pipe: PipelineConfig):
     return np.stack(feats), np.asarray(targets)
 
 
-def _raw_normalized_windows(manifest_path: Path, pipe: PipelineConfig):
-    """Time-window vectors (normalized, energy-filtered) grouped by state."""
-    by_state: dict[str, list] = {}
+def _raw_normalized_windows(manifest_path: Path, pipe: PipelineConfig, *states):
+    """Time-window vectors (normalized, energy-filtered), one array per state."""
+    by_state: dict[str, list] = {state: [] for state in states}
     for entry in load_manifest(manifest_path):
+        if entry["state"] not in by_state:
+            continue
         rec = _load_recording(manifest_path.parent / entry["file"])
-        vecs = [normalize(w).values for w in make_windows(rec, pipe)
-                if energy_keep(w, pipe.energy_threshold)]
-        by_state.setdefault(entry["state"], []).extend(vecs)
-    return {state: np.stack(vecs) for state, vecs in by_state.items() if vecs}
+        by_state[entry["state"]].extend(normalize(w).values for w in make_windows(rec, pipe)
+                                        if energy_keep(w, pipe.energy_threshold))
+    for state, vecs in by_state.items():
+        if not vecs:
+            raise DataError(f"{manifest_path}: no kept windows of state {state!r}")
+    return [np.stack(by_state[state]) for state in states]
 
 
 def cmd_baseline(args, cfg, run_dir: Path) -> int:
-    mode = section(cfg, "baseline").get("mode", "pca-ad")
+    opts = options(section(cfg, "baseline"), BASELINE_OPTIONS, "[baseline]")
+    mode = opts["mode"]
     pipe = build_from_section(PipelineConfig, section(cfg, "pipeline"))
     if mode == "pca-ad":
         (train_m, calib_m, test_m) = paths_of(
             cfg, "train_manifest", "calibration_manifest", "test_manifest")
-        cf = int(section(cfg, "baseline").get("cf", "32"))
-        train = _raw_normalized_windows(train_m, pipe)["normal"]
-        calib = _raw_normalized_windows(calib_m, pipe)["normal"]
-        test = _raw_normalized_windows(test_m, pipe)
+        cf = opts["cf"]
+        (train,) = _raw_normalized_windows(train_m, pipe, "normal")
+        (calib,) = _raw_normalized_windows(calib_m, pipe, "normal")
+        test_normal, test_damaged = _raw_normalized_windows(test_m, pipe,
+                                                            "normal", "damaged")
         model = baselines.pca_fit(train, cf=cf)
         baselines.save_pca(model, run_dir / "pca.ckpt")
         thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
         threshold = calibrate_threshold(baselines.pca_errors(model, train),
                                         baselines.pca_errors(model, calib), thr_cfg)
-        test_vecs = np.concatenate([test["normal"], test["damaged"]])
-        truth = np.concatenate([np.zeros(len(test["normal"]), bool),
-                                np.ones(len(test["damaged"]), bool)])
+        test_vecs = np.concatenate([test_normal, test_damaged])
+        truth = np.concatenate([np.zeros(len(test_normal), bool),
+                                np.ones(len(test_damaged), bool)])
         errors = baselines.pca_errors(model, test_vecs)
         per_filter = evaluation.evaluate_anomaly_detection(errors, truth, threshold)
         for L, m in sorted(per_filter.items()):
@@ -429,7 +460,7 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
         x_train, y_train = _feature_targets(train_m, pipe)
         x_test, y_test = _feature_targets(test_m, pipe)
         if mode == "knn-tle":
-            k = int(section(cfg, "baseline").get("k", "7"))
+            k = opts["k"]
             y_pred = np.array([baselines.knn_predict(x_train, y_train, q, k=k)
                                for q in x_test])
             model_id = f"knn_k{k}"
@@ -498,17 +529,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    """Parse ``argv``, read the config once and run the subcommand. Handlers
+    find the resolved global seed in ``args.seed``."""
     args = build_parser().parse_args(argv)
     handler, needs_config = COMMANDS[args.command]
     cfg = load_config(args.config) if needs_config else configparser.ConfigParser()
-
-    out_root = Path(args.out or os.environ.get(ENV_OUT, "runs"))
+    args.seed = _global_seed(args, cfg)
+    run_dir = None
     if needs_config:
-        run_dir = make_run_dir(out_root, args.command,
-                               config_hash(_config_dict(args.config)))
-        write_run_info(run_dir, args.command, args.config, _global_seed(args, cfg))
-    else:
-        run_dir = None
+        cfg_sha = config_hash({s: dict(cfg[s]) for s in cfg.sections()})
+        out_root = Path(args.out or os.environ.get(ENV_OUT, "runs"))
+        run_dir = make_run_dir(out_root, args.command, cfg_sha)
+        write_run_info(run_dir, args.command, args.config, cfg_sha, args.seed)
     return handler(args, cfg, run_dir)
 
 

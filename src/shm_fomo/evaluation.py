@@ -36,14 +36,12 @@ class MetricsReport:
                 "MSE%": self.mse_pct, "MAE%": self.mae_pct}
 
 
-def regression_metrics(y_pred: Sequence[float], y_true: Sequence[float],
-                       percent_denominator: str = "pred") -> MetricsReport:
+def regression_metrics(y_pred: Sequence[float], y_true: Sequence[float]) -> MetricsReport:
     """MSE, MAE, R^2, and the percentage variants.
 
-    Percentage metrics divide by the mean predicted value (the convention used
-    throughout this codebase); set percent_denominator="true" for the
-    mean-true-value variant. Undefined quantities (constant truth for R^2,
-    zero mean for percentages) come back as NaN.
+    Percentage metrics divide by the mean predicted value. Undefined
+    quantities (constant truth for R^2, zero mean for percentages) come back
+    as NaN.
     """
     y_pred = np.asarray(y_pred, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.float64)
@@ -56,7 +54,7 @@ def regression_metrics(y_pred: Sequence[float], y_true: Sequence[float],
     mae = float(np.mean(np.abs(err)))
     ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
     r2 = 1.0 - float(np.sum(err ** 2)) / ss_tot if ss_tot > 0 else float("nan")
-    denom = float(y_pred.mean() if percent_denominator == "pred" else y_true.mean())
+    denom = float(y_pred.mean())
     if denom != 0.0:
         mse_pct = 100.0 * mse / denom
         mae_pct = 100.0 * mae / denom
@@ -134,12 +132,12 @@ def ablation_protocol(model_cfg: ModelConfig, pretrain_all_windows,
                       task_train_windows, task_finetune_windows,
                       task_test_windows, pretrain_plan: TrainPlan,
                       finetune_plan: TrainPlan, seed: int,
-                      regimes: Sequence[str] = ABLATION_REGIMES,
                       ) -> dict[str, AblationResult]:
     """Compare fine-tuning after no / task-only / combined pretraining.
 
-    All regimes share the identical fine-tune plan and seeds; they differ only
-    in what (if anything) the encoder saw during self-supervised pretraining.
+    Each of ABLATION_REGIMES uses the identical fine-tune plan and seeds; they
+    differ only in what (if anything) the encoder saw during self-supervised
+    pretraining.
     ``task_finetune_windows`` is the labeled fine-tune split (possibly shrunk),
     ``task_train_windows`` the task's own unlabeled training pool. A failing
     regime is recorded and the others still run.
@@ -149,9 +147,7 @@ def ablation_protocol(model_cfg: ModelConfig, pretrain_all_windows,
     y_true = np.array([w.target for w in task_test_windows], dtype=np.float64)
     test_images = [w.image for w in task_test_windows]
 
-    for regime in regimes:
-        if regime not in ABLATION_REGIMES:
-            raise DataError(f"unknown ablation regime {regime!r}")
+    for regime in ABLATION_REGIMES:
         try:
             model = mae_model.build_model(model_cfg, seed=seed)
             if regime == "pretrain_uc":

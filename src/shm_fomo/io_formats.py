@@ -18,6 +18,7 @@ from .errors import FormatError
 from .signal_pipeline import RawRecording, SpectrogramWindow, SPEC_SIZE
 
 RECORDING_MAGIC = b"SHM1"
+CSV_TIME_TOL = 0.01      # largest timestamp misfit a CSV may have, in sample periods
 
 _TAG_TO_U8 = {None: 0, "normal": 1, "anomaly": 2}
 _U8_TO_TAG = {v: k for k, v in _TAG_TO_U8.items()}
@@ -74,8 +75,9 @@ def save_recording_csv(rec: RawRecording, path) -> None:
             f.write(f"{i / rec.fs:.6f},{float(x)!r},{label}\n")
 
 
-def load_recording_csv(path, fs: int = 100) -> RawRecording:
-    samples, labels = [], []
+def load_recording_csv(path) -> RawRecording:
+    """Read the CSV format; the sampling rate comes from the timestamps."""
+    times, samples, labels = [], [], []
     any_label = False
     with open(path) as f:
         for line in f:
@@ -85,6 +87,7 @@ def load_recording_csv(path, fs: int = 100) -> RawRecording:
             parts = line.split(",")
             if len(parts) < 2:
                 raise FormatError(f"{path}: malformed row {line!r}")
+            times.append(float(parts[0]))
             samples.append(float(parts[1]))
             if len(parts) > 2 and parts[2] != "":
                 labels.append(int(parts[2]))
@@ -93,9 +96,23 @@ def load_recording_csv(path, fs: int = 100) -> RawRecording:
                 labels.append(0)
     return RawRecording(
         samples=np.asarray(samples),
-        fs=fs,
+        fs=_sampling_rate(path, np.asarray(times)),
         labels=np.asarray(labels) if any_label else None,
     )
+
+
+def _sampling_rate(path, times: np.ndarray) -> int:
+    """The integer rate whose evenly spaced grid fits every one of ``times``
+    to within CSV_TIME_TOL sample periods."""
+    if times.size < 2:
+        raise FormatError(f"{path}: need two rows to infer the sampling rate")
+    span = times[-1] - times[0]
+    fs = round((times.size - 1) / span) if span > 0 else 0
+    if fs >= 1:
+        misfit = np.max(np.abs(times - times[0] - np.arange(times.size) / fs)) * fs
+        if misfit <= CSV_TIME_TOL:
+            return fs
+    raise FormatError(f"{path}: timestamps give no positive integer sampling rate")
 
 
 # ---------------------------------------------------------------------------

@@ -436,8 +436,7 @@ def reconstruction_errors(model: MaeModel, windows, base_seed: int = 0) -> np.nd
 # persistence
 
 
-def save_model(model: MaeModel, path, provenance: str = "",
-               extra_meta: Optional[dict] = None) -> None:
+def save_model(model: MaeModel, path, provenance: str = "") -> None:
     """Self-describing checkpoint: config header + named f32 tensors."""
     cfg = model.config
     meta = {
@@ -447,8 +446,6 @@ def save_model(model: MaeModel, path, provenance: str = "",
         "has_decoder": model.has_decoder, "has_reg_head": model.has_reg_head,
         "provenance": provenance,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     write_container(path, CHECKPOINT_MAGIC, meta, model.params)
 
 

@@ -89,10 +89,9 @@ class PipelineConfig:
             raise ConfigError(f"unknown vehicle_class {self.vehicle_class!r}")
 
 
-# Built-in defaults mirroring the two window regimes (5 s and 60 s).
+# Built-in defaults for the two window lengths (5 s and 60 s).
 UC1_PIPELINE = PipelineConfig(window_s=5.0, stride_s=2.0, energy_threshold=3.125e-5)
 UC2_PIPELINE = PipelineConfig(window_s=60.0, stride_s=2.0, energy_threshold=1.25e-6)
-UC3_PIPELINE = PipelineConfig(window_s=60.0, stride_s=15.0, energy_threshold=1.25e-6)
 
 
 @dataclass

@@ -31,7 +31,6 @@ class BridgeConfig:
     anomaly_shift: float = 0.93
     excite_rate: float = 0.4      # re-excitation events per second per mode
     amp_sigma: float = 0.7        # lognormal spread of per-event amplitude
-    seed: int = 0
 
     def __post_init__(self):
         if not (len(self.modal_freqs) == len(self.modal_amps) == len(self.damping)):
@@ -54,7 +53,6 @@ class TrafficConfig:
     pulse_amp_light: float = 1.5
     pulse_amp_heavy: float = 3.5
     pulse_dur_s: float = 3.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.arrival_rate_light < 0 or self.arrival_rate_heavy < 0:
@@ -91,7 +89,7 @@ def _add_decaying_tone(signal: np.ndarray, start_s: float, amp: float,
 
 
 def gen_ambient(cfg: BridgeConfig, duration_s: float, damaged: bool = False,
-                seed: int | None = None) -> RawRecording:
+                *, seed: int) -> RawRecording:
     """Ambient vibration of the healthy or damaged structure.
 
     The damaged state only rescales modal frequencies: excitation epochs,
@@ -100,7 +98,7 @@ def gen_ambient(cfg: BridgeConfig, duration_s: float, damaged: bool = False,
     """
     if duration_s < 1:
         raise ConfigError("duration must be at least 1 s")
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     n = int(round(duration_s * FS))
     signal = np.zeros(n)
     shift = cfg.anomaly_shift if damaged else 1.0
@@ -128,7 +126,7 @@ def write_vehicle_label(labels: np.ndarray, arrival_s: float, cls: int,
 
 
 def gen_traffic(bridge: BridgeConfig, traffic: TrafficConfig,
-                duration_s: float, seed: int | None = None) -> RawRecording:
+                duration_s: float, *, seed: int) -> RawRecording:
     """Ambient signal plus vehicle passages with per-sample class labels.
 
     Each vehicle adds a decaying multi-mode pulse and writes its class value
@@ -138,10 +136,9 @@ def gen_traffic(bridge: BridgeConfig, traffic: TrafficConfig,
     """
     if duration_s < 60:
         raise ConfigError("traffic generation needs at least 60 s")
-    base_seed = traffic.seed if seed is None else seed
-    rng = np.random.default_rng([base_seed, 1])
+    rng = np.random.default_rng([seed, 1])
     ambient = gen_ambient(bridge, duration_s, damaged=False,
-                          seed=int(np.random.default_rng([base_seed, 2]).integers(2 ** 63)))
+                          seed=int(np.random.default_rng([seed, 2]).integers(2 ** 63)))
     signal = ambient.samples.copy()
     n = signal.shape[0]
     labels = np.zeros(n, dtype=np.int64)

@@ -26,6 +26,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.95
 ADAM_EPS = 1e-8
 CLIP_NORM = 1.0
+LOG_EVERY = 50           # epochs between progress log lines
 
 PHASES = ("pretrain", "finetune_ad", "finetune_tle", "finetune_kd")
 
@@ -160,28 +161,25 @@ def clip_gradients(grads: dict, max_norm: float = CLIP_NORM) -> dict:
 class AdamW:
     """Decoupled-weight-decay Adam; decay applies to 2-D weight matrices only."""
 
-    def __init__(self, params: dict, weight_decay: float,
-                 betas=(ADAM_BETA1, ADAM_BETA2), eps: float = ADAM_EPS):
+    def __init__(self, params: dict, weight_decay: float):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for k, p in params.items():
             g = grads[k].astype(p.dtype, copy=False)
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if self.weight_decay and p.ndim == 2:
                 update = update + self.weight_decay * p
             p -= lr * update
@@ -198,8 +196,7 @@ def _stack_images(windows, dtype) -> np.ndarray:
 
 
 def _run_loop(model: MaeModel, n: int, plan: TrainPlan,
-              step_fn: Callable[[np.ndarray, np.random.Generator], float],
-              log_every: int = 50) -> TrainLog:
+              step_fn: Callable[[np.ndarray, np.random.Generator], float]) -> TrainLog:
     opt = AdamW(model.params, plan.weight_decay)
     log = TrainLog()
     for epoch in range(plan.epochs):
@@ -221,7 +218,7 @@ def _run_loop(model: MaeModel, n: int, plan: TrainPlan,
         rec = EpochRecord(epoch=epoch, lr=lr, loss=float(np.mean(losses)),
                           seconds=time.perf_counter() - t0)
         log.records.append(rec)
-        if epoch % log_every == 0 or epoch == plan.epochs - 1:
+        if epoch % LOG_EVERY == 0 or epoch == plan.epochs - 1:
             logger.info("%s epoch %d/%d lr %.3g loss %.5g",
                         plan.phase, epoch, plan.epochs, lr, rec.loss)
     return log
@@ -230,11 +227,15 @@ def _run_loop(model: MaeModel, n: int, plan: TrainPlan,
 def pretrain(model: MaeModel, windows: Sequence, plan: TrainPlan) -> TrainLog:
     """Self-supervised masked-reconstruction training; labels are ignored.
 
-    Every step draws a fresh mask per sample at plan.mask_ratio, computes the
-    masked-patch MSE, clips the global gradient norm, and applies AdamW.
+    Every step draws a fresh mask per sample at the model's mask ratio,
+    computes the masked-patch MSE, clips the global gradient norm, and applies
+    AdamW. The plan must name the same ratio: scoring masks at the model's.
     """
     if not model.has_decoder:
         raise ConfigError("pretraining needs the full encoder-decoder model")
+    if plan.mask_ratio != model.config.mask_ratio:
+        raise ConfigError(f"plan mask_ratio {plan.mask_ratio} differs from the "
+                          f"model's {model.config.mask_ratio}")
     images = _stack_images(windows, model.dtype)
     num_patches = model.config.num_patches
 

@@ -5,11 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from shm_fomo import cli
-from shm_fomo.anomaly_head import ThresholdConfig
-from shm_fomo.errors import ConfigError
-from shm_fomo.io_formats import load_dataset, load_manifest
+from shm_fomo import cli, mae_model
+from shm_fomo.anomaly_head import FILTER_LENGTHS, ThresholdConfig
+from shm_fomo.errors import ConfigError, DataError
+from shm_fomo.io_formats import (load_dataset, load_manifest, save_dataset,
+                                 save_manifest, save_recording_binary)
 from shm_fomo.mae_model import ModelConfig, build_model, save_model
+from shm_fomo.signal_pipeline import PipelineConfig, build_dataset
+from shm_fomo.synth_bench import BridgeConfig, TrafficConfig, gen_ambient, gen_traffic
 
 
 def run_cli(argv, out_dir):
@@ -306,3 +309,142 @@ class TestTypedValues:
     def test_fractional_threshold_int_rejected(self):
         with pytest.raises(ConfigError):
             cli.build_from_section(ThresholdConfig, {"max_steps": "2.5"})
+
+
+def main_exit_code(argv, monkeypatch):
+    """Exit code of ``cli.main`` run in this process."""
+    monkeypatch.setattr(sys, "argv", ["shm-fomo", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    return exc.value.code
+
+
+PCA_PATHS = "[paths]\ntrain_manifest = x\ncalibration_manifest = x\ntest_manifest = x\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("synth-gen", "[synth]\nduration_s = ten\n"),
+    ("synth-gen", "[synth]\ncount = 2.5\n"),
+    ("synth-gen", "[synth]\nseed = 12345\n"),
+    ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\nseed = 999\n"),
+    ("baseline", "[baseline]\ncf = x\n" + PCA_PATHS),
+    ("baseline", "[baseline]\nmodel = pca\n" + PCA_PATHS),
+    ("synth-gen", "[experiment]\nseed = x1\n"),
+    ("synth-gen", "[experiment]\nsed = 1\n"),
+    ("pretrain", "[train]\nmask_ratio = 0.5\n[paths]\ndataset = x\n"),
+    ("pretrain", "[train]\nphase = pretrain\n[paths]\ndataset = x\n"),
+])
+def test_bad_section_exits_3(tmp_path, monkeypatch, command, text):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    code = main_exit_code([command, "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                          monkeypatch)
+    assert code == 3
+
+
+def _write_recordings(directory, recs):
+    """Binary recordings plus a manifest; ``recs`` maps file stem to (state, rec)."""
+    directory.mkdir()
+    entries = []
+    for stem, (state, rec) in recs.items():
+        save_recording_binary(rec, directory / f"{stem}.bin")
+        entries.append({"file": f"{stem}.bin", "state": state})
+    save_manifest(directory / "manifest.json", entries)
+    return directory / "manifest.json"
+
+
+def _report_rows(run_dir):
+    return [line.split(",") for line in (run_dir / "report.csv").read_text().splitlines()[1:]]
+
+
+@pytest.fixture(scope="module")
+def traffic_data(tmp_path_factory):
+    """A labelled traffic recording with its manifest and its 60-s window dataset."""
+    root = tmp_path_factory.mktemp("traffic")
+    rec = gen_traffic(BridgeConfig(), TrafficConfig(), 180, seed=4)
+    manifest = _write_recordings(root / "recs", {"t": ("traffic", rec)})
+    pipe = PipelineConfig(window_s=60, stride_s=5, energy_threshold=1e-9)
+    save_dataset(build_dataset([rec], pipe).windows, root / "dataset")
+    return manifest, root / "dataset"
+
+
+AD_PIPELINE = "[pipeline]\nwindow_s = 5\nstride_s = 2\nenergy_threshold = 1e-8\n"
+
+
+def test_pretrain_masks_at_model_ratio(tmp_path, monkeypatch):
+    rec = gen_ambient(BridgeConfig(), 30, seed=1)
+    pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
+    save_dataset(build_dataset([rec], pipe).windows, tmp_path / "dataset")
+    ratios = []
+    real = mae_model.sample_mask_batch
+
+    def spy(num_patches, mask_ratio, batch, rng):
+        ratios.append(mask_ratio)
+        return real(num_patches, mask_ratio, batch, rng)
+
+    monkeypatch.setattr(mae_model, "sample_mask_batch", spy)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\ne_dim = 24\nd_dim = 16\nmask_ratio = 0.5\n"
+                   "[train]\nepochs = 1\nwarmup_epochs = 0\nbatch_size = 8\n"
+                   f"[paths]\ndataset = {tmp_path / 'dataset'}\n")
+    out = tmp_path / "runs"
+    assert run_cli(["pretrain", "--config", str(cfg)], out) == 0
+    assert ratios and set(ratios) == {0.5}
+    ckpt = only_run_dir(out, "pretrain") / "checkpoint.ckpt"
+    assert mae_model.load_meta(ckpt)["mask_ratio"] == 0.5
+
+
+def test_ablation(tmp_path, traffic_data):
+    _, dataset = traffic_data
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\ne_dim = 24\nd_dim = 16\n"
+                   "[train]\nepochs = 1\nwarmup_epochs = 0\nbatch_size = 8\n"
+                   "[finetune]\nepochs = 1\nbatch_size = 8\n[paths]\n"
+                   + "".join(f"{key} = {dataset}\n" for key in (
+                       "pretrain_all_dataset", "task_dataset", "finetune_dataset",
+                       "test_dataset")))
+    out = tmp_path / "runs"
+    assert run_cli(["ablation", "--config", str(cfg)], out) == 0
+    rows = _report_rows(only_run_dir(out, "ablation"))
+    assert [r[:3] for r in rows] == [["tle_synth", regime, "25"] for regime in
+                                     ("no_pretrain", "pretrain_uc", "pretrain_all")]
+
+
+def test_baseline_knn_tle(tmp_path, traffic_data):
+    manifest, _ = traffic_data
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[baseline]\nmode = knn-tle\nk = 3\n"
+                   "[pipeline]\nwindow_s = 60\nstride_s = 5\nenergy_threshold = 1e-9\n"
+                   f"[paths]\ntrain_manifest = {manifest}\ntest_manifest = {manifest}\n")
+    out = tmp_path / "runs"
+    assert run_cli(["baseline", "--config", str(cfg)], out) == 0
+    (row,) = _report_rows(only_run_dir(out, "baseline"))
+    assert row[:3] == ["tle_synth", "knn_k3", "25"]
+
+
+def _pca_config(tmp_path, test_manifest):
+    train = _write_recordings(tmp_path / "train", {
+        "n": ("normal", gen_ambient(BridgeConfig(), 60, seed=1))})
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[baseline]\nmode = pca-ad\ncf = 50\n" + AD_PIPELINE
+                   + f"[paths]\ntrain_manifest = {train}\ncalibration_manifest = {train}\n"
+                   f"test_manifest = {test_manifest}\n")
+    return cfg
+
+
+def test_baseline_pca_ad(tmp_path):
+    test = _write_recordings(tmp_path / "test", {
+        "n": ("normal", gen_ambient(BridgeConfig(), 30, seed=2)),
+        "d": ("damaged", gen_ambient(BridgeConfig(), 30, damaged=True, seed=2))})
+    out = tmp_path / "runs"
+    assert run_cli(["baseline", "--config", str(_pca_config(tmp_path, test))], out) == 0
+    rows = _report_rows(only_run_dir(out, "baseline"))
+    assert [(r[1], r[2], int(r[8])) for r in rows] == [("pca_cf50", "26", L)
+                                                       for L in FILTER_LENGTHS]
+
+
+def test_baseline_pca_ad_needs_both_states(tmp_path):
+    test = _write_recordings(tmp_path / "test", {
+        "n": ("normal", gen_ambient(BridgeConfig(), 30, seed=2))})
+    with pytest.raises(DataError, match=r"manifest\.json.*'damaged'"):
+        run_cli(["baseline", "--config", str(_pca_config(tmp_path, test))], tmp_path / "runs")

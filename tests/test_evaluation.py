@@ -72,11 +72,6 @@ class TestRegressionMetrics:
         r = regression_metrics([1.0, 2.0], [3.0, 3.0])
         assert np.isnan(r.r2)
 
-    def test_true_denominator_variant(self):
-        y_pred, y_true = [2.0, 4.0], [1.0, 1.0]
-        r = regression_metrics(y_pred, y_true, percent_denominator="true")
-        assert r.mae_pct == pytest.approx(100 * 2.0 / 1.0)
-
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             regression_metrics([1.0], [1.0, 2.0])

@@ -74,6 +74,28 @@ def test_recording_csv_without_labels(tmp_path):
     assert load_recording_csv(path).labels is None
 
 
+@pytest.mark.parametrize("fs", [1, 50, 100, 1000])
+def test_recording_csv_keeps_sampling_rate(tmp_path, fs):
+    rec = RawRecording(samples=np.arange(120, dtype=np.float64), fs=fs)
+    path = tmp_path / "rec.csv"
+    save_recording_csv(rec, path)
+    assert load_recording_csv(path).fs == fs
+
+
+@pytest.mark.parametrize("times", [
+    [0.0],                                  # one row
+    [0.0, 0.0, 0.0],                        # no spacing
+    [0.0, 0.02, 0.04, 0.07],                # uneven spacing
+    [i / 100.5 for i in range(50)],         # evenly spaced, 100.5 Hz
+])
+def test_recording_csv_needs_integer_rate(tmp_path, times):
+    path = tmp_path / "rec.csv"
+    path.write_text("timestamp,accel_z,label\n"
+                    + "".join(f"{t:.6f},1.0,\n" for t in times))
+    with pytest.raises(FormatError):
+        load_recording_csv(path)
+
+
 def test_dataset_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     windows = [

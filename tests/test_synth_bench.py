@@ -73,7 +73,7 @@ class TestGenAmbient:
 
     def test_duration_validation(self):
         with pytest.raises(ConfigError):
-            gen_ambient(BridgeConfig(), 0.5)
+            gen_ambient(BridgeConfig(), 0.5, seed=0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -157,7 +157,7 @@ class TestGenTraffic:
 
     def test_min_duration(self):
         with pytest.raises(ConfigError):
-            gen_traffic(BridgeConfig(), TrafficConfig(), 30)
+            gen_traffic(BridgeConfig(), TrafficConfig(), 30, seed=0)
 
     def test_amplitude_ordering_enforced(self):
         with pytest.raises(ConfigError):

@@ -283,6 +283,13 @@ class TestPhases:
             assert losses[e + 50] <= losses[e]
 
 
+def test_pretrain_plan_must_match_model_mask_ratio():
+    model = build_model(TINY, seed=0)
+    plan = pretrain_plan(epochs=1, warmup_epochs=0, batch_size=4, mask_ratio=0.5)
+    with pytest.raises(ConfigError, match="mask_ratio"):
+        pretrain(model, synth_windows(4), plan)
+
+
 def plan_from_file(path, phase):
     """The plan ``cli`` builds from the ``[train]`` section of a config file."""
     return cli._train_plan(cli.load_config(path), phase, seed=0)
@@ -292,7 +299,7 @@ class TestPlanParsing:
     def test_load_key_value_file(self, tmp_path):
         path = tmp_path / "plan.ini"
         path.write_text(
-            "# fine-tune settings\n[train]\nphase = finetune_tle\nbase_lr = 2.5e-6\n"
+            "# fine-tune settings\n[train]\nbase_lr = 2.5e-6\n"
             "epochs = 500\nbatch_size = 8\nwarmup_epochs = 0\nseed = 42\n")
         plan = plan_from_file(path, "finetune_tle")
         assert plan.phase == "finetune_tle"
@@ -301,7 +308,7 @@ class TestPlanParsing:
 
     def test_partial_file_keeps_phase_defaults(self, tmp_path):
         path = tmp_path / "plan.ini"
-        path.write_text("[train]\nphase = finetune_tle\nepochs = 300\n")
+        path.write_text("[train]\nepochs = 300\n")
         plan = plan_from_file(path, "finetune_tle")
         assert (plan.base_lr, plan.batch_size, plan.warmup_epochs) == (2.5e-6, 8, 0)
         assert plan.epochs == 300
