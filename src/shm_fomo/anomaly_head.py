@@ -139,9 +139,12 @@ def decisions(errors: Sequence[float], threshold: float, L: int) -> list[AdDecis
             for i in range(errors.size)]
 
 
-def write_decisions_csv(path, decs: list[AdDecision], truth: Sequence[bool]) -> None:
+def write_decisions_csv(path, decs: list[AdDecision], truth: Sequence[bool],
+                        start_index: Sequence[int]) -> None:
+    """One row per decision; ``truth`` and ``start_index`` (the window's first
+    sample in its recording) are per window, like ``decs``."""
     with open(path, "w") as f:
-        f.write("window_index,raw_error,smoothed_error,verdict,truth\n")
+        f.write("window_index,raw_error,smoothed_error,verdict,truth,start_index\n")
         for i, d in enumerate(decs):
             f.write(f"{d.window_index},{d.raw_error!r},{d.smoothed_error!r},"
-                    f"{int(d.verdict)},{int(bool(truth[i]))}\n")
+                    f"{int(d.verdict)},{int(bool(truth[i]))},{int(start_index[i])}\n")

@@ -21,7 +21,12 @@ unknown key or a value of the wrong type is a config error):
 - ``[kd]``: ``trainer.KDConfig``.
 - ``[threshold]``: ``anomaly_head.ThresholdConfig``.
 - ``[baseline]``: ``mode`` (pca-ad | knn-tle | linreg-tle), ``cf``, ``k``.
-- ``[paths]``: the input and checkpoint paths each subcommand names.
+- ``[paths]``: the input, dataset and checkpoint paths each subcommand names.
+
+A section outside this list is a config error; a listed section that the
+subcommand does not read is ignored, so one file can serve several
+subcommands. A dataset is one file: ``preprocess`` writes
+``<run>/dataset.shmd``, and the ``*dataset`` paths name such a file.
 
 Exit codes: 0 success, 2 usage error, 3 malformed config, 4 missing or
 malformed input file (checkpoint, dataset, recording).
@@ -55,6 +60,9 @@ from .synth_bench import BridgeConfig, TrafficConfig
 from .trainer import KDConfig, TrainPlan
 
 ENV_OUT = "SHM_FOMO_OUT"
+DATASET_FILE = "dataset.shmd"
+SECTIONS = ("experiment", "synth", "traffic", "pipeline", "model", "train", "finetune",
+            "kd", "threshold", "baseline", "paths")
 
 # keys of the sections that configure the CLI itself, with their defaults
 EXPERIMENT_OPTIONS = {"seed": 0}
@@ -80,6 +88,10 @@ def load_config(path) -> configparser.ConfigParser:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    unknown = [name for name in parser.sections() if name not in SECTIONS]
+    if unknown:
+        raise ConfigError(f"unknown section(s) {unknown} in {path}; "
+                          f"known: {', '.join(SECTIONS)}")
     return parser
 
 
@@ -179,12 +191,12 @@ def _load_recording(path: Path):
     return load_recording_binary(path)
 
 
-def _load_dataset_dir(path: Path):
-    if not path.is_dir():
-        raise FileNotFoundError(f"dataset directory not found: {path}")
+def _load_dataset(path: Path):
+    if not path.exists():
+        raise FileNotFoundError(f"dataset file not found: {path}")
     windows = load_dataset(path)
     if not windows:
-        raise FormatError(f"{path}: no dataset records found")
+        raise FormatError(f"{path}: dataset holds no windows")
     return windows
 
 
@@ -247,13 +259,13 @@ def cmd_preprocess(args, cfg, run_dir: Path) -> int:
         recs.append(_load_recording(input_path))
         tags.append(None)
     result = build_dataset(recs, pipe, tags=tags)
-    out_dir = run_dir / "dataset"
-    save_dataset(result.windows, out_dir)
+    out_path = run_dir / DATASET_FILE
+    save_dataset(result.windows, out_path)
     summary = {"windows": len(result.windows), "candidates": result.n_candidates,
                "dropped_by_energy_filter": result.n_dropped}
     (run_dir / "preprocess.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"kept {len(result.windows)}/{result.n_candidates} windows "
-          f"({result.n_dropped} dropped); dataset at {out_dir}")
+          f"({result.n_dropped} dropped); dataset at {out_path}")
     return 0
 
 
@@ -277,8 +289,8 @@ def _train_plan(cfg, phase: str, seed: int, name: str = "train",
 def cmd_pretrain(args, cfg, run_dir: Path) -> int:
     model_cfg = build_from_section(ModelConfig, section(cfg, "model"))
     plan = _train_plan(cfg, "pretrain", args.seed, mask_ratio=model_cfg.mask_ratio)
-    (data_dir,) = paths_of(cfg, "dataset")
-    windows = _load_dataset_dir(data_dir)
+    (data_path,) = paths_of(cfg, "dataset")
+    windows = _load_dataset(data_path)
     model = mae_model.build_model(model_cfg, seed=derive_seed(args.seed, "mae_model"))
     log = trainer.pretrain(model, windows, plan)
     _save_training_outputs(model, log, run_dir, plan, cfg_note="pretrain")
@@ -294,9 +306,9 @@ def _save_training_outputs(model, log, run_dir: Path, plan, cfg_note: str) -> No
 
 
 def cmd_finetune_ad(args, cfg, run_dir: Path) -> int:
-    (data_dir, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
+    (data_path, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
     model = _load_checkpoint(ckpt_in)
-    windows = _load_dataset_dir(data_dir)
+    windows = _load_dataset(data_path)
     plan = _train_plan(cfg, "finetune_ad", args.seed, mask_ratio=model.config.mask_ratio)
     log = trainer.finetune_ad(model, windows, plan)
     _save_training_outputs(model, log, run_dir, plan, cfg_note="finetune-ad")
@@ -304,9 +316,9 @@ def cmd_finetune_ad(args, cfg, run_dir: Path) -> int:
 
 
 def cmd_finetune_tle(args, cfg, run_dir: Path) -> int:
-    (data_dir, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
+    (data_path, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
     model = _load_checkpoint(ckpt_in)
-    windows = _load_dataset_dir(data_dir)
+    windows = _load_dataset(data_path)
     plan = _train_plan(cfg, "finetune_tle", args.seed)
     student = mae_model.attach_regression_head(model, seed=derive_seed(args.seed, "reg_head"))
     log = trainer.finetune_tle(student, windows, plan)
@@ -315,10 +327,10 @@ def cmd_finetune_tle(args, cfg, run_dir: Path) -> int:
 
 
 def cmd_distill(args, cfg, run_dir: Path) -> int:
-    (data_dir, ckpt_in, teacher_path) = paths_of(cfg, "dataset", "checkpoint", "teacher")
+    (data_path, ckpt_in, teacher_path) = paths_of(cfg, "dataset", "checkpoint", "teacher")
     student_base = _load_checkpoint(ckpt_in)
     teacher = _load_checkpoint(teacher_path)
-    windows = _load_dataset_dir(data_dir)
+    windows = _load_dataset(data_path)
     plan = _train_plan(cfg, "finetune_kd", args.seed)
     kd = build_from_section(KDConfig, section(cfg, "kd"))
     student = mae_model.attach_regression_head(student_base,
@@ -329,16 +341,16 @@ def cmd_distill(args, cfg, run_dir: Path) -> int:
 
 
 def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
-    (train_dir, calib_dir, test_dir, ckpt) = paths_of(
+    (train_path, calib_path, test_path, ckpt) = paths_of(
         cfg, "train_dataset", "calibration_dataset", "test_dataset", "checkpoint")
     model = _load_checkpoint(ckpt)
     thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
     eval_seed = derive_seed(args.seed, "eval_ad")
-    train_err = mae_model.reconstruction_errors(model, _load_dataset_dir(train_dir),
+    train_err = mae_model.reconstruction_errors(model, _load_dataset(train_path),
                                                 base_seed=eval_seed)
-    calib_err = mae_model.reconstruction_errors(model, _load_dataset_dir(calib_dir),
+    calib_err = mae_model.reconstruction_errors(model, _load_dataset(calib_path),
                                                 base_seed=eval_seed)
-    test_windows = _load_dataset_dir(test_dir)
+    test_windows = _load_dataset(test_path)
     test_err = mae_model.reconstruction_errors(model, test_windows, base_seed=eval_seed)
     truth = np.array([w.tag == TAG_ANOMALY for w in test_windows])
     threshold = calibrate_threshold(train_err, calib_err, thr_cfg)
@@ -347,8 +359,8 @@ def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
                                       n_samples=len(test_windows),
                                       ad_by_filter=per_filter)
     evaluation.write_report_csv(run_dir / "report.csv", [report])
-    write_decisions_csv(run_dir / "decisions.csv",
-                        decisions(test_err, threshold, 15), truth)
+    write_decisions_csv(run_dir / "decisions.csv", decisions(test_err, threshold, 15),
+                        truth, [w.start_index for w in test_windows])
     print(f"threshold {threshold:.6g}")
     for L, m in sorted(per_filter.items()):
         print(f"L={L:<4d} accuracy {m.accuracy:.4f}  sensitivity {m.sensitivity:.4f}"
@@ -357,9 +369,9 @@ def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
 
 
 def cmd_eval_tle(args, cfg, run_dir: Path) -> int:
-    (test_dir, ckpt) = paths_of(cfg, "test_dataset", "checkpoint")
+    (test_path, ckpt) = paths_of(cfg, "test_dataset", "checkpoint")
     model = _load_checkpoint(ckpt)
-    windows = _load_dataset_dir(test_dir)
+    windows = _load_dataset(test_path)
     y_true = np.array([w.target for w in windows], dtype=np.float64)
     y_pred = np.array([mae_model.forward_regress(model, w.image) for w in windows])
     report = evaluation.regression_metrics(y_pred, y_true)
@@ -371,14 +383,14 @@ def cmd_eval_tle(args, cfg, run_dir: Path) -> int:
 
 
 def cmd_ablation(args, cfg, run_dir: Path) -> int:
-    (all_dir, task_dir, ft_dir, test_dir) = paths_of(
+    (all_path, task_path, ft_path, test_path) = paths_of(
         cfg, "pretrain_all_dataset", "task_dataset", "finetune_dataset", "test_dataset")
     model_cfg = build_from_section(ModelConfig, section(cfg, "model"))
     pre_plan = _train_plan(cfg, "pretrain", args.seed, mask_ratio=model_cfg.mask_ratio)
     ft_plan = _train_plan(cfg, "finetune_tle", args.seed, name="finetune")
     results = evaluation.ablation_protocol(
-        model_cfg, _load_dataset_dir(all_dir), _load_dataset_dir(task_dir),
-        _load_dataset_dir(ft_dir), _load_dataset_dir(test_dir),
+        model_cfg, _load_dataset(all_path), _load_dataset(task_path),
+        _load_dataset(ft_path), _load_dataset(test_path),
         pre_plan, ft_plan, seed=derive_seed(args.seed, "ablation"))
     reports = []
     for regime, res in results.items():

@@ -11,7 +11,7 @@ from . import mae_model, trainer
 from .anomaly_head import FILTER_LENGTHS, AdMetrics, ad_metrics, classify, median_smooth
 from .errors import DataError, EmptyInputError
 from .io_formats import config_hash
-from .mae_model import MaeModel, ModelConfig
+from .mae_model import ModelConfig
 from .trainer import TrainPlan
 
 ABLATION_REGIMES = ("no_pretrain", "pretrain_uc", "pretrain_all")

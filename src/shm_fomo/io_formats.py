@@ -10,11 +10,10 @@ import json
 import struct
 import zlib
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .signal_pipeline import RawRecording, SpectrogramWindow, SPEC_SIZE
 
 RECORDING_MAGIC = b"SHM1"
@@ -22,9 +21,6 @@ CSV_TIME_TOL = 0.01      # largest timestamp misfit a CSV may have, in sample pe
 
 _TAG_TO_U8 = {None: 0, "normal": 1, "anomaly": 2}
 _U8_TO_TAG = {v: k for k, v in _TAG_TO_U8.items()}
-
-# one dataset record: f32 image (100x100 row-major) + f32 target + u8 tag
-RECORD_BYTES = SPEC_SIZE * SPEC_SIZE * 4 + 4 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +76,21 @@ def load_recording_csv(path) -> RawRecording:
     times, samples, labels = [], [], []
     any_label = False
     with open(path) as f:
-        for line in f:
+        for row, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("timestamp"):
                 continue
             parts = line.split(",")
             if len(parts) < 2:
-                raise FormatError(f"{path}: malformed row {line!r}")
-            times.append(float(parts[0]))
-            samples.append(float(parts[1]))
-            if len(parts) > 2 and parts[2] != "":
-                labels.append(int(parts[2]))
-                any_label = True
-            else:
-                labels.append(0)
+                raise FormatError(f"{path}: malformed row {row}: {line!r}")
+            try:
+                times.append(float(parts[0]))
+                samples.append(float(parts[1]))
+                has_label = len(parts) > 2 and parts[2] != ""
+                labels.append(int(parts[2]) if has_label else 0)
+            except ValueError as exc:
+                raise FormatError(f"{path}: row {row}: {line!r}: {exc}") from exc
+            any_label = any_label or has_label
     return RawRecording(
         samples=np.asarray(samples),
         fs=_sampling_rate(path, np.asarray(times)),
@@ -116,44 +113,7 @@ def _sampling_rate(path, times: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# spectrogram datasets
-
-
-def save_dataset(windows, directory) -> None:
-    """Write one fixed-size binary record per window into a directory."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, w in enumerate(windows):
-        target = np.float32(np.nan if w.target is None else w.target)
-        with open(directory / f"win_{i:06d}.bin", "wb") as f:
-            f.write(np.ascontiguousarray(w.image, dtype="<f4").tobytes())
-            f.write(struct.pack("<f", target))
-            f.write(struct.pack("<B", _TAG_TO_U8[w.tag]))
-
-
-def load_dataset(directory) -> list[SpectrogramWindow]:
-    directory = Path(directory)
-    out = []
-    for path in sorted(directory.glob("win_*.bin")):
-        blob = path.read_bytes()
-        if len(blob) != RECORD_BYTES:
-            raise FormatError(f"{path}: expected {RECORD_BYTES} bytes, got {len(blob)}")
-        image = np.frombuffer(blob[:SPEC_SIZE * SPEC_SIZE * 4], dtype="<f4")
-        image = image.reshape(SPEC_SIZE, SPEC_SIZE).astype(np.float64)
-        (target,) = struct.unpack("<f", blob[-5:-1])
-        tag = _U8_TO_TAG.get(blob[-1])
-        if tag is None and blob[-1] != 0:
-            raise FormatError(f"{path}: unknown tag byte {blob[-1]}")
-        out.append(SpectrogramWindow(
-            image=image,
-            target=None if np.isnan(target) else float(target),
-            tag=tag,
-        ))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# named-tensor container (model checkpoints, PCA models)
+# named-tensor container (model checkpoints, PCA models, datasets)
 
 CONTAINER_VERSION = 1
 
@@ -162,26 +122,29 @@ def write_container(path, magic: bytes, meta: dict, tensors: dict[str, np.ndarra
     """Write magic + version + JSON metadata + named f32 tensors + CRC32.
 
     Tensor payloads are little-endian float32; the trailing CRC covers
-    everything after the magic so tampering is detectable on load.
+    everything after the magic so tampering is detectable on load. Each
+    tensor's bytes go straight from its array to the file.
     """
     if len(magic) != 4:
         raise FormatError(f"magic must be 4 bytes, got {magic!r}")
-    body = bytearray()
-    body += struct.pack("<I", CONTAINER_VERSION)
     meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    body += struct.pack("<I", len(meta_blob)) + meta_blob
-    body += struct.pack("<I", len(tensors))
-    for name in sorted(tensors):
-        arr = np.asarray(tensors[name], dtype="<f4")   # tobytes() is C order
-        name_b = name.encode("utf-8")
-        body += struct.pack("<H", len(name_b)) + name_b
-        body += struct.pack("<B", arr.ndim)
-        body += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        body += arr.tobytes()
-    crc = zlib.crc32(bytes(body))
+    crc = 0
     with open(path, "wb") as f:
+
+        def put(chunk) -> None:
+            nonlocal crc
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+
         f.write(magic)
-        f.write(body)
+        put(struct.pack("<II", CONTAINER_VERSION, len(meta_blob)) + meta_blob
+            + struct.pack("<I", len(tensors)))
+        for name in sorted(tensors):
+            arr = np.asarray(tensors[name], dtype="<f4")
+            name_b = name.encode("utf-8")
+            put(struct.pack("<H", len(name_b)) + name_b
+                + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            put(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))   # C order
         f.write(struct.pack("<I", crc))
 
 
@@ -191,13 +154,13 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         raise FormatError(f"{path}: file too short")
     if blob[:4] != magic:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
-    body, crc_stored = blob[4:-4], struct.unpack("<I", blob[-4:])[0]
+    body, crc_stored = memoryview(blob)[4:-4], struct.unpack("<I", blob[-4:])[0]
     if zlib.crc32(body) != crc_stored:
         raise FormatError(f"{path}: checksum mismatch (corrupted file)")
 
     off = 0
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal off
         if off + n > len(body):
             raise FormatError(f"{path}: truncated at offset {off}")
@@ -209,12 +172,12 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if version != CONTAINER_VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
     (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(take(meta_len).decode("utf-8"))
+    meta = json.loads(str(take(meta_len), "utf-8"))
     (n_tensors,) = struct.unpack("<I", take(4))
     tensors = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = str(take(name_len), "utf-8")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         size = int(np.prod(shape, dtype=np.int64)) if rank else 1
@@ -223,6 +186,59 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if off != len(body):
         raise FormatError(f"{path}: {len(body) - off} trailing bytes in container")
     return meta, tensors
+
+
+# ---------------------------------------------------------------------------
+# spectrogram datasets
+
+DATASET_MAGIC = b"SHMD"
+
+
+def save_dataset(windows, path) -> None:
+    """Write a dataset as one container file (magic SHMD), creating its parent
+    directories: tensors ``images`` (n, 100, 100) and ``targets`` (n,, NaN for
+    no target), metadata ``tags`` (u8 codes) and ``start_index``."""
+    path = Path(path)
+    images = np.empty((len(windows), SPEC_SIZE, SPEC_SIZE), dtype=np.float32)
+    for i, w in enumerate(windows):
+        if np.shape(w.image) != images.shape[1:]:
+            raise DataError(f"window {i}: image shape {np.shape(w.image)}, "
+                            f"expected {images.shape[1:]}")
+        images[i] = w.image
+    targets = np.array([np.nan if w.target is None else w.target for w in windows],
+                       dtype=np.float32)
+    meta = {"tags": [_TAG_TO_U8[w.tag] for w in windows],
+            "start_index": [int(w.start_index) for w in windows]}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_container(path, DATASET_MAGIC, meta, {"images": images, "targets": targets})
+
+
+def load_dataset(path) -> list[SpectrogramWindow]:
+    """The windows of a ``save_dataset`` file; their float32 images are rows of
+    one array."""
+    path = Path(path)
+    if path.is_dir():
+        raise FormatError(f"{path}: a directory, as in the old one-file-per-window "
+                          "dataset format; a dataset is now one file (run preprocess again)")
+    meta, tensors = read_container(path, DATASET_MAGIC)
+    images, targets = tensors.get("images"), tensors.get("targets")
+    tags, starts = meta.get("tags"), meta.get("start_index")
+    if (images is None or targets is None
+            or not isinstance(tags, list) or not isinstance(starts, list)):
+        raise FormatError(f"{path}: dataset lacks images, targets, tags or start_index")
+    n = len(tags)
+    if (images.shape != (n, SPEC_SIZE, SPEC_SIZE) or targets.shape != (n,)
+            or len(starts) != n):
+        raise FormatError(f"{path}: images {images.shape}, targets {targets.shape}, "
+                          f"{n} tags and {len(starts)} start indices disagree")
+    unknown = [code for code in tags if type(code) is not int or code not in _U8_TO_TAG]
+    if unknown:
+        raise FormatError(f"{path}: unknown tag codes {unknown[:5]}")
+    if not all(type(s) is int for s in starts):
+        raise FormatError(f"{path}: start indices must be integers")
+    return [SpectrogramWindow(image=image, target=None if np.isnan(t) else float(t),
+                              tag=_U8_TO_TAG[code], start_index=start)
+            for image, t, code, start in zip(images, targets, tags, starts)]
 
 
 def save_manifest(path, entries: list[dict]) -> None:

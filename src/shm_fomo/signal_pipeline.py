@@ -107,8 +107,10 @@ class TimeWindow:
 class SpectrogramWindow:
     """Model input: a standardized 100x100 time-frequency image.
 
-    ``target`` is the scalar traffic value (vehicles per window, possibly
-    fractional); ``tag`` is "normal"/"anomaly" for detection datasets.
+    ``build_dataset`` and ``load_dataset`` give float32 images, the precision
+    the model and the dataset file keep. ``target`` is the scalar traffic
+    value (vehicles per window, possibly fractional); ``tag`` is
+    "normal"/"anomaly" for detection datasets.
     """
 
     image: np.ndarray
@@ -230,7 +232,8 @@ def build_dataset(
     cfg: PipelineConfig,
     tags: Optional[Sequence[Optional[str]]] = None,
 ) -> DatasetBuildResult:
-    """Window, energy-filter, normalize, and spectrogram a set of recordings.
+    """Window, energy-filter, normalize, and spectrogram a set of recordings;
+    each image is rounded to float32.
 
     ``tags`` optionally assigns one "normal"/"anomaly" tag per recording to all
     of its windows. Temporal order is preserved within each recording; the
@@ -252,7 +255,7 @@ def build_dataset(
             if not energy_keep(w, cfg.energy_threshold):
                 result.n_dropped += 1
                 continue
-            image = spectrogram(normalize(w))
+            image = spectrogram(normalize(w)).astype(np.float32)
             target = None
             if rec.labels is not None:
                 sl = rec.labels[w.start_index:w.start_index + len(w.values)]

@@ -192,7 +192,7 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
 def _stack_images(windows, dtype) -> np.ndarray:
     if len(windows) == 0:
         raise EmptyInputError("no training windows")
-    return np.stack([w.image for w in windows]).astype(dtype)
+    return np.stack([w.image for w in windows]).astype(dtype, copy=False)
 
 
 def _run_loop(model: MaeModel, n: int, plan: TrainPlan,

@@ -225,8 +225,10 @@ def test_decisions_export(tmp_path):
     decs = decisions(errors, threshold=1.0, L=1)
     assert [d.verdict for d in decs] == [False, False, True, False]
     path = tmp_path / "dec.csv"
-    write_decisions_csv(path, decs, truth=[False, False, True, False])
+    write_decisions_csv(path, decs, truth=[False, False, True, False],
+                        start_index=[0, 200, 400, 600])
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "window_index,raw_error,smoothed_error,verdict,truth"
+    assert lines[0] == "window_index,raw_error,smoothed_error,verdict,truth,start_index"
     assert len(lines) == 5
     assert lines[3].startswith("2,5.0,5.0,1,1")
+    assert [line.split(",")[-1] for line in lines[1:]] == ["0", "200", "400", "600"]

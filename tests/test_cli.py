@@ -75,7 +75,7 @@ def test_full_recipe(tmp_path):
     cfg_pre.write_text(AMBIENT_CFG + f"\n[paths]\ninput = {gen_dir}\n")
     assert run_cli(["preprocess", "--config", str(cfg_pre)], out) == 0
     pre_dir = only_run_dir(out, "preprocess")
-    dataset = pre_dir / "dataset"
+    dataset = pre_dir / "dataset.shmd"
     windows = load_dataset(dataset)
     assert len(windows) == 2 * ((9000 - 500) // 200 + 1)
     assert all(w.tag == "normal" for w in windows)
@@ -141,7 +141,7 @@ vehicle_class = any
     cfg_pre = tmp_path / "pre.ini"
     cfg_pre.write_text(cfg_gen.read_text() + f"\n[paths]\ninput = {gen_dir}\n")
     assert run_cli(["preprocess", "--config", str(cfg_pre)], out) == 0
-    dataset = only_run_dir(out, "preprocess") / "dataset"
+    dataset = only_run_dir(out, "preprocess") / "dataset.shmd"
     windows = load_dataset(dataset)
     assert all(w.target is not None for w in windows)
 
@@ -333,6 +333,8 @@ PCA_PATHS = "[paths]\ntrain_manifest = x\ncalibration_manifest = x\ntest_manifes
     ("synth-gen", "[experiment]\nsed = 1\n"),
     ("pretrain", "[train]\nmask_ratio = 0.5\n[paths]\ndataset = x\n"),
     ("pretrain", "[train]\nphase = pretrain\n[paths]\ndataset = x\n"),
+    ("synth-gen", "[synht]\nduration_s = 10\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\n[Synth]\ncount = 2\n"),
 ])
 def test_bad_section_exits_3(tmp_path, monkeypatch, command, text):
     cfg = tmp_path / "c.ini"
@@ -340,6 +342,59 @@ def test_bad_section_exits_3(tmp_path, monkeypatch, command, text):
     code = main_exit_code([command, "--config", str(cfg), "--out", str(tmp_path / "runs")],
                           monkeypatch)
     assert code == 3
+
+
+@pytest.mark.parametrize("ignored", ["[model]\ne_dim = 24\n", "[kd]\nalpha_kd = 0.5\n",
+                                     "[paths]\ndataset = x\n"])
+def test_known_section_a_subcommand_ignores_is_accepted(tmp_path, ignored):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[synth]\nduration_s = 10\n" + ignored)
+    assert run_cli(["synth-gen", "--config", str(cfg)], tmp_path / "runs") == 0
+
+
+def test_old_dataset_directory_exits_4(tmp_path, monkeypatch, capsys):
+    old = tmp_path / "dataset"
+    old.mkdir()
+    (old / "win_000000.bin").write_bytes(b"\x00" * (100 * 100 * 4 + 5))
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[model]\ne_dim = 24\nd_dim = 16\n[paths]\ndataset = {old}\n")
+    code = main_exit_code(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                          monkeypatch)
+    assert code == 4
+    assert "one-file-per-window" in capsys.readouterr().err
+
+
+def test_non_numeric_csv_cell_exits_4(tmp_path, monkeypatch, capsys):
+    csv = tmp_path / "r.csv"
+    csv.write_text("timestamp,accel_z,label\n0.00,0.1,\n0.01,x,\n0.02,0.3,\n")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[paths]\ninput = {csv}\n")
+    code = main_exit_code(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                          monkeypatch)
+    assert code == 4
+    assert "row 3" in capsys.readouterr().err
+
+
+def test_eval_ad_decisions_carry_start_index(tmp_path):
+    pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
+    recs = [gen_ambient(BridgeConfig(), 30, seed=5),
+            gen_ambient(BridgeConfig(), 20, damaged=True, seed=6)]
+    windows = build_dataset(recs, pipe, tags=["normal", "anomaly"]).windows
+    dataset = tmp_path / "test.shmd"
+    save_dataset(windows, dataset)
+    ckpt = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[paths]\ntrain_dataset = {dataset}\ncalibration_dataset = {dataset}\n"
+                   f"test_dataset = {dataset}\ncheckpoint = {ckpt}\n")
+    out = tmp_path / "runs"
+    assert run_cli(["eval-ad", "--config", str(cfg)], out) == 0
+    lines = (only_run_dir(out, "eval-ad") / "decisions.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    col = header.index("start_index")
+    starts = [int(line.split(",")[col]) for line in lines[1:]]
+    assert starts == [w.start_index for w in windows]
+    assert starts[:3] == [0, 200, 400] and starts.count(0) == 2   # two recordings
 
 
 def _write_recordings(directory, recs):
@@ -364,8 +419,8 @@ def traffic_data(tmp_path_factory):
     rec = gen_traffic(BridgeConfig(), TrafficConfig(), 180, seed=4)
     manifest = _write_recordings(root / "recs", {"t": ("traffic", rec)})
     pipe = PipelineConfig(window_s=60, stride_s=5, energy_threshold=1e-9)
-    save_dataset(build_dataset([rec], pipe).windows, root / "dataset")
-    return manifest, root / "dataset"
+    save_dataset(build_dataset([rec], pipe).windows, root / "dataset.shmd")
+    return manifest, root / "dataset.shmd"
 
 
 AD_PIPELINE = "[pipeline]\nwindow_s = 5\nstride_s = 2\nenergy_threshold = 1e-8\n"
@@ -374,7 +429,7 @@ AD_PIPELINE = "[pipeline]\nwindow_s = 5\nstride_s = 2\nenergy_threshold = 1e-8\n
 def test_pretrain_masks_at_model_ratio(tmp_path, monkeypatch):
     rec = gen_ambient(BridgeConfig(), 30, seed=1)
     pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
-    save_dataset(build_dataset([rec], pipe).windows, tmp_path / "dataset")
+    save_dataset(build_dataset([rec], pipe).windows, tmp_path / "dataset.shmd")
     ratios = []
     real = mae_model.sample_mask_batch
 
@@ -386,7 +441,7 @@ def test_pretrain_masks_at_model_ratio(tmp_path, monkeypatch):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\ne_dim = 24\nd_dim = 16\nmask_ratio = 0.5\n"
                    "[train]\nepochs = 1\nwarmup_epochs = 0\nbatch_size = 8\n"
-                   f"[paths]\ndataset = {tmp_path / 'dataset'}\n")
+                   f"[paths]\ndataset = {tmp_path / 'dataset.shmd'}\n")
     out = tmp_path / "runs"
     assert run_cli(["pretrain", "--config", str(cfg)], out) == 0
     assert ratios and set(ratios) == {0.5}

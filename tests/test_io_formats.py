@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from shm_fomo.errors import FormatError
+from shm_fomo.errors import DataError, FormatError
 from shm_fomo.io_formats import (
+    DATASET_MAGIC,
     config_hash,
     load_dataset,
     load_manifest,
@@ -17,6 +20,7 @@ from shm_fomo.io_formats import (
     save_recording_csv,
     write_container,
 )
+from shm_fomo.mae_model import ModelConfig, build_model, save_model
 from shm_fomo.signal_pipeline import RawRecording, SpectrogramWindow
 
 
@@ -112,14 +116,126 @@ def test_dataset_round_trip(tmp_path):
     assert [w.tag for w in back] == ["normal", "anomaly", None]
     for orig, loaded in zip(windows, back):
         assert np.allclose(loaded.image, orig.image, atol=1e-6)
+        assert np.array_equal(loaded.image, orig.image.astype(np.float32))
 
 
 def test_dataset_rejects_wrong_record_size(tmp_path):
-    d = tmp_path / "ds"
-    d.mkdir()
-    (d / "win_000000.bin").write_bytes(b"\x00" * 17)
+    path = tmp_path / "ds.shmd"
+    window = SpectrogramWindow(image=np.zeros((100, 100), np.float32), tag="normal")
+    save_dataset([window], path)
+    path.write_bytes(path.read_bytes()[:17])
     with pytest.raises(FormatError):
+        load_dataset(path)
+
+
+def test_dataset_round_trip_bit_exact(tmp_path):
+    rng = np.random.default_rng(4)
+    windows = [SpectrogramWindow(image=rng.normal(size=(100, 100)).astype(np.float32),
+                                 target=target, tag=tag, start_index=start)
+               for target, tag, start in ((None, "normal", 0), (0.1, "anomaly", 200),
+                                          (2.5, None, 123456789))]
+    path = tmp_path / "sub" / "dir" / "ds.shmd"   # parents are created
+    save_dataset(windows, path)
+    back = load_dataset(path)
+    assert [w.image.dtype for w in back] == [np.float32] * 3
+    assert all(w.image.tobytes() == orig.image.tobytes() for w, orig in zip(back, windows))
+    assert back[0].image.base is back[2].image.base is not None   # rows of one array
+    assert [w.target for w in back] == [None, float(np.float32(0.1)), 2.5]
+    assert [w.tag for w in back] == ["normal", "anomaly", None]
+    assert [w.start_index for w in back] == [0, 200, 123456789]
+
+
+def test_dataset_empty(tmp_path):
+    save_dataset([], tmp_path / "ds.shmd")
+    assert load_dataset(tmp_path / "ds.shmd") == []
+
+
+def test_dataset_rejects_wrong_image_shape(tmp_path):
+    with pytest.raises(DataError):
+        save_dataset([SpectrogramWindow(image=np.zeros((100,), np.float32))],
+                     tmp_path / "ds.shmd")
+
+
+@pytest.fixture
+def dataset_file(tmp_path):
+    path = tmp_path / "ds.shmd"
+    save_dataset([SpectrogramWindow(image=np.ones((100, 100), np.float32), target=1.0,
+                                    tag="normal", start_index=7)] * 2, path)
+    return path
+
+
+def test_dataset_truncated(dataset_file):
+    dataset_file.write_bytes(dataset_file.read_bytes()[:-100])
+    with pytest.raises(FormatError):
+        load_dataset(dataset_file)
+
+
+def test_dataset_flipped_byte(dataset_file):
+    blob = bytearray(dataset_file.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    dataset_file.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="checksum"):
+        load_dataset(dataset_file)
+
+
+def test_dataset_rejects_checkpoint(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), path)
+    with pytest.raises(FormatError, match="bad magic"):
+        load_dataset(path)
+
+
+def test_dataset_rejects_old_directory_format(tmp_path):
+    d = tmp_path / "dataset"
+    d.mkdir()
+    (d / "win_000000.bin").write_bytes(b"\x00" * (100 * 100 * 4 + 5))
+    with pytest.raises(FormatError, match="one-file-per-window"):
         load_dataset(d)
+
+
+def _raw_dataset(path, n_images, targets, tags, starts):
+    write_container(path, DATASET_MAGIC, {"tags": tags, "start_index": starts},
+                    {"images": np.zeros((n_images, 100, 100), np.float32),
+                     "targets": np.asarray(targets, np.float32)})
+
+
+@pytest.mark.parametrize("n_images, targets, tags, starts, match", [
+    (2, [1.0], [1], [0], "disagree"),
+    (1, [1.0, 2.0], [1, 1], [0, 0], "disagree"),
+    (1, [1.0], [1, 1], [0], "disagree"),
+    (1, [1.0], [1], [], "disagree"),
+    (1, [1.0], [3], [0], "unknown tag"),
+    (1, [1.0], [1], [0.5], "integers"),
+    (1, 1.0, [1], [0], "disagree"),
+    (1, [1.0], 1, [0], "lacks"),
+    (1, [1.0], [[1]], [0], "unknown tag"),
+])
+def test_dataset_rejects_inconsistent_contents(tmp_path, n_images, targets, tags,
+                                               starts, match):
+    _raw_dataset(tmp_path / "ds.shmd", n_images, targets, tags, starts)
+    with pytest.raises(FormatError, match=match):
+        load_dataset(tmp_path / "ds.shmd")
+
+
+def test_container_bytes_pinned(tmp_path):
+    """The container's bytes on disk, pinned by hash; 0-d, empty and strided
+    tensors included."""
+    tensors = {"b": np.arange(6, dtype=np.float32).reshape(2, 3),
+               "a": np.float32(-1.5) * np.ones((), np.float32),
+               "empty": np.zeros((0, 4), np.float32),
+               "strided": np.arange(12, dtype=np.float64).reshape(3, 4)[:, ::2]}
+    path = tmp_path / "h.bin"
+    write_container(path, b"TEST", {"kind": "pin", "n": 3}, tensors)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "2118ed61f4e3958a13468a095f638eb03cecf7a0c331314e8856043e83b690b8")
+
+
+@pytest.mark.parametrize("row", ["0.01,x,", "0.01,0.5,heavy", "zero,0.5,"])
+def test_recording_csv_non_numeric_cell(tmp_path, row):
+    path = tmp_path / "r.csv"
+    path.write_text(f"timestamp,accel_z,label\n0.00,0.1,\n{row}\n0.02,0.3,\n")
+    with pytest.raises(FormatError, match="row 3"):
+        load_recording_csv(path)
 
 
 def test_container_round_trip_bit_exact(tmp_path):

@@ -261,6 +261,17 @@ class TestBuildDataset:
         assert [w.target for w in result.windows] == [6.0, 6.0, 0.0]
         assert all(w.tag == "normal" for w in result.windows)
 
+    def test_images_are_float32_spectrograms(self):
+        rec = rec_of(2000, seed=9)
+        result = build_dataset([rec], UC1_PIPELINE)
+        kept = [w for w in make_windows(rec, UC1_PIPELINE)
+                if energy_keep(w, UC1_PIPELINE.energy_threshold)]
+        assert len(result.windows) == len(kept) > 0
+        for w, tw in zip(result.windows, kept):
+            assert w.image.dtype == np.float32
+            assert np.array_equal(w.image, spectrogram(normalize(tw)).astype(np.float32))
+            assert w.start_index == tw.start_index
+
     def test_mixed_sampling_rates_rejected(self):
         with pytest.raises(DataError):
             build_dataset([rec_of(900, fs=100), rec_of(900, fs=50)], UC1_PIPELINE)
