@@ -363,14 +363,24 @@ def pretrain_backward(model: MaeModel, cache) -> dict:
     return grads
 
 
-def regress_forward_batch(model: MaeModel, images: np.ndarray):
-    """Predictions for a batch: linear head on mean-pooled full-image latents."""
+def _require_reg_head(model: MaeModel) -> None:
     if not model.has_reg_head:
         raise ConfigError("model has no regression head; attach one first")
-    latents, enc_cache = _encode_batch(model, np.asarray(images), None)
+
+
+def _pooled_head(model: MaeModel, latents: np.ndarray):
+    """(pooled latents, predictions): the linear head on mean-pooled latents."""
     pooled = latents.mean(axis=1)
     yhat = nn_core.linear_fwd(pooled, model.params["reg_head.w"],
                               model.params["reg_head.b"])[:, 0]
+    return pooled, yhat
+
+
+def regress_forward_batch(model: MaeModel, images: np.ndarray):
+    """Predictions for a batch: linear head on mean-pooled full-image latents."""
+    _require_reg_head(model)
+    latents, enc_cache = _encode_batch(model, np.asarray(images), None)
+    pooled, yhat = _pooled_head(model, latents)
     return yhat, (enc_cache, latents, pooled)
 
 
@@ -383,6 +393,22 @@ def regress_backward(model: MaeModel, cache, dyhat: np.ndarray) -> dict:
     grads["reg_head.w"] = dw
     grads["reg_head.b"] = db
     return grads
+
+
+def regress_predictions(model: MaeModel, images: np.ndarray) -> np.ndarray:
+    """Predictions for many images, of the model's dtype and shape (n,).
+
+    Images go through the model EVAL_BATCH at a time and keep no backward
+    caches, so memory is bounded by one chunk whatever the number of images.
+    """
+    _require_reg_head(model)
+    images = np.asarray(images)
+    yhat = np.empty(len(images), dtype=model.dtype)
+    for start in range(0, len(images), EVAL_BATCH):
+        latents, _ = _encode_batch(model, images[start:start + EVAL_BATCH], None,
+                                   keep_cache=False)
+        yhat[start:start + EVAL_BATCH] = _pooled_head(model, latents)[1]
+    return yhat
 
 
 def forward_regress(model: MaeModel, image: np.ndarray) -> float:

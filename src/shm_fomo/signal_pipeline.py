@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import ConfigError, DataError, EmptyInputError
 
@@ -24,7 +23,10 @@ logger = logging.getLogger(__name__)
 SPEC_SIZE = 100          # spectrogram is SPEC_SIZE time frames x SPEC_SIZE frequency bins
 STFT_NFFT = 198          # one-sided rfft of 198 samples -> exactly 100 bins
 NORM_EPS = 1e-8          # guard for zero-variance windows
-HANN_TAPER = get_window("hann", STFT_NFFT)
+# Periodic Hann window built the way scipy.signal.get_window("hann", N) builds
+# it (cosine over linspace(-pi, pi, N + 1), last point dropped), so the bits
+# match without importing scipy.signal, which dominated package import time.
+HANN_TAPER = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, STFT_NFFT + 1))[:-1]
 HANN_TAPER.setflags(write=False)
 
 TAG_NORMAL = "normal"

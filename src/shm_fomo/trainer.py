@@ -287,20 +287,9 @@ def mse_loss(yhat: np.ndarray, y: np.ndarray):
     return float(np.mean(diff ** 2)), 2.0 * diff / len(y)
 
 
-def mae_loss(yhat: np.ndarray, y: np.ndarray):
-    diff = yhat - y
-    return float(np.mean(np.abs(diff))), np.sign(diff) / len(y)
-
-
-def finetune_tle(model: MaeModel, labeled_windows: Sequence, plan: TrainPlan,
-                 loss: str = "mse") -> TrainLog:
-    """Supervised regression fine-tuning with squared-error loss.
-
-    ``loss="mae"`` gives the plain absolute-error variant that distillation
-    with alpha_kd=0 must reproduce step for step.
-    """
-    loss_fn = {"mse": mse_loss, "mae": mae_loss}[loss]
-    return _regression_loop(model, labeled_windows, plan, loss_fn)
+def finetune_tle(model: MaeModel, labeled_windows: Sequence, plan: TrainPlan) -> TrainLog:
+    """Supervised regression fine-tuning with squared-error loss."""
+    return _regression_loop(model, labeled_windows, plan, mse_loss)
 
 
 def kd_loss(y_s: np.ndarray, y_t: np.ndarray, y_true: np.ndarray, kd: KDConfig):
@@ -336,9 +325,7 @@ def finetune_kd(student: MaeModel, teacher: Optional[MaeModel], labeled_windows,
     images = _stack_images(labeled_windows, student.dtype)
     targets = _targets_of(labeled_windows)
     if kd.alpha_kd != 0.0:
-        t_images = images.astype(teacher.dtype, copy=False)
-        teacher_preds, _ = mae_model.regress_forward_batch(teacher, t_images)
-        teacher_preds = teacher_preds.astype(np.float64)
+        teacher_preds = mae_model.regress_predictions(teacher, images).astype(np.float64)
     else:
         teacher_preds = np.zeros(len(labeled_windows))
 

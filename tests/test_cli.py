@@ -198,6 +198,19 @@ def exit_code_of(argv):
     return proc.returncode, proc.stderr
 
 
+def test_cli_import_loads_no_scipy_subpackage_but_special():
+    # each subcommand is its own process; scipy.signal alone took ~1.6 s of
+    # start-up to build one taper (scipy.stats, .interpolate and .optimize
+    # came with it)
+    code = ("import sys, shm_fomo.cli; print(' '.join(sorted(m for m in sys.modules "
+            "if m.count('.') == 1 and m.startswith('scipy.') "
+            "and not m.startswith('scipy._'))))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) - {"scipy.version"} == {"scipy.special"}
+
+
 class TestExitCodes:
     def test_missing_config_is_usage_error(self, tmp_path):
         code, err = exit_code_of(["pretrain", "--out", str(tmp_path)])

@@ -23,6 +23,8 @@ from shm_fomo.mae_model import (
     pretrain_forward_batch,
     reconstruction_error,
     reconstruction_errors,
+    regress_forward_batch,
+    regress_predictions,
     sample_mask,
     sample_mask_batch,
     save_model,
@@ -309,6 +311,26 @@ class TestReconstructionErrors:
             reconstruction_errors(model, ws)
         with pytest.raises(ConfigError):
             reconstruction_error(model, ws[0].image, 0)
+
+
+class TestRegressPredictions:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_to_one_batch_bit_for_bit(self, dtype):
+        # crosses a chunk boundary and ends on a partial chunk
+        model = attach_regression_head(build_model(TINY, seed=0, dtype=dtype), seed=1)
+        images = np.stack([rand_image(s) for s in range(2 * EVAL_BATCH + 3)])
+        chunked = regress_predictions(model, images)
+        whole, _ = regress_forward_batch(model, images)
+        assert chunked.dtype == dtype
+        assert np.array_equal(chunked, whole)
+
+    def test_empty(self, tiny_model):
+        model = attach_regression_head(tiny_model, seed=1)
+        assert regress_predictions(model, np.empty((0, 100, 100))).shape == (0,)
+
+    def test_missing_head_rejected(self, tiny_model):
+        with pytest.raises(ConfigError):
+            regress_predictions(tiny_model, rand_image()[None])
 
 
 class TestParamCount:

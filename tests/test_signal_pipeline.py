@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
 from shm_fomo.errors import ConfigError, DataError, EmptyInputError
 from shm_fomo.signal_pipeline import (
+    HANN_TAPER,
     UC1_PIPELINE,
     UC2_PIPELINE,
     PipelineConfig,
@@ -160,7 +162,6 @@ class TestSpectrogram:
         assert (peak_bins == peak_bins[0]).all()
         assert peak_bins[0] == freq_bin_of(f0, fs)
         # oracle: direct DFT of the first Hann-tapered frame
-        from scipy.signal import get_window
         frame = w.values[:198] * get_window("hann", 198)
         assert int(_dft_magnitudes(frame).argmax()) == peak_bins[0]
 
@@ -170,10 +171,16 @@ class TestSpectrogram:
             values = np.random.default_rng(seed).normal(size=500)
             w = normalize(TimeWindow(values=values, start_index=0, raw_energy=1.0))
             frames = np.lib.stride_tricks.sliding_window_view(w.values, 198)[::3][:100]
-            from scipy.signal import get_window
             power = np.abs(np.fft.rfft(frames * get_window("hann", 198), axis=1)) ** 2
             shares = power.sum(axis=0) / power.sum()
             assert shares.max() < 0.10
+
+    def test_taper_is_scipy_hann_bit_for_bit(self):
+        assert HANN_TAPER.dtype == np.float64
+        assert np.array_equal(HANN_TAPER, get_window("hann", 198))
+        assert not HANN_TAPER.flags.writeable
+        with pytest.raises(ValueError):
+            HANN_TAPER[0] = 1.0
 
     def test_too_short_raises(self):
         w = TimeWindow(values=np.zeros(250), start_index=0, raw_energy=0.0)
@@ -184,7 +191,6 @@ class TestSpectrogram:
     def test_equals_per_call_formula_bit_for_bit(self, t_len):
         # the cached taper and frame index give the uncached result exactly,
         # on the call that fills the cache and on the one that reuses it
-        from scipy.signal import get_window
         values = np.random.default_rng(t_len).normal(size=t_len)
         hop = (t_len - 198) // 99
         frames = values[np.arange(100)[:, None] * hop + np.arange(198)[None, :]]
