@@ -16,6 +16,10 @@ from .errors import CalibrationError, ConfigError, DataError, EmptyInputError
 
 FILTER_LENGTHS = (1, 15, 30, 60, 120, 240)
 
+# values median_smooth sorts at once; bounds its scratch copy whatever the
+# length of the series
+SMOOTH_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ThresholdConfig:
@@ -80,12 +84,20 @@ def median_smooth(errors: Sequence[float], L: int) -> np.ndarray:
         raise EmptyInputError("cannot smooth an empty series")
     if L < 1:
         raise ConfigError(f"filter length must be >= 1, got {L}")
-    if L == 1:
-        return errors.copy()
-    out = np.empty_like(errors)
-    for i in range(errors.size):
-        window = np.sort(errors[max(0, i - L + 1):i + 1])
-        out[i] = window[(window.size - 1) // 2]
+    n = errors.size
+    width = min(L, n)   # no window holds more than n values
+    # row i holds the width values ending at errors[i], NaN before the series
+    # starts; NaN sorts last, so the lower median of a row with i + 1 < L
+    # values sits at index i // 2
+    padded = np.concatenate((np.full(width - 1, np.nan), errors))
+    span = np.arange(width)
+    out = np.empty(n)
+    step = max(1, SMOOTH_BLOCK // width)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        windows = padded[rows[:, None] + span]
+        windows.sort(axis=1)
+        out[rows] = windows[rows - start, np.minimum(rows, L - 1) // 2]
     return out
 
 

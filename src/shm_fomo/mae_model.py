@@ -273,6 +273,12 @@ def _stack(x: np.ndarray, p: dict, side: str, n_blocks: int, n_heads: int,
     return y, None
 
 
+def _rows(idx: np.ndarray) -> np.ndarray:
+    """Row index that pairs with per-row patch indices ``idx`` of shape (b, k):
+    ``a[_rows(idx), idx]`` gathers whole patch rows, shape (b, k, d)."""
+    return np.arange(idx.shape[0])[:, None]
+
+
 def _encode_batch(model: MaeModel, images: np.ndarray,
                   visible_idx: Optional[np.ndarray], keep_cache: bool = True):
     cfg = model.config
@@ -282,7 +288,7 @@ def _encode_batch(model: MaeModel, images: np.ndarray,
         vis_patches = patches
         pos = model.enc_pos[None, :, :]
     else:
-        vis_patches = np.take_along_axis(patches, visible_idx[:, :, None], axis=1)
+        vis_patches = patches[_rows(visible_idx), visible_idx]
         pos = model.enc_pos[visible_idx]
     tokens = nn_core.linear_fwd(vis_patches, p["patch_embed.w"], p["patch_embed.b"]) + pos
     latents, stack_cache = _stack(tokens, p, "enc", cfg.n_blocks, cfg.e_heads, keep_cache)
@@ -307,7 +313,7 @@ def _decode_batch(model: MaeModel, latents: np.ndarray, masked_idx: np.ndarray,
     b = latents.shape[0]
     z = nn_core.linear_fwd(latents, p["enc_to_dec.w"], p["enc_to_dec.b"])
     tokens = np.broadcast_to(p["mask_token"], (b, cfg.num_patches, cfg.d_dim)).copy()
-    np.put_along_axis(tokens, visible_idx[:, :, None], z, axis=1)
+    tokens[_rows(visible_idx), visible_idx] = z
     tokens = tokens + model.dec_pos[None, :, :]
     hidden, stack_cache = _stack(tokens, p, "dec", cfg.n_blocks, cfg.d_heads, keep_cache)
     pred_patches = nn_core.linear_fwd(hidden, p["recon_head.w"], p["recon_head.b"])
@@ -324,8 +330,9 @@ def _decode_backward(model: MaeModel, dpred: np.ndarray, cache):
     dtokens, stack_grads = nn_core.stack_bwd(dhidden, stack_cache, p,
                                              "dec", cfg.n_blocks, cfg.d_heads)
     grads.update(stack_grads)
-    dz = np.take_along_axis(dtokens, visible_idx[:, :, None], axis=1)
-    dmasked = np.take_along_axis(dtokens, masked_idx[:, :, None], axis=1)
+    rows = _rows(visible_idx)
+    dz = dtokens[rows, visible_idx]
+    dmasked = dtokens[rows, masked_idx]
     grads["mask_token"] = dmasked.sum(axis=(0, 1))
     dlatents, grads["enc_to_dec.w"], grads["enc_to_dec.b"] = nn_core.linear_bwd(
         dz, latents, p["enc_to_dec.w"])
@@ -338,9 +345,8 @@ def _masked_diff(pred_patches: np.ndarray, true_patches: np.ndarray,
     if masked_idx.shape[1] == 0:
         raise ConfigError("masked-patch error is undefined: the mask ratio "
                           "leaves no patch masked")
-    idx = masked_idx[:, :, None]
-    return (np.take_along_axis(pred_patches, idx, axis=1)
-            - np.take_along_axis(true_patches, idx, axis=1))
+    rows = _rows(masked_idx)
+    return pred_patches[rows, masked_idx] - true_patches[rows, masked_idx]
 
 
 def pretrain_forward_batch(model: MaeModel, images: np.ndarray,
@@ -357,7 +363,7 @@ def pretrain_backward(model: MaeModel, cache) -> dict:
     enc_cache, dec_cache, diff, pred_shape, masked_idx = cache
     dpred = np.zeros(pred_shape, dtype=model.dtype)
     scale = np.asarray(2.0 / diff.size, dtype=model.dtype)
-    np.put_along_axis(dpred, masked_idx[:, :, None], diff * scale, axis=1)
+    dpred[_rows(masked_idx), masked_idx] = diff * scale
     dlatents, grads = _decode_backward(model, dpred, dec_cache)
     grads.update(_encode_backward(model, dlatents, enc_cache))
     return grads

@@ -40,7 +40,8 @@ class RawRecording:
     """Uniformly sampled z-axis acceleration, optionally with per-sample labels.
 
     Labels take values in {0, 1, 2}: 0 = no vehicle, 1 = light vehicle,
-    2 = heavy vehicle, aligned one-to-one with ``samples``. Samples must be
+    2 = heavy vehicle, aligned one-to-one with ``samples``; any other value is
+    rejected here, whether or not a kept window covers it. Samples must be
     finite: a NaN would otherwise pass as a low-energy window.
     """
 
@@ -62,6 +63,9 @@ class RawRecording:
                     f"labels length {self.labels.shape} does not match "
                     f"samples length {self.samples.shape}"
                 )
+            bad = (self.labels < 0) | (self.labels > 2)
+            if bad.any():
+                raise DataError(f"labels outside {{0,1,2}} at {np.flatnonzero(bad)[:5]}")
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -252,6 +256,10 @@ def build_dataset(
     result = DatasetBuildResult()
     for r, rec in enumerate(recs):
         tag = tags[r] if tags is not None else None
+        if rec.labels is not None:
+            # RawRecording has checked the labels once, so a kept window's
+            # target is compute_target's count without its per-window check
+            sel = rec.labels != 0 if k == "any" else rec.labels == k
         for w in make_windows(rec, cfg):
             result.n_candidates += 1
             if not energy_keep(w, cfg.energy_threshold):
@@ -260,8 +268,8 @@ def build_dataset(
             image = spectrogram(normalize(w)).astype(np.float32)
             target = None
             if rec.labels is not None:
-                sl = rec.labels[w.start_index:w.start_index + len(w.values)]
-                target = compute_target(sl, k)
+                s = w.start_index
+                target = int(np.count_nonzero(sel[s:s + len(w.values)])) / 10.0
             result.windows.append(SpectrogramWindow(
                 image=image, target=target, tag=tag, start_index=w.start_index))
     if result.n_candidates and not result.windows:

@@ -132,6 +132,19 @@ class TestFeatures:
         assert abs(named["skewness"]) < 0.1
         assert named["kurtosis"] == pytest.approx(3.0, abs=0.3)
 
+    def test_moments_match_pow_formulas(self):
+        # skewness and kurtosis come from products; libm pow is the oracle
+        rng = np.random.default_rng(13)
+        draws = [lambda n: rng.normal(size=n) * 3.0 - 1.0,
+                 lambda n: rng.exponential(size=n),
+                 lambda n: rng.standard_t(3, size=n)]
+        for i in range(300):
+            x = draws[i % 3](int(rng.integers(2, 3000)))
+            z = (x - x.mean()) / x.std()
+            f = dict(zip(FEATURE_NAMES, extract_features(x)))
+            assert f["skewness"] == pytest.approx(np.mean(z ** 3), rel=1e-12, abs=1e-14)
+            assert f["kurtosis"] == pytest.approx(np.mean(z ** 4), rel=1e-12)
+
     def test_constant_window_flagged(self):
         f = dict(zip(FEATURE_NAMES, extract_features(np.full(100, 4.0))))
         assert f["std"] == 0.0

@@ -20,6 +20,7 @@ from shm_fomo.mae_model import (
     param_count,
     param_shapes,
     patchify,
+    pretrain_backward,
     pretrain_forward_batch,
     reconstruction_error,
     reconstruction_errors,
@@ -236,6 +237,107 @@ class TestPretrainLoss:
         recon = reconstruct(tiny_model, img, masked, visible)
         loss_single = masked_mse(recon, img.astype(np.float32), masked)
         assert loss_batch == pytest.approx(loss_single, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# reference formulas for the masked path: every gather and scatter of masked
+# or visible patch rows spelled with take_along_axis/put_along_axis
+
+
+def ref_pretrain_forward(model, images, masked_idx, visible_idx):
+    """(loss, diff, cache) of one masked reconstruction batch."""
+    cfg, p = model.config, model.params
+    patches = patchify(np.asarray(images), cfg.patch_size).astype(model.dtype)
+    vis = np.take_along_axis(patches, visible_idx[:, :, None], axis=1)
+    tokens = (nn_core.linear_fwd(vis, p["patch_embed.w"], p["patch_embed.b"])
+              + model.enc_pos[visible_idx])
+    latents, enc_stack = nn_core.stack_fwd(tokens, p, "enc", cfg.n_blocks, cfg.e_heads)
+    z = nn_core.linear_fwd(latents, p["enc_to_dec.w"], p["enc_to_dec.b"])
+    dec_in = np.broadcast_to(p["mask_token"], (len(z), cfg.num_patches, cfg.d_dim)).copy()
+    np.put_along_axis(dec_in, visible_idx[:, :, None], z, axis=1)
+    hidden, dec_stack = nn_core.stack_fwd(dec_in + model.dec_pos[None], p, "dec",
+                                          cfg.n_blocks, cfg.d_heads)
+    pred = nn_core.linear_fwd(hidden, p["recon_head.w"], p["recon_head.b"])
+    idx = masked_idx[:, :, None]
+    diff = np.take_along_axis(pred, idx, axis=1) - np.take_along_axis(patches, idx, axis=1)
+    loss = float(np.mean(diff.astype(np.float64) ** 2))
+    return loss, diff, (vis, enc_stack, latents, hidden, dec_stack, pred.shape)
+
+
+def ref_pretrain_backward(model, masked_idx, visible_idx, diff, cache):
+    cfg, p = model.config, model.params
+    vis, enc_stack, latents, hidden, dec_stack, pred_shape = cache
+    dpred = np.zeros(pred_shape, dtype=model.dtype)
+    np.put_along_axis(dpred, masked_idx[:, :, None],
+                      diff * np.asarray(2.0 / diff.size, dtype=model.dtype), axis=1)
+    grads = {}
+    dhidden, grads["recon_head.w"], grads["recon_head.b"] = nn_core.linear_bwd(
+        dpred, hidden, p["recon_head.w"])
+    dtokens, dec_grads = nn_core.stack_bwd(dhidden, dec_stack, p, "dec",
+                                           cfg.n_blocks, cfg.d_heads)
+    grads.update(dec_grads)
+    dz = np.take_along_axis(dtokens, visible_idx[:, :, None], axis=1)
+    grads["mask_token"] = np.take_along_axis(
+        dtokens, masked_idx[:, :, None], axis=1).sum(axis=(0, 1))
+    dlatents, grads["enc_to_dec.w"], grads["enc_to_dec.b"] = nn_core.linear_bwd(
+        dz, latents, p["enc_to_dec.w"])
+    dvis_tokens, enc_grads = nn_core.stack_bwd(dlatents, enc_stack, p, "enc",
+                                               cfg.n_blocks, cfg.e_heads)
+    grads.update(enc_grads)
+    _, grads["patch_embed.w"], grads["patch_embed.b"] = nn_core.linear_bwd(
+        dvis_tokens, vis, p["patch_embed.w"])
+    return grads
+
+
+def ref_reconstruction_errors(model, images, base_seed):
+    cfg = model.config
+    masks = [sample_mask(cfg.num_patches, cfg.mask_ratio, base_seed ^ i)
+             for i in range(len(images))]
+    masked_idx, visible_idx = (np.stack(idx) for idx in zip(*masks))
+    _, diff, _ = ref_pretrain_forward(model, images, masked_idx, visible_idx)
+    return np.mean((diff.astype(np.float64) ** 2).reshape(len(images), -1), axis=1)
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch,mask_ratio", [(1, 0.8), (3, 0.8), (3, 0.99)])
+class TestMaskedPathMatchesReference:
+    """Bit for bit against the reference formulas; a mask ratio of 0.99
+    leaves a single visible patch per image."""
+
+    @staticmethod
+    def model(dtype, mask_ratio):
+        cfg = ModelConfig(e_dim=24, d_dim=16, mask_ratio=mask_ratio)
+        return build_model(cfg, seed=0, dtype=dtype)
+
+    @staticmethod
+    def images(batch):
+        return np.stack([rand_image(s) for s in range(batch)])
+
+    def test_pretrain_forward_and_backward(self, dtype, batch, mask_ratio):
+        model = self.model(dtype, mask_ratio)
+        images = self.images(batch)
+        masked, visible = sample_mask_batch(100, mask_ratio, batch,
+                                            np.random.default_rng(batch))
+        loss, cache = pretrain_forward_batch(model, images, masked, visible)
+        grads = pretrain_backward(model, cache)
+        want_loss, want_diff, ref_cache = ref_pretrain_forward(model, images, masked, visible)
+        want_grads = ref_pretrain_backward(model, masked, visible, want_diff, ref_cache)
+        assert loss == want_loss
+        _same_bits(cache[2], want_diff)
+        assert set(grads) == set(want_grads) == set(model.params)
+        for name, g in grads.items():
+            _same_bits(g, want_grads[name])
+
+    def test_reconstruction_errors(self, dtype, batch, mask_ratio):
+        model = self.model(dtype, mask_ratio)
+        images = self.images(batch)
+        windows = [SpectrogramWindow(image=img) for img in images]
+        _same_bits(reconstruction_errors(model, windows, base_seed=0x5EED),
+                   ref_reconstruction_errors(model, images, 0x5EED))
 
 
 class TestRegression:

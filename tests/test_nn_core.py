@@ -486,6 +486,20 @@ class TestMatchesReference:
                            _arr(rng, x.shape, dtype), cache, p, "enc", 2, HEADS)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k,n", [(96, 24), (100, 24), (16, 100), (24, 96)])
+def test_linear_fwd_batch_invariant(dtype, k, n):
+    # batched and one-window scoring agree bit for bit only if each window's
+    # product does not depend on the batch around it. One GEMM over the
+    # flattened rows does depend on it, at (96, 24) and (100, 24) in float32
+    # and at (16, 100) in float64 (OpenBLAS 0.3.31, Haswell kernels)
+    rng = np.random.default_rng(17)
+    x, w, b = _arr(rng, (16, 100, k), dtype), _arr(rng, (k, n), dtype), _arr(rng, (n,), dtype)
+    whole = nn_core.linear_fwd(x, w, b)
+    assert np.array_equal(whole, np.stack([nn_core.linear_fwd(x[i:i + 1], w, b)[0]
+                                           for i in range(len(x))]))
+
+
 # ---------------------------------------------------------------------------
 # allocator
 

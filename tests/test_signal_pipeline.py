@@ -35,6 +35,21 @@ class TestRawRecording:
         with pytest.raises(DataError, match="non-finite"):
             RawRecording(samples=samples)
 
+    @pytest.mark.parametrize("at", [100, 950])
+    def test_label_outside_kept_windows_rejected(self, at):
+        # index 100 lies only in the first window, which the energy filter
+        # drops; index 950 only in the trailing partial window
+        samples = np.random.default_rng(1).normal(size=1000)
+        samples[:500] *= 1e-4
+        labels = np.zeros(1000, dtype=int)
+        cfg = PipelineConfig(window_s=5, stride_s=2)
+        result = build_dataset([RawRecording(samples=samples, labels=labels)], cfg)
+        assert result.n_dropped == 1
+        assert [w.start_index for w in result.windows] == [200, 400]
+        labels[at] = 3
+        with pytest.raises(DataError, match="labels outside"):
+            build_dataset([RawRecording(samples=samples, labels=labels)], cfg)
+
 
 class TestMakeWindows:
     def test_count_and_offsets(self):
@@ -266,6 +281,19 @@ class TestBuildDataset:
         result = build_dataset([rec], cfg, tags=["normal"])
         assert [w.target for w in result.windows] == [6.0, 6.0, 0.0]
         assert all(w.tag == "normal" for w in result.windows)
+
+    @pytest.mark.parametrize("vehicle_class,k", [("light", 1), ("heavy", 2), ("any", "any")])
+    def test_targets_equal_compute_target_per_window(self, vehicle_class, k):
+        rng = np.random.default_rng(10)
+        labels = rng.integers(0, 3, size=9000)
+        rec = RawRecording(samples=rng.normal(size=9000), labels=labels)
+        cfg = PipelineConfig(window_s=60, stride_s=2, energy_threshold=0.0,
+                             vehicle_class=vehicle_class)
+        result = build_dataset([rec], cfg)
+        assert len(result.windows) == 16
+        for w in result.windows:
+            want = compute_target(labels[w.start_index:w.start_index + 6000], k)
+            assert type(w.target) is float and w.target == want
 
     def test_images_are_float32_spectrograms(self):
         rec = rec_of(2000, seed=9)
