@@ -114,10 +114,6 @@ class AdMetrics:
     sensitivity: float
     specificity: float
 
-    def as_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "sensitivity": self.sensitivity,
-                "specificity": self.specificity}
-
 
 def ad_metrics(verdicts: Sequence[bool], truth: Sequence[bool]) -> AdMetrics:
     """Accuracy, sensitivity TP/(TP+FN), specificity TN/(TN+FP).

@@ -29,7 +29,7 @@ subcommands. A dataset is one file: ``preprocess`` writes
 ``<run>/dataset.shmd``, and the ``*dataset`` paths name such a file.
 
 Exit codes: 0 success, 2 usage error, 3 malformed config, 4 missing or
-malformed input file (checkpoint, dataset, recording).
+malformed input file (checkpoint, dataset, manifest, recording).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .io_formats import (config_hash, load_dataset, load_manifest,
                          save_dataset, save_manifest, save_recording_binary)
 from .mae_model import ModelConfig
 from .signal_pipeline import (TAG_ANOMALY, TAG_NORMAL, PipelineConfig,
-                              build_dataset, energy_keep, make_windows, normalize)
+                              build_dataset, kept_windows, normalize)
 from .synth_bench import BridgeConfig, TrafficConfig
 from .trainer import KDConfig, TrainPlan
 
@@ -191,6 +191,13 @@ def _load_recording(path: Path):
     return load_recording_binary(path)
 
 
+def _manifest_recordings(manifest_path: Path, states=None):
+    """(entry, recording) per manifest entry; with ``states``, others go unread."""
+    for entry in load_manifest(manifest_path):
+        if states is None or entry.get("state") in states:
+            yield entry, _load_recording(manifest_path.parent / entry["file"])
+
+
 def _load_dataset(path: Path):
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
@@ -252,9 +259,9 @@ def cmd_preprocess(args, cfg, run_dir: Path) -> int:
         raise FileNotFoundError(f"input not found: {input_path}")
     recs, tags = [], []
     if input_path.suffix == ".json":
-        for entry in load_manifest(input_path):
-            recs.append(_load_recording(input_path.parent / entry["file"]))
-            tags.append(_STATE_TO_TAG.get(entry.get("state"), None))
+        for entry, rec in _manifest_recordings(input_path):
+            recs.append(rec)
+            tags.append(_STATE_TO_TAG.get(entry.get("state")))
     else:
         recs.append(_load_recording(input_path))
         tags.append(None)
@@ -344,7 +351,6 @@ def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
     (train_path, calib_path, test_path, ckpt) = paths_of(
         cfg, "train_dataset", "calibration_dataset", "test_dataset", "checkpoint")
     model = _load_checkpoint(ckpt)
-    thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
     eval_seed = derive_seed(args.seed, "eval_ad")
     train_err = mae_model.reconstruction_errors(model, _load_dataset(train_path),
                                                 base_seed=eval_seed)
@@ -353,19 +359,27 @@ def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
     test_windows = _load_dataset(test_path)
     test_err = mae_model.reconstruction_errors(model, test_windows, base_seed=eval_seed)
     truth = np.array([w.tag == TAG_ANOMALY for w in test_windows])
-    threshold = calibrate_threshold(train_err, calib_err, thr_cfg)
-    per_filter = evaluation.evaluate_anomaly_detection(test_err, truth, threshold)
-    report = evaluation.MetricsReport(task_id="ad_synth", model_id="mae",
-                                      n_samples=len(test_windows),
-                                      ad_by_filter=per_filter)
-    evaluation.write_report_csv(run_dir / "report.csv", [report])
+    threshold = _detection_report(run_dir, cfg, "mae", train_err, calib_err, test_err, truth)
     write_decisions_csv(run_dir / "decisions.csv", decisions(test_err, threshold, 15),
                         truth, [w.start_index for w in test_windows])
-    print(f"threshold {threshold:.6g}")
-    for L, m in sorted(per_filter.items()):
-        print(f"L={L:<4d} accuracy {m.accuracy:.4f}  sensitivity {m.sensitivity:.4f}"
-              f"  specificity {m.specificity:.4f}")
     return 0
+
+
+def _detection_report(run_dir: Path, cfg, model_id: str, train_err, calib_err,
+                      test_err, truth) -> float:
+    """Calibrate on the training and calibration errors, score the test errors
+    at every filter length, write ``report.csv``, print it, return the threshold."""
+    thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
+    threshold = calibrate_threshold(train_err, calib_err, thr_cfg)
+    per_filter = evaluation.evaluate_anomaly_detection(test_err, truth, threshold)
+    report = evaluation.MetricsReport(task_id="ad_synth", model_id=model_id,
+                                      n_samples=len(test_err), ad_by_filter=per_filter)
+    evaluation.write_report_csv(run_dir / "report.csv", [report])
+    print(f"{model_id} threshold {threshold:.6g}")
+    for L, m in sorted(per_filter.items()):
+        print(f"{model_id} L={L:<4d} accuracy {m.accuracy:.4f}  "
+              f"sensitivity {m.sensitivity:.4f}  specificity {m.specificity:.4f}")
+    return threshold
 
 
 def cmd_eval_tle(args, cfg, run_dir: Path) -> int:
@@ -373,13 +387,18 @@ def cmd_eval_tle(args, cfg, run_dir: Path) -> int:
     model = _load_checkpoint(ckpt)
     windows = _load_dataset(test_path)
     y_true = np.array([w.target for w in windows], dtype=np.float64)
-    y_pred = np.array([mae_model.forward_regress(model, w.image) for w in windows])
+    y_pred = mae_model.regress_predictions(model, [w.image for w in windows])
+    _regression_report(run_dir, "mae", y_true, y_pred)
+    return 0
+
+
+def _regression_report(run_dir: Path, model_id: str, y_true, y_pred) -> None:
+    """Write a TLE model's ``predictions.csv`` and ``report.csv``; print the table."""
     report = evaluation.regression_metrics(y_pred, y_true)
-    report.task_id, report.model_id = "tle_synth", "mae"
+    report.task_id, report.model_id = "tle_synth", model_id
     evaluation.write_predictions_csv(run_dir / "predictions.csv", y_true, y_pred)
     evaluation.write_report_csv(run_dir / "report.csv", [report])
     print(evaluation.format_report_table([report]))
-    return 0
 
 
 def cmd_ablation(args, cfg, run_dir: Path) -> int:
@@ -405,32 +424,22 @@ def cmd_ablation(args, cfg, run_dir: Path) -> int:
 
 def _feature_targets(manifest_path: Path, pipe: PipelineConfig):
     """Per-window statistical features of raw windows, with traffic targets."""
-    from .signal_pipeline import VEHICLE_CLASS_TO_LABEL, compute_target
-
-    k = VEHICLE_CLASS_TO_LABEL.get(pipe.vehicle_class, "any")
     feats, targets = [], []
-    for entry in load_manifest(manifest_path):
-        rec = _load_recording(manifest_path.parent / entry["file"])
+    for entry, rec in _manifest_recordings(manifest_path):
         if rec.labels is None:
             raise ConfigError(f"{entry['file']} has no labels; cannot build targets")
-        for w in make_windows(rec, pipe):
-            if not energy_keep(w, pipe.energy_threshold):
-                continue
-            feats.append(baselines.extract_features(w.values))
-            sl = rec.labels[w.start_index:w.start_index + len(w.values)]
-            targets.append(compute_target(sl, k))
+        _, kept, rec_targets = kept_windows(rec, pipe)
+        feats.extend(baselines.extract_features(w.values) for w in kept)
+        targets.extend(rec_targets)
     return np.stack(feats), np.asarray(targets)
 
 
 def _raw_normalized_windows(manifest_path: Path, pipe: PipelineConfig, *states):
     """Time-window vectors (normalized, energy-filtered), one array per state."""
     by_state: dict[str, list] = {state: [] for state in states}
-    for entry in load_manifest(manifest_path):
-        if entry["state"] not in by_state:
-            continue
-        rec = _load_recording(manifest_path.parent / entry["file"])
-        by_state[entry["state"]].extend(normalize(w).values for w in make_windows(rec, pipe)
-                                        if energy_keep(w, pipe.energy_threshold))
+    for entry, rec in _manifest_recordings(manifest_path, states):
+        _, kept, _ = kept_windows(rec, pipe)
+        by_state[entry["state"]].extend(normalize(w).values for w in kept)
     for state, vecs in by_state.items():
         if not vecs:
             raise DataError(f"{manifest_path}: no kept windows of state {state!r}")
@@ -451,21 +460,10 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
                                                             "normal", "damaged")
         model = baselines.pca_fit(train, cf=cf)
         baselines.save_pca(model, run_dir / "pca.ckpt")
-        thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
-        threshold = calibrate_threshold(baselines.pca_errors(model, train),
-                                        baselines.pca_errors(model, calib), thr_cfg)
-        test_vecs = np.concatenate([test_normal, test_damaged])
-        truth = np.concatenate([np.zeros(len(test_normal), bool),
-                                np.ones(len(test_damaged), bool)])
-        errors = baselines.pca_errors(model, test_vecs)
-        per_filter = evaluation.evaluate_anomaly_detection(errors, truth, threshold)
-        for L, m in sorted(per_filter.items()):
-            print(f"PCA L={L:<4d} accuracy {m.accuracy:.4f}  "
-                  f"sensitivity {m.sensitivity:.4f}  specificity {m.specificity:.4f}")
-        report = evaluation.MetricsReport(task_id="ad_synth", model_id=f"pca_cf{cf}",
-                                          n_samples=len(test_vecs),
-                                          ad_by_filter=per_filter)
-        evaluation.write_report_csv(run_dir / "report.csv", [report])
+        test_err = baselines.pca_errors(model, np.concatenate([test_normal, test_damaged]))
+        truth = np.arange(len(test_err)) >= len(test_normal)
+        _detection_report(run_dir, cfg, f"pca_cf{cf}", baselines.pca_errors(model, train),
+                          baselines.pca_errors(model, calib), test_err, truth)
         return 0
     if mode in ("knn-tle", "linreg-tle"):
         (train_m, test_m) = paths_of(cfg, "train_manifest", "test_manifest")
@@ -480,11 +478,7 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
             lin = baselines.linreg_fit(x_train, y_train)
             y_pred = baselines.linreg_predict(lin, x_test)
             model_id = "linreg"
-        report = evaluation.regression_metrics(y_pred, y_test)
-        report.task_id, report.model_id = "tle_synth", model_id
-        evaluation.write_predictions_csv(run_dir / "predictions.csv", y_test, y_pred)
-        evaluation.write_report_csv(run_dir / "report.csv", [report])
-        print(evaluation.format_report_table([report]))
+        _regression_report(run_dir, model_id, y_test, y_pred)
         return 0
     raise ConfigError(f"unknown baseline mode {mode!r}")
 

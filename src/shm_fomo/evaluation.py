@@ -156,8 +156,7 @@ def ablation_protocol(model_cfg: ModelConfig, pretrain_all_windows,
                 trainer.pretrain(model, pretrain_all_windows, pretrain_plan)
             student = mae_model.attach_regression_head(model, seed=seed + 1)
             trainer.finetune_tle(student, task_finetune_windows, finetune_plan)
-            y_pred = np.array([mae_model.forward_regress(student, img)
-                               for img in test_images])
+            y_pred = mae_model.regress_predictions(student, test_images)
             report = regression_metrics(y_pred, y_true)
             report.task_id = "tle_synth"
             report.model_id = regime

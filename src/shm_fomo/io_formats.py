@@ -18,6 +18,7 @@ from .signal_pipeline import RawRecording, SpectrogramWindow, SPEC_SIZE
 
 RECORDING_MAGIC = b"SHM1"
 CSV_TIME_TOL = 0.01      # largest timestamp misfit a CSV may have, in sample periods
+MANIFEST_STATES = ("normal", "damaged", "traffic")
 
 _TAG_TO_U8 = {None: 0, "normal": 1, "anomaly": 2}
 _U8_TO_TAG = {v: k for k, v in _TAG_TO_U8.items()}
@@ -248,8 +249,23 @@ def save_manifest(path, entries: list[dict]) -> None:
 
 
 def load_manifest(path) -> list[dict]:
+    """Entries of a recording manifest: a JSON list of objects, each with a
+    string ``file`` and, optionally, a ``state`` from MANIFEST_STATES (an
+    entry without one is untagged). Anything else is a FormatError."""
     with open(path) as f:
-        return json.load(f)
+        try:
+            entries = json.load(f)
+        except ValueError as exc:
+            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: a manifest is a list of entries")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
+            raise FormatError(f"{path}: entry {i} is not an object with a string 'file'")
+        if "state" in entry and entry["state"] not in MANIFEST_STATES:
+            raise FormatError(f"{path}: entry {i} has state {entry['state']!r}; "
+                              f"known: {', '.join(MANIFEST_STATES)}")
+    return entries
 
 
 def config_hash(obj) -> str:

@@ -375,10 +375,14 @@ def _require_reg_head(model: MaeModel) -> None:
 
 
 def _pooled_head(model: MaeModel, latents: np.ndarray):
-    """(pooled latents, predictions): the linear head on mean-pooled latents."""
+    """(pooled latents, predictions): the linear head on mean-pooled latents.
+
+    The head runs one product per window, as the encoder does, so a window's
+    prediction does not depend on the batch around it.
+    """
     pooled = latents.mean(axis=1)
-    yhat = nn_core.linear_fwd(pooled, model.params["reg_head.w"],
-                              model.params["reg_head.b"])[:, 0]
+    yhat = nn_core.linear_fwd(pooled[:, None, :], model.params["reg_head.w"],
+                              model.params["reg_head.b"])[:, 0, 0]
     return pooled, yhat
 
 
@@ -401,26 +405,26 @@ def regress_backward(model: MaeModel, cache, dyhat: np.ndarray) -> dict:
     return grads
 
 
-def regress_predictions(model: MaeModel, images: np.ndarray) -> np.ndarray:
-    """Predictions for many images, of the model's dtype and shape (n,).
+def regress_predictions(model: MaeModel, images) -> np.ndarray:
+    """Predictions for a sequence of images, of the model's dtype and shape (n,).
 
-    Images go through the model EVAL_BATCH at a time and keep no backward
-    caches, so memory is bounded by one chunk whatever the number of images.
+    EVAL_BATCH images at a time are stacked and go through the model without
+    backward caches, so memory is bounded by one chunk whatever the number of
+    images. Each prediction is bit-identical to ``forward_regress`` of its
+    image alone.
     """
     _require_reg_head(model)
-    images = np.asarray(images)
     yhat = np.empty(len(images), dtype=model.dtype)
     for start in range(0, len(images), EVAL_BATCH):
-        latents, _ = _encode_batch(model, images[start:start + EVAL_BATCH], None,
-                                   keep_cache=False)
+        chunk = np.stack(images[start:start + EVAL_BATCH])
+        latents, _ = _encode_batch(model, chunk, None, keep_cache=False)
         yhat[start:start + EVAL_BATCH] = _pooled_head(model, latents)[1]
     return yhat
 
 
 def forward_regress(model: MaeModel, image: np.ndarray) -> float:
     """Scalar traffic prediction for one spectrogram."""
-    yhat, _ = regress_forward_batch(model, image[None])
-    return float(yhat[0])
+    return float(regress_predictions(model, image[None])[0])
 
 
 def _masked_errors(model: MaeModel, images: np.ndarray, seeds) -> np.ndarray:

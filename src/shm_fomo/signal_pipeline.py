@@ -233,6 +233,21 @@ class DatasetBuildResult:
     n_dropped: int = 0
 
 
+def kept_windows(rec: RawRecording, cfg: PipelineConfig) -> tuple[int, list, Optional[list]]:
+    """(candidate count, the windows the energy filter keeps, their targets or
+    None for an unlabeled recording). A target is compute_target's value, counted
+    on one selection mask, since RawRecording has checked the labels."""
+    candidates = make_windows(rec, cfg)
+    kept = [w for w in candidates if energy_keep(w, cfg.energy_threshold)]
+    targets = None
+    if rec.labels is not None:
+        k = VEHICLE_CLASS_TO_LABEL.get(cfg.vehicle_class, "any")
+        sel = rec.labels != 0 if k == "any" else rec.labels == k
+        targets = [int(np.count_nonzero(sel[w.start_index:w.start_index + len(w.values)])) / 10.0
+                   for w in kept]
+    return len(candidates), kept, targets
+
+
 def build_dataset(
     recs: Sequence[RawRecording],
     cfg: PipelineConfig,
@@ -252,26 +267,17 @@ def build_dataset(
     if len(fs) > 1:
         raise DataError(f"recordings mix sampling rates {sorted(fs)}")
 
-    k = VEHICLE_CLASS_TO_LABEL.get(cfg.vehicle_class, "any")
     result = DatasetBuildResult()
     for r, rec in enumerate(recs):
         tag = tags[r] if tags is not None else None
-        if rec.labels is not None:
-            # RawRecording has checked the labels once, so a kept window's
-            # target is compute_target's count without its per-window check
-            sel = rec.labels != 0 if k == "any" else rec.labels == k
-        for w in make_windows(rec, cfg):
-            result.n_candidates += 1
-            if not energy_keep(w, cfg.energy_threshold):
-                result.n_dropped += 1
-                continue
-            image = spectrogram(normalize(w)).astype(np.float32)
-            target = None
-            if rec.labels is not None:
-                s = w.start_index
-                target = int(np.count_nonzero(sel[s:s + len(w.values)])) / 10.0
+        n_candidates, kept, targets = kept_windows(rec, cfg)
+        result.n_candidates += n_candidates
+        result.n_dropped += n_candidates - len(kept)
+        for i, w in enumerate(kept):
             result.windows.append(SpectrogramWindow(
-                image=image, target=target, tag=tag, start_index=w.start_index))
+                image=spectrogram(normalize(w)).astype(np.float32),
+                target=None if targets is None else targets[i],
+                tag=tag, start_index=w.start_index))
     if result.n_candidates and not result.windows:
         logger.warning("energy filter dropped all %d candidate windows", result.n_dropped)
     return result

@@ -8,6 +8,7 @@ import pytest
 from shm_fomo import cli, mae_model
 from shm_fomo.anomaly_head import FILTER_LENGTHS, ThresholdConfig
 from shm_fomo.errors import ConfigError, DataError
+from shm_fomo.evaluation import read_predictions_csv
 from shm_fomo.io_formats import (load_dataset, load_manifest, save_dataset,
                                  save_manifest, save_recording_binary)
 from shm_fomo.mae_model import ModelConfig, build_model, save_model
@@ -490,6 +491,33 @@ def test_baseline_knn_tle(tmp_path, traffic_data):
     assert row[:3] == ["tle_synth", "knn_k3", "25"]
 
 
+TLE_PIPELINE = "[pipeline]\nwindow_s = 60\nstride_s = 5\nenergy_threshold = 1e-9\n"
+
+
+def _preprocessed(tmp_path, manifest, pipeline):
+    """The windows ``preprocess`` keeps from ``manifest`` under ``pipeline``."""
+    cfg = tmp_path / "pre.ini"
+    cfg.write_text(pipeline + f"[paths]\ninput = {manifest}\n")
+    out = tmp_path / "pre_runs"
+    assert run_cli(["preprocess", "--config", str(cfg)], out) == 0
+    return load_dataset(only_run_dir(out, "preprocess") / "dataset.shmd")
+
+
+def test_baseline_linreg_tle_targets_are_preprocess_targets(tmp_path, traffic_data):
+    manifest, _ = traffic_data
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[baseline]\nmode = linreg-tle\n" + TLE_PIPELINE
+                   + f"[paths]\ntrain_manifest = {manifest}\ntest_manifest = {manifest}\n")
+    out = tmp_path / "runs"
+    assert run_cli(["baseline", "--config", str(cfg)], out) == 0
+    run_dir = only_run_dir(out, "baseline")
+    (row,) = _report_rows(run_dir)
+    assert row[:3] == ["tle_synth", "linreg", "25"]
+    y_true, _ = read_predictions_csv(run_dir / "predictions.csv")
+    assert y_true.tolist() == [w.target for w in _preprocessed(tmp_path, manifest,
+                                                               TLE_PIPELINE)]
+
+
 def _pca_config(tmp_path, test_manifest):
     train = _write_recordings(tmp_path / "train", {
         "n": ("normal", gen_ambient(BridgeConfig(), 60, seed=1))})
@@ -509,6 +537,42 @@ def test_baseline_pca_ad(tmp_path):
     rows = _report_rows(only_run_dir(out, "baseline"))
     assert [(r[1], r[2], int(r[8])) for r in rows] == [("pca_cf50", "26", L)
                                                        for L in FILTER_LENGTHS]
+
+
+def test_baseline_pca_ad_scores_the_windows_preprocess_keeps(tmp_path):
+    # each recording is silent for 15 s, so the energy filter drops windows
+    recs = {}
+    for stem, state, damaged, seed in (("d", "damaged", True, 3), ("n", "normal", False, 4)):
+        rec = gen_ambient(BridgeConfig(), 40, damaged=damaged, seed=seed)
+        rec.samples[1000:2500] = 0.0
+        recs[stem] = (state, rec)
+    test = _write_recordings(tmp_path / "test", recs)
+    out = tmp_path / "runs"
+    assert run_cli(["baseline", "--config", str(_pca_config(tmp_path, test))], out) == 0
+    kept = _preprocessed(tmp_path, test, AD_PIPELINE)
+    assert 0 < len(kept) < 2 * ((4000 - 500) // 200 + 1)
+    rows = _report_rows(only_run_dir(out, "baseline"))
+    assert {r[2] for r in rows} == {str(len(kept))}
+
+
+@pytest.mark.parametrize("text", [
+    "[{\"file\": \"a.bin\",",                       # not JSON
+    "{\"file\": \"a.bin\"}",                        # not a list
+    "[\"a.bin\"]",                                   # entry not an object
+    "[{\"state\": \"normal\"}]",                    # entry without a file
+    "[{\"file\": \"a.bin\", \"state\": \"Damaged\"}]",  # unknown state
+])
+def test_malformed_manifest_exits_4(tmp_path, monkeypatch, capsys, text):
+    rec_dir = tmp_path / "recs"
+    rec_dir.mkdir()
+    save_recording_binary(gen_ambient(BridgeConfig(), 10, seed=1), rec_dir / "a.bin")
+    (rec_dir / "manifest.json").write_text(text)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AD_PIPELINE + f"[paths]\ninput = {rec_dir}\n")
+    code = main_exit_code(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                          monkeypatch)
+    assert code == 4
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_baseline_pca_ad_needs_both_states(tmp_path):

@@ -345,6 +345,12 @@ def test_manifest_round_trip(tmp_path):
     assert load_manifest(tmp_path / "m.json") == entries
 
 
+def test_manifest_entry_without_state_is_untagged(tmp_path):
+    entries = [{"file": "a.bin"}, {"file": "b.bin", "state": "traffic"}]
+    save_manifest(tmp_path / "m.json", entries)
+    assert load_manifest(tmp_path / "m.json") == entries
+
+
 def test_config_hash_stable_and_sensitive():
     from shm_fomo.trainer import TrainPlan
 

@@ -426,6 +426,15 @@ class TestRegressPredictions:
         assert chunked.dtype == dtype
         assert np.array_equal(chunked, whole)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_to_one_window_bit_for_bit(self, dtype):
+        # a window's prediction must not depend on the batch it is scored in
+        model = attach_regression_head(build_model(TINY, seed=0, dtype=dtype), seed=1)
+        images = [rand_image(s) for s in range(2 * EVAL_BATCH + 3)]
+        batched = regress_predictions(model, images)
+        alone = [forward_regress(model, image) for image in images]
+        assert batched.tolist() == alone
+
     def test_empty(self, tiny_model):
         model = attach_regression_head(tiny_model, seed=1)
         assert regress_predictions(model, np.empty((0, 100, 100))).shape == (0,)

@@ -15,6 +15,7 @@ from shm_fomo.signal_pipeline import (
     compute_target,
     energy_keep,
     freq_bin_of,
+    kept_windows,
     make_windows,
     normalize,
     spectrogram,
@@ -248,6 +249,43 @@ class TestComputeTarget:
             for k in (1, 2):
                 expected = sum(1 for v in labels if v == k) / 10.0
                 assert compute_target(labels, k) == expected
+
+
+class TestKeptWindows:
+    @staticmethod
+    def quiet_gaps_rec(labels=None):
+        # 9000 samples, silent in two stretches, so the filter drops some windows
+        rng = np.random.default_rng(11)
+        samples = rng.normal(size=9000)
+        samples[1500:3200] *= 1e-4
+        samples[6000:7000] = 0.0
+        return RawRecording(samples=samples, labels=labels)
+
+    CFG = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-3)
+
+    def test_candidates_and_kept_equal_the_filter(self):
+        rec = self.quiet_gaps_rec()
+        n_candidates, kept, targets = kept_windows(rec, self.CFG)
+        candidates = make_windows(rec, self.CFG)
+        assert n_candidates == len(candidates) == 43
+        want = [w for w in candidates if energy_keep(w, self.CFG.energy_threshold)]
+        assert 0 < len(kept) == len(want) < n_candidates
+        for w, tw in zip(kept, want):
+            assert w.start_index == tw.start_index
+            assert w.raw_energy == tw.raw_energy
+            assert np.array_equal(w.values, tw.values)
+        assert targets is None
+
+    @pytest.mark.parametrize("vehicle_class,k", [("light", 1), ("heavy", 2), ("any", "any")])
+    def test_targets_equal_compute_target_per_window(self, vehicle_class, k):
+        labels = np.random.default_rng(12).integers(0, 3, size=9000)
+        cfg = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-3,
+                             vehicle_class=vehicle_class)
+        _, kept, targets = kept_windows(self.quiet_gaps_rec(labels), cfg)
+        assert len(targets) == len(kept) > 0
+        for w, target in zip(kept, targets):
+            want = compute_target(labels[w.start_index:w.start_index + 500], k)
+            assert type(target) is float and target == want
 
 
 class TestBuildDataset:
