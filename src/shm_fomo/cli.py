@@ -431,19 +431,24 @@ def _feature_targets(manifest_path: Path, pipe: PipelineConfig):
         _, kept, rec_targets = kept_windows(rec, pipe)
         feats.extend(baselines.extract_features(w.values) for w in kept)
         targets.extend(rec_targets)
+    if not feats:
+        raise DataError(f"{manifest_path}: no kept windows")
     return np.stack(feats), np.asarray(targets)
 
 
 def _raw_normalized_windows(manifest_path: Path, pipe: PipelineConfig, *states):
-    """Time-window vectors (normalized, energy-filtered), one array per state."""
-    by_state: dict[str, list] = {state: [] for state in states}
+    """Time-window vectors (normalized, energy-filtered) of the entries of
+    ``states``, in manifest order as ``preprocess`` keeps them, and the state
+    of each window."""
+    vecs, window_states = [], []
     for entry, rec in _manifest_recordings(manifest_path, states):
         _, kept, _ = kept_windows(rec, pipe)
-        by_state[entry["state"]].extend(normalize(w).values for w in kept)
-    for state, vecs in by_state.items():
-        if not vecs:
+        vecs.extend(normalize(w).values for w in kept)
+        window_states.extend([entry["state"]] * len(kept))
+    for state in states:
+        if state not in window_states:
             raise DataError(f"{manifest_path}: no kept windows of state {state!r}")
-    return [np.stack(by_state[state]) for state in states]
+    return np.stack(vecs), np.array(window_states)
 
 
 def cmd_baseline(args, cfg, run_dir: Path) -> int:
@@ -454,14 +459,13 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
         (train_m, calib_m, test_m) = paths_of(
             cfg, "train_manifest", "calibration_manifest", "test_manifest")
         cf = opts["cf"]
-        (train,) = _raw_normalized_windows(train_m, pipe, "normal")
-        (calib,) = _raw_normalized_windows(calib_m, pipe, "normal")
-        test_normal, test_damaged = _raw_normalized_windows(test_m, pipe,
-                                                            "normal", "damaged")
+        train, _ = _raw_normalized_windows(train_m, pipe, "normal")
+        calib, _ = _raw_normalized_windows(calib_m, pipe, "normal")
+        test, test_states = _raw_normalized_windows(test_m, pipe, "normal", "damaged")
         model = baselines.pca_fit(train, cf=cf)
         baselines.save_pca(model, run_dir / "pca.ckpt")
-        test_err = baselines.pca_errors(model, np.concatenate([test_normal, test_damaged]))
-        truth = np.arange(len(test_err)) >= len(test_normal)
+        test_err = baselines.pca_errors(model, test)
+        truth = test_states == "damaged"
         _detection_report(run_dir, cfg, f"pca_cf{cf}", baselines.pca_errors(model, train),
                           baselines.pca_errors(model, calib), test_err, truth)
         return 0

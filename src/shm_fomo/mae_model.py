@@ -290,7 +290,8 @@ def _encode_batch(model: MaeModel, images: np.ndarray,
     else:
         vis_patches = patches[_rows(visible_idx), visible_idx]
         pos = model.enc_pos[visible_idx]
-    tokens = nn_core.linear_fwd(vis_patches, p["patch_embed.w"], p["patch_embed.b"]) + pos
+    tokens = nn_core.linear_fwd(vis_patches, p["patch_embed.w"], p["patch_embed.b"])
+    tokens += pos
     latents, stack_cache = _stack(tokens, p, "enc", cfg.n_blocks, cfg.e_heads, keep_cache)
     return latents, (patches, vis_patches, stack_cache)
 
@@ -312,9 +313,10 @@ def _decode_batch(model: MaeModel, latents: np.ndarray, masked_idx: np.ndarray,
     p = model.params
     b = latents.shape[0]
     z = nn_core.linear_fwd(latents, p["enc_to_dec.w"], p["enc_to_dec.b"])
-    tokens = np.broadcast_to(p["mask_token"], (b, cfg.num_patches, cfg.d_dim)).copy()
+    tokens = np.empty((b, cfg.num_patches, cfg.d_dim), dtype=p["mask_token"].dtype)
+    tokens[...] = p["mask_token"]
     tokens[_rows(visible_idx), visible_idx] = z
-    tokens = tokens + model.dec_pos[None, :, :]
+    tokens += model.dec_pos
     hidden, stack_cache = _stack(tokens, p, "dec", cfg.n_blocks, cfg.d_heads, keep_cache)
     pred_patches = nn_core.linear_fwd(hidden, p["recon_head.w"], p["recon_head.b"])
     return pred_patches, (latents, z, hidden, stack_cache, masked_idx, visible_idx)
@@ -380,7 +382,8 @@ def _pooled_head(model: MaeModel, latents: np.ndarray):
     The head runs one product per window, as the encoder does, so a window's
     prediction does not depend on the batch around it.
     """
-    pooled = latents.mean(axis=1)
+    pooled = np.add.reduce(latents, axis=1)
+    pooled /= latents.shape[1]
     yhat = nn_core.linear_fwd(pooled[:, None, :], model.params["reg_head.w"],
                               model.params["reg_head.b"])[:, 0, 0]
     return pooled, yhat
@@ -438,8 +441,12 @@ def _masked_errors(model: MaeModel, images: np.ndarray, seeds) -> np.ndarray:
     latents, enc_cache = _encode_batch(model, images, visible_idx, keep_cache=False)
     pred_patches, _ = _decode_batch(model, latents, masked_idx, visible_idx,
                                     keep_cache=False)
-    d2 = _masked_diff(pred_patches, enc_cache[0], masked_idx).astype(np.float64) ** 2
-    return np.mean(d2.reshape(len(masks), -1), axis=1)
+    d2 = _masked_diff(pred_patches, enc_cache[0], masked_idx).astype(np.float64)
+    d2 = d2.reshape(len(masks), -1)
+    d2 *= d2
+    errors = np.add.reduce(d2, axis=1)
+    errors /= d2.shape[1]
+    return errors
 
 
 def reconstruction_error(model: MaeModel, image: np.ndarray, eval_seed: int) -> float:

@@ -8,12 +8,18 @@ dtype-preserving (float32 for training, float64 for gradient checks).
 The elementwise steps run in place on arrays the function itself has just
 created, in the same operation order as the plain formulas, so results are
 bit-identical to them; no function writes into an array it was given or into
-one a cache holds.
+one a cache holds. Means are a ``np.add.reduce`` divided in place by the
+row length: ``ndarray.mean`` divides a float32 sum by an integer count in
+float64 and rounds back, which gives the same correctly rounded quotient
+(53 >= 2 * 24 + 2 bits) without numpy's Python-level wrapper, whose cost
+dominates at the stream's batch-1 shapes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -53,6 +59,14 @@ def _pin_allocator() -> None:
 _pin_allocator()
 
 
+@functools.lru_cache(maxsize=64)
+def _const(value: float, dtype: np.dtype) -> np.ndarray:
+    """Read-only 0-d array of ``value`` in ``dtype``, built once per pair."""
+    c = np.asarray(value, dtype=dtype)
+    c.setflags(write=False)
+    return c
+
+
 def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     y = x @ w
     y += b
@@ -70,11 +84,16 @@ def linear_bwd(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
 
 
 def layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
     xhat = x - mu
     y = xhat * xhat   # the squares' buffer is reused for the output
-    var = np.mean(y, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
+    inv = np.add.reduce(y, axis=-1, keepdims=True)   # var, then 1/sqrt(var + eps)
+    inv /= n
+    inv += _const(LN_EPS, x.dtype)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
     xhat *= inv
     np.multiply(xhat, g, out=y)
     y += b
@@ -84,13 +103,16 @@ def layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 def layernorm_bwd(dy: np.ndarray, cache, g: np.ndarray):
     xhat, inv = cache
     lead = tuple(range(dy.ndim - 1))
+    n = dy.shape[-1]
     tmp = dy * xhat
-    dg = tmp.sum(axis=lead)
-    db = dy.sum(axis=lead)
+    dg = np.add.reduce(tmp, axis=lead)
+    db = np.add.reduce(dy, axis=lead)
     dx = dy * g
-    m1 = dx.mean(axis=-1, keepdims=True)
+    m1 = np.add.reduce(dx, axis=-1, keepdims=True)
+    m1 /= n
     np.multiply(dx, xhat, out=tmp)
-    m2 = tmp.mean(axis=-1, keepdims=True)
+    m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
+    m2 /= n
     np.multiply(xhat, m2, out=tmp)
     dx -= m1
     dx -= tmp
@@ -99,7 +121,7 @@ def layernorm_bwd(dy: np.ndarray, cache, g: np.ndarray):
 
 
 def gelu_fwd(x: np.ndarray):
-    c = x * np.asarray(_INV_SQRT2, dtype=x.dtype)
+    c = x * _const(_INV_SQRT2, x.dtype)
     erf(c, out=c)
     y = 0.5 * x
     y *= 1.0 + c
@@ -111,7 +133,7 @@ def gelu_bwd(dy: np.ndarray, cache):
     xpdf = -0.5 * x
     xpdf *= x
     np.exp(xpdf, out=xpdf)
-    xpdf *= np.asarray(_INV_SQRT2PI, dtype=x.dtype)
+    xpdf *= _const(_INV_SQRT2PI, x.dtype)
     xpdf *= x
     dx = 1.0 + c
     dx *= 0.5
@@ -121,15 +143,15 @@ def gelu_bwd(dy: np.ndarray, cache):
 
 
 def softmax_last(x: np.ndarray) -> np.ndarray:
-    e = x - x.max(axis=-1, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
 def softmax_bwd(dy: np.ndarray, a: np.ndarray) -> np.ndarray:
     dx = dy * a
-    np.subtract(dy, dx.sum(axis=-1, keepdims=True), out=dx)
+    np.subtract(dy, np.add.reduce(dx, axis=-1, keepdims=True), out=dx)
     dx *= a
     return dx
 
@@ -149,7 +171,7 @@ def attention_fwd(x: np.ndarray, p: dict, prefix: str, n_heads: int):
     q = _split_heads(linear_fwd(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), n_heads)
     k = _split_heads(linear_fwd(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), n_heads)
     v = _split_heads(linear_fwd(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), n_heads)
-    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=x.dtype)
+    scale = _const(1.0 / math.sqrt(q.shape[-1]), x.dtype)
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= scale
     attn = softmax_last(scores)

@@ -165,10 +165,20 @@ def normalize(w: TimeWindow) -> TimeWindow:
     Zero-variance windows map to all zeros through the epsilon guard; the
     energy filter removes them in practice.
     """
-    x = w.values
-    std = float(np.std(x))
-    values = (x - x.mean()) / (std + NORM_EPS)
+    x = np.asarray(w.values)
+    values = _standardize(x.astype(np.result_type(x, 1.0)))
     return TimeWindow(values=values, start_index=w.start_index, raw_energy=w.raw_energy)
+
+
+def _standardize(x: np.ndarray) -> np.ndarray:
+    """(x - mean) / (std + NORM_EPS), computed in place in ``x``, bit-identical
+    to that formula with ``np.std``: the mean is taken once, and the deviation
+    is the root of the centred array's mean square, as ``np.std`` computes it."""
+    n = x.size
+    x -= np.add.reduce(x, axis=None) / n
+    std = float(np.sqrt(np.add.reduce(x * x, axis=None) / n))
+    x /= std + NORM_EPS
+    return x
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,10 +204,10 @@ def spectrogram(w: TimeWindow) -> np.ndarray:
     """
     values = np.asarray(w.values, dtype=np.float64)
     frames = values[_frame_index(values.shape[0])]
-    mag = np.abs(np.fft.rfft(frames * HANN_TAPER, axis=1))
-    img = np.log1p(mag)
-    img = (img - img.mean()) / (img.std() + NORM_EPS)
-    return img
+    frames *= HANN_TAPER
+    img = np.abs(np.fft.rfft(frames, axis=1))
+    np.log1p(img, out=img)
+    return _standardize(img)
 
 
 def freq_bin_of(freq_hz: float, fs: int) -> int:

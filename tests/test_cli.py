@@ -580,3 +580,53 @@ def test_baseline_pca_ad_needs_both_states(tmp_path):
         "n": ("normal", gen_ambient(BridgeConfig(), 30, seed=2))})
     with pytest.raises(DataError, match=r"manifest\.json.*'damaged'"):
         run_cli(["baseline", "--config", str(_pca_config(tmp_path, test))], tmp_path / "runs")
+
+
+@pytest.mark.parametrize("mode", ["knn-tle", "linreg-tle"])
+def test_tle_baseline_with_no_kept_window_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                            traffic_data, mode):
+    manifest, _ = traffic_data
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[baseline]\nmode = {mode}\n"
+                   "[pipeline]\nwindow_s = 60\nstride_s = 5\nenergy_threshold = 1e9\n"
+                   f"[paths]\ntrain_manifest = {manifest}\ntest_manifest = {manifest}\n")
+    code = main_exit_code(["baseline", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                          monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: {manifest}: no kept windows"]
+    assert "Traceback" not in err
+
+
+def test_baseline_pca_ad_truth_in_manifest_order(tmp_path, monkeypatch):
+    # eval-ad smooths the test windows in the order preprocess keeps them, so
+    # pca-ad must score them in that order too, not grouped by state
+    test = _write_recordings(tmp_path / "test", {
+        "n1": ("normal", gen_ambient(BridgeConfig(), 20, seed=2)),
+        "d": ("damaged", gen_ambient(BridgeConfig(), 20, damaged=True, seed=3)),
+        "n2": ("normal", gen_ambient(BridgeConfig(), 20, seed=4))})
+    truths = []
+    real = cli._detection_report
+
+    def spy(run_dir, cfg, model_id, train_err, calib_err, test_err, truth):
+        truths.append(np.asarray(truth, dtype=bool))
+        return real(run_dir, cfg, model_id, train_err, calib_err, test_err, truth)
+
+    monkeypatch.setattr(cli, "_detection_report", spy)
+    out = tmp_path / "runs"
+    assert run_cli(["baseline", "--config", str(_pca_config(tmp_path, test))], out) == 0
+    dataset = tmp_path / "test.shmd"
+    save_dataset(_preprocessed(tmp_path, test, AD_PIPELINE), dataset)
+    ckpt = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
+    cfg = tmp_path / "ad.ini"
+    cfg.write_text(f"[paths]\ntrain_dataset = {dataset}\ncalibration_dataset = {dataset}\n"
+                   f"test_dataset = {dataset}\ncheckpoint = {ckpt}\n")
+    assert run_cli(["eval-ad", "--config", str(cfg)], out) == 0
+    lines = (only_run_dir(out, "eval-ad") / "decisions.csv").read_text().splitlines()
+    col = lines[0].split(",").index("truth")
+    decided = np.array([line.split(",")[col] == "1" for line in lines[1:]])
+    pca_truth, mae_truth = truths
+    n = (2000 - 500) // 200 + 1
+    assert decided.tolist() == [False] * n + [True] * n + [False] * n
+    assert np.array_equal(pca_truth, decided) and np.array_equal(mae_truth, decided)

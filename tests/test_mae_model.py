@@ -435,6 +435,16 @@ class TestRegressPredictions:
         alone = [forward_regress(model, image) for image in images]
         assert batched.tolist() == alone
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_to_mean_pooled_reference_bit_for_bit(self, dtype):
+        model = attach_regression_head(build_model(TINY, seed=0, dtype=dtype), seed=1)
+        images = np.stack([rand_image(s) for s in range(3)])
+        latents, _ = _encode_batch(model, images, None)
+        pooled = latents.mean(axis=1)
+        want = (pooled[:, None, :] @ model.params["reg_head.w"]
+                + model.params["reg_head.b"])[:, 0, 0]
+        assert np.array_equal(regress_predictions(model, images), want)
+
     def test_empty(self, tiny_model):
         model = attach_regression_head(tiny_model, seed=1)
         assert regress_predictions(model, np.empty((0, 100, 100))).shape == (0,)

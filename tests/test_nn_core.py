@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erf
 
 from shm_fomo import mae_model, nn_core
@@ -484,6 +485,58 @@ class TestMatchesReference:
         _, cache = _same_as_reference(nn_core.stack_fwd, ref_stack_fwd, x, p, "enc", 2, HEADS)
         _same_as_reference(nn_core.stack_bwd, ref_stack_bwd,
                            _arr(rng, x.shape, dtype), cache, p, "enc", 2, HEADS)
+
+
+# Row reductions at the widths the model family runs at, and around them:
+# nn_core reduces with np.add/np.maximum.reduce and divides by the row length
+# itself; the reference formulas go through ndarray.mean/max/sum.
+WIDTHS = st.one_of(st.sampled_from([1, 16, 24, 64, 96, 100, 130]), st.integers(1, 130))
+LEADS = st.sampled_from([(1,), (3,), (2, 3)])
+MAGNITUDES = st.sampled_from([1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4])
+ROWS = dict(dtype=st.sampled_from(DTYPES), lead=LEADS, width=WIDTHS, scale=MAGNITUDES,
+            seed=st.integers(0, 2**32 - 1))
+
+
+def _row_examples(**extra):
+    """Always run the family's widths, whatever hypothesis draws."""
+    def add(test):
+        for i, width in enumerate((16, 24, 64, 96, 100)):
+            test = example(dtype=DTYPES[i % 2], lead=((1,), (3,), (2, 3))[i % 3],
+                           width=width, scale=(1e-6, 1.0, 1e4)[i % 3], seed=i,
+                           **extra)(test)
+        return test
+    return add
+
+
+@settings(max_examples=80, deadline=None)
+@given(**ROWS, offset=st.sampled_from([0.0, 1.0, -50.0]))
+@_row_examples(offset=1.0)
+def test_layernorm_rows_bit_for_bit(dtype, lead, width, scale, seed, offset):
+    rng = np.random.default_rng(seed)
+    x = (offset * scale + _arr(rng, lead + (width,), np.float64, scale)).astype(dtype)
+    g, b = 1.0 + _arr(rng, (width,), dtype, 0.1), _arr(rng, (width,), dtype, 0.1)
+    _, cache = _same_as_reference(nn_core.layernorm_fwd, ref_layernorm_fwd, x, g, b)
+    _same_as_reference(nn_core.layernorm_bwd, ref_layernorm_bwd,
+                       _arr(rng, x.shape, dtype, scale), cache, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**ROWS)
+@_row_examples()
+def test_softmax_rows_bit_for_bit(dtype, lead, width, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = _arr(rng, lead + (width,), dtype, scale)
+    a = _same_as_reference(nn_core.softmax_last, ref_softmax_last, x)
+    _same_as_reference(nn_core.softmax_bwd, ref_softmax_bwd,
+                       _arr(rng, x.shape, dtype, scale), a)
+
+
+def test_constants_are_shared_and_read_only():
+    for dtype in DTYPES:
+        c = nn_core._const(nn_core.LN_EPS, np.dtype(dtype))
+        assert c is nn_core._const(nn_core.LN_EPS, np.dtype(dtype))
+        assert c.dtype == dtype and c.shape == () and c == np.asarray(nn_core.LN_EPS, dtype)
+        assert not c.flags.writeable
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

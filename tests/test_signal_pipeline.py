@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import get_window
 
 from shm_fomo.errors import ConfigError, DataError, EmptyInputError
 from shm_fomo.signal_pipeline import (
     HANN_TAPER,
+    NORM_EPS,
     UC1_PIPELINE,
     UC2_PIPELINE,
     PipelineConfig,
@@ -216,6 +218,47 @@ class TestSpectrogram:
         w = TimeWindow(values=values, start_index=0, raw_energy=1.0)
         for _ in range(2):
             assert np.array_equal(spectrogram(w), expected)
+
+
+def ref_normalize(x):
+    return (x - x.mean()) / (float(np.std(x)) + NORM_EPS)
+
+
+def ref_spectrogram(values):
+    hop = (len(values) - 198) // 99
+    frames = values[np.arange(100)[:, None] * hop + np.arange(198)[None, :]]
+    img = np.log1p(np.abs(np.fft.rfft(frames * HANN_TAPER, axis=1)))
+    return (img - img.mean()) / (img.std() + NORM_EPS)
+
+
+class TestStandardizeMatchesStdFormulas:
+    """normalize and spectrogram take the mean once and the deviation from
+    the centred array; the plain formulas with np.std give the same bits."""
+
+    @staticmethod
+    def check(values):
+        before = values.copy()
+        w = TimeWindow(values=values, start_index=3, raw_energy=0.5)
+        normed = normalize(w)
+        assert normed.values.dtype == values.dtype
+        assert np.array_equal(normed.values, ref_normalize(values))
+        assert np.array_equal(spectrogram(w), ref_spectrogram(values))
+        assert np.array_equal(spectrogram(normed), ref_spectrogram(ref_normalize(values)))
+        assert np.array_equal(values, before)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t_len=st.sampled_from([500, 6000]), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-4, 1e-2, 1.0, 30.0]),
+           offset=st.sampled_from([0.0, 1.0, -7.5]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_random_windows(self, t_len, seed, scale, offset, dtype):
+        rng = np.random.default_rng(seed)
+        self.check((scale * (offset + rng.normal(size=t_len))).astype(dtype))
+
+    @pytest.mark.parametrize("t_len", [500, 6000])
+    @pytest.mark.parametrize("level", [0.0, 7.0, -1e-3])
+    def test_constant_window(self, t_len, level):
+        self.check(np.full(t_len, level))
 
 
 class TestComputeTarget:
