@@ -35,7 +35,6 @@ from .mae_model import (
     build_model,
     forward_regress,
     load_model,
-    param_count,
     patchify,
     reconstruction_error,
     sample_mask,

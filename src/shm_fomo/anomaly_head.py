@@ -7,6 +7,7 @@ classification, and the detection metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,17 +24,14 @@ SMOOTH_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class ThresholdConfig:
-    """Calibration settings; the threshold grows by step_fraction of its
-    initial value per step until the calibration day is fully below it."""
+    """Calibration settings; the threshold grid steps by step_fraction of
+    its initial value."""
 
     step_fraction: float = 0.01
-    max_steps: int = 10_000
 
     def __post_init__(self):
         if self.step_fraction <= 0:
             raise ConfigError("step_fraction must be positive")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps must be >= 1")
 
 
 @dataclass
@@ -52,25 +50,33 @@ def calibrate_threshold(train_errors: Sequence[float],
                         cfg: ThresholdConfig = ThresholdConfig()) -> float:
     """Smallest grid threshold with 100% specificity on the calibration day.
 
-    Initialized to mean(train errors) + std(calibration-day errors), then
-    raised by init * step_fraction per step until every calibration error is
-    at or below it.
+    The grid is init + k * step for k = 0, 1, ..., with init = mean(train
+    errors) + std(calibration-day errors) and step = init * step_fraction;
+    the threshold is its least value at or above every calibration error.
+    A grid that never gets there (step <= 0, NaN errors, or a step count
+    past float range) raises CalibrationError.
     """
     train_errors = np.asarray(train_errors, dtype=np.float64)
     calib = np.asarray(calibration_day_errors, dtype=np.float64)
     if train_errors.size == 0 or calib.size == 0:
         raise EmptyInputError("calibration needs non-empty error sets")
     init = float(train_errors.mean() + calib.std())
-    threshold = init
     top = float(calib.max())
+    if top <= init:
+        return init
     step = init * cfg.step_fraction
-    for _ in range(cfg.max_steps):
-        if top <= threshold:
-            return threshold
-        threshold += step
-    raise CalibrationError(
-        f"no 100%-specificity threshold within {cfg.max_steps} steps "
-        f"(init {init:.4g}, max calibration error {top:.4g})")
+    span = (top - init) / step if step > 0 else math.inf
+    if not math.isfinite(span):
+        raise CalibrationError(
+            f"no 100%-specificity threshold on the grid (init {init:.4g}, "
+            f"step {step:.4g}, max calibration error {top:.4g})")
+    # the quotient is rounded, so its ceiling may miss the least k by one
+    k = math.ceil(span)
+    if init + k * step < top:
+        k += 1
+    elif init + (k - 1) * step >= top:
+        k -= 1
+    return init + k * step
 
 
 def median_smooth(errors: Sequence[float], L: int) -> np.ndarray:

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError
-from .io_formats import read_container, write_container
+from .errors import DataError
 
-PCA_MAGIC = b"PCAM"
 LINREG_RIDGE = 1e-8      # added to the Gram diagonal in linreg_fit
 
 FEATURE_NAMES = ("mean", "std", "min", "max", "skewness", "kurtosis",
@@ -70,22 +68,6 @@ def pca_errors(model: PcaModel, windows: np.ndarray) -> np.ndarray:
     x = x - model.mean
     recon = (x @ model.components) @ model.components.T
     return np.mean((x - recon) ** 2, axis=1)
-
-
-def save_pca(model: PcaModel, path) -> None:
-    write_container(path, PCA_MAGIC, {"n_comp": model.n_comp},
-                    {"mean": model.mean, "components": model.components,
-                     "explained_variance": model.explained_variance})
-
-
-def load_pca(path) -> PcaModel:
-    meta, tensors = read_container(path, PCA_MAGIC)
-    for key in ("mean", "components", "explained_variance"):
-        if key not in tensors:
-            raise FormatError(f"{path}: missing tensor {key}")
-    return PcaModel(mean=tensors["mean"].astype(np.float64),
-                    components=tensors["components"].astype(np.float64),
-                    explained_variance=tensors["explained_variance"].astype(np.float64))
 
 
 def extract_features(window: np.ndarray) -> np.ndarray:

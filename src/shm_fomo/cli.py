@@ -16,10 +16,10 @@ unknown key or a value of the wrong type is a config error):
 - ``[model]``: ``mae_model.ModelConfig``. Its ``mask_ratio`` alone sets the
   ratio pretraining masks at; ``finetune-ad`` takes it from the checkpoint.
 - ``[train]``, and the ablation's ``[finetune]``: ``trainer.TrainPlan``
-  without ``phase`` and ``mask_ratio``, laid over the phase's defaults. The
-  subcommand sets the phase and the model the mask ratio.
-- ``[kd]``: ``trainer.KDConfig``.
-- ``[threshold]``: ``anomaly_head.ThresholdConfig``.
+  without ``mask_ratio``, laid over the defaults of the subcommand's phase.
+  The model sets the mask ratio.
+- ``[kd]``: ``alpha_kd`` (``trainer.KDConfig``), in [0, 1].
+- ``[threshold]``: ``step_fraction`` (``anomaly_head.ThresholdConfig``).
 - ``[baseline]``: ``mode`` (pca-ad | knn-tle | linreg-tle), ``cf``, ``k``.
 - ``[paths]``: the input, dataset and checkpoint paths each subcommand names.
 
@@ -276,26 +276,25 @@ def cmd_preprocess(args, cfg, run_dir: Path) -> int:
     return 0
 
 
-def _train_plan(cfg, phase: str, seed: int, name: str = "train",
+def _train_plan(cfg, plan_factory, seed: int, name: str = "train",
                 mask_ratio: float | None = None):
-    """The ``phase`` defaults with section ``name``'s keys laid over them.
+    """Section ``name``'s keys laid over the defaults of ``plan_factory``
+    (a ``trainer.*_plan`` function).
 
-    The subcommand sets the phase, and a masking phase takes ``mask_ratio``
-    from its model, so the section may set neither.
+    A masking phase takes ``mask_ratio`` from its model, so the section may
+    not set it.
     """
     values = section(cfg, name)
-    for key in ("phase", "mask_ratio"):
-        if key in values:
-            raise ConfigError(f"[{name}] cannot set {key!r}: the subcommand "
-                              "sets the phase and the model the mask ratio")
+    if "mask_ratio" in values:
+        raise ConfigError(f"[{name}] cannot set 'mask_ratio': the model sets it")
     values.setdefault("seed", str(derive_seed(seed, "trainer")))
-    plan = build_from_section(TrainPlan, values, trainer.PHASE_PLANS[phase])
+    plan = build_from_section(TrainPlan, values, plan_factory)
     return plan if mask_ratio is None else dataclasses.replace(plan, mask_ratio=mask_ratio)
 
 
 def cmd_pretrain(args, cfg, run_dir: Path) -> int:
     model_cfg = build_from_section(ModelConfig, section(cfg, "model"))
-    plan = _train_plan(cfg, "pretrain", args.seed, mask_ratio=model_cfg.mask_ratio)
+    plan = _train_plan(cfg, trainer.pretrain_plan, args.seed, mask_ratio=model_cfg.mask_ratio)
     (data_path,) = paths_of(cfg, "dataset")
     windows = _load_dataset(data_path)
     model = mae_model.build_model(model_cfg, seed=derive_seed(args.seed, "mae_model"))
@@ -316,7 +315,8 @@ def cmd_finetune_ad(args, cfg, run_dir: Path) -> int:
     (data_path, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
     model = _load_checkpoint(ckpt_in)
     windows = _load_dataset(data_path)
-    plan = _train_plan(cfg, "finetune_ad", args.seed, mask_ratio=model.config.mask_ratio)
+    plan = _train_plan(cfg, trainer.finetune_ad_plan, args.seed,
+                      mask_ratio=model.config.mask_ratio)
     log = trainer.finetune_ad(model, windows, plan)
     _save_training_outputs(model, log, run_dir, plan, cfg_note="finetune-ad")
     return 0
@@ -326,7 +326,7 @@ def cmd_finetune_tle(args, cfg, run_dir: Path) -> int:
     (data_path, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
     model = _load_checkpoint(ckpt_in)
     windows = _load_dataset(data_path)
-    plan = _train_plan(cfg, "finetune_tle", args.seed)
+    plan = _train_plan(cfg, trainer.finetune_tle_plan, args.seed)
     student = mae_model.attach_regression_head(model, seed=derive_seed(args.seed, "reg_head"))
     log = trainer.finetune_tle(student, windows, plan)
     _save_training_outputs(student, log, run_dir, plan, cfg_note="finetune-tle")
@@ -335,11 +335,11 @@ def cmd_finetune_tle(args, cfg, run_dir: Path) -> int:
 
 def cmd_distill(args, cfg, run_dir: Path) -> int:
     (data_path, ckpt_in, teacher_path) = paths_of(cfg, "dataset", "checkpoint", "teacher")
+    plan = _train_plan(cfg, trainer.finetune_tle_plan, args.seed)
+    kd = build_from_section(KDConfig, section(cfg, "kd"))
     student_base = _load_checkpoint(ckpt_in)
     teacher = _load_checkpoint(teacher_path)
     windows = _load_dataset(data_path)
-    plan = _train_plan(cfg, "finetune_kd", args.seed)
-    kd = build_from_section(KDConfig, section(cfg, "kd"))
     student = mae_model.attach_regression_head(student_base,
                                                seed=derive_seed(args.seed, "reg_head"))
     log = trainer.finetune_kd(student, teacher, windows, plan, kd)
@@ -405,8 +405,9 @@ def cmd_ablation(args, cfg, run_dir: Path) -> int:
     (all_path, task_path, ft_path, test_path) = paths_of(
         cfg, "pretrain_all_dataset", "task_dataset", "finetune_dataset", "test_dataset")
     model_cfg = build_from_section(ModelConfig, section(cfg, "model"))
-    pre_plan = _train_plan(cfg, "pretrain", args.seed, mask_ratio=model_cfg.mask_ratio)
-    ft_plan = _train_plan(cfg, "finetune_tle", args.seed, name="finetune")
+    pre_plan = _train_plan(cfg, trainer.pretrain_plan, args.seed,
+                          mask_ratio=model_cfg.mask_ratio)
+    ft_plan = _train_plan(cfg, trainer.finetune_tle_plan, args.seed, name="finetune")
     results = evaluation.ablation_protocol(
         model_cfg, _load_dataset(all_path), _load_dataset(task_path),
         _load_dataset(ft_path), _load_dataset(test_path),
@@ -419,7 +420,7 @@ def cmd_ablation(args, cfg, run_dir: Path) -> int:
             reports.append(res.report)
             print(f"{regime}: MAE% {res.report.mae_pct:.2f}  R2 {res.report.r2:.3f}")
     evaluation.write_report_csv(run_dir / "report.csv", reports)
-    return 0
+    return 0 if len(reports) == len(results) else 1
 
 
 def _feature_targets(manifest_path: Path, pipe: PipelineConfig):
@@ -463,7 +464,6 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
         calib, _ = _raw_normalized_windows(calib_m, pipe, "normal")
         test, test_states = _raw_normalized_windows(test_m, pipe, "normal", "damaged")
         model = baselines.pca_fit(train, cf=cf)
-        baselines.save_pca(model, run_dir / "pca.ckpt")
         test_err = baselines.pca_errors(model, test)
         truth = test_states == "damaged"
         _detection_report(run_dir, cfg, f"pca_cf{cf}", baselines.pca_errors(model, train),

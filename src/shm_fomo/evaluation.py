@@ -83,17 +83,6 @@ def write_predictions_csv(path, y_true, y_pred) -> None:
             f.write(f"{i},{float(t)!r},{float(p)!r}\n")
 
 
-def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    y_true, y_pred = [], []
-    with open(path) as f:
-        next(f)
-        for line in f:
-            _, t, p = line.strip().split(",")
-            y_true.append(float(t))
-            y_pred.append(float(p))
-    return np.asarray(y_true), np.asarray(y_pred)
-
-
 def write_report_csv(path, reports: Sequence[MetricsReport]) -> None:
     with open(path, "w") as f:
         f.write("task_id,model_id,n_samples,MSE,MAE,R2,MSE_pct,MAE_pct,"

@@ -63,15 +63,6 @@ def load_recording_binary(path) -> RawRecording:
     return RawRecording(samples=samples, fs=fs, labels=labels)
 
 
-def save_recording_csv(rec: RawRecording, path) -> None:
-    """Write one sample per row: timestamp, accel_z, label (label blank if absent)."""
-    with open(path, "w") as f:
-        f.write("timestamp,accel_z,label\n")
-        for i, x in enumerate(rec.samples):
-            label = "" if rec.labels is None else str(int(rec.labels[i]))
-            f.write(f"{i / rec.fs:.6f},{float(x)!r},{label}\n")
-
-
 def load_recording_csv(path) -> RawRecording:
     """Read the CSV format; the sampling rate comes from the timestamps."""
     times, samples, labels = [], [], []
@@ -114,7 +105,7 @@ def _sampling_rate(path, times: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# named-tensor container (model checkpoints, PCA models, datasets)
+# named-tensor container (model checkpoints, datasets)
 
 CONTAINER_VERSION = 1
 

@@ -88,7 +88,7 @@ class ModelConfig:
 
 def param_shapes(cfg: ModelConfig, with_decoder: bool = True,
                  with_reg_head: bool = False) -> dict[str, tuple]:
-    """Shape table for every trainable tensor; init and param_count share it."""
+    """Shape table for every trainable tensor."""
     shapes = {
         "patch_embed.w": (cfg.patch_dim, cfg.e_dim),
         "patch_embed.b": (cfg.e_dim,),
@@ -122,13 +122,6 @@ def param_shapes(cfg: ModelConfig, with_decoder: bool = True,
     if with_reg_head:
         shapes.update({"reg_head.w": (cfg.e_dim, 1), "reg_head.b": (1,)})
     return shapes
-
-
-def param_count(cfg: ModelConfig, with_decoder: bool = True,
-                with_reg_head: bool = False) -> int:
-    """Exact number of trainable scalars (fixed positional tables excluded)."""
-    return sum(int(np.prod(s)) for s in
-               param_shapes(cfg, with_decoder, with_reg_head).values())
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:

@@ -210,11 +210,6 @@ def spectrogram(w: TimeWindow) -> np.ndarray:
     return _standardize(img)
 
 
-def freq_bin_of(freq_hz: float, fs: int) -> int:
-    """Spectrogram column index nearest a physical frequency."""
-    return int(round(freq_hz * STFT_NFFT / fs))
-
-
 def compute_target(labels: np.ndarray, k) -> float:
     """Scalar traffic target: count of samples labeled with class k, over 10.
 

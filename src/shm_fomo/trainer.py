@@ -28,14 +28,11 @@ ADAM_EPS = 1e-8
 CLIP_NORM = 1.0
 LOG_EVERY = 50           # epochs between progress log lines
 
-PHASES = ("pretrain", "finetune_ad", "finetune_tle", "finetune_kd")
-
 
 @dataclass(frozen=True)
 class TrainPlan:
     """Optimizer and schedule settings for one training phase."""
 
-    phase: str = "pretrain"
     base_lr: float = 2.5e-4
     weight_decay: float = 0.0
     epochs: int = 200
@@ -45,8 +42,6 @@ class TrainPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.phase not in PHASES:
-            raise ConfigError(f"unknown phase {self.phase!r}")
         if self.base_lr <= 0:
             raise ConfigError("base_lr must be positive")
         if not 0 <= self.warmup_epochs <= self.epochs:
@@ -55,7 +50,7 @@ class TrainPlan:
 
 def pretrain_plan(**overrides) -> TrainPlan:
     """Pretraining defaults: lr 2.5e-4, 200 epochs, batch 128, 100 warmup."""
-    base = dict(phase="pretrain", base_lr=2.5e-4, weight_decay=0.0,
+    base = dict(base_lr=2.5e-4, weight_decay=0.0,
                 epochs=200, batch_size=128, warmup_epochs=100)
     base.update(overrides)
     return TrainPlan(**base)
@@ -63,42 +58,30 @@ def pretrain_plan(**overrides) -> TrainPlan:
 
 def finetune_ad_plan(**overrides) -> TrainPlan:
     """Detection fine-tune defaults: lr 2.5e-3, 400 epochs, batch 64."""
-    base = dict(phase="finetune_ad", base_lr=2.5e-3, weight_decay=0.05,
+    base = dict(base_lr=2.5e-3, weight_decay=0.05,
                 epochs=400, batch_size=64, warmup_epochs=0)
     base.update(overrides)
     return TrainPlan(**base)
 
 
 def finetune_tle_plan(**overrides) -> TrainPlan:
-    """Regression fine-tune defaults: lr 2.5e-6, 500 epochs, batch 8."""
-    base = dict(phase="finetune_tle", base_lr=2.5e-6, weight_decay=0.05,
+    """Regression and distilled fine-tune defaults: lr 2.5e-6, 500 epochs, batch 8."""
+    base = dict(base_lr=2.5e-6, weight_decay=0.05,
                 epochs=500, batch_size=8, warmup_epochs=0)
     base.update(overrides)
     return TrainPlan(**base)
-
-
-def finetune_kd_plan(**overrides) -> TrainPlan:
-    """Distilled fine-tune defaults: lr 2.5e-6, 500 epochs, batch 8."""
-    base = dict(phase="finetune_kd", base_lr=2.5e-6, weight_decay=0.05,
-                epochs=500, batch_size=8, warmup_epochs=0)
-    base.update(overrides)
-    return TrainPlan(**base)
-
-
-PHASE_PLANS = {"pretrain": pretrain_plan, "finetune_ad": finetune_ad_plan,
-               "finetune_tle": finetune_tle_plan, "finetune_kd": finetune_kd_plan}
 
 
 @dataclass(frozen=True)
 class KDConfig:
-    """Loss mix for distilled fine-tuning; the two weights must sum to 1."""
+    """Loss mix for distilled fine-tuning: the distillation term weighs
+    alpha_kd and the task term the rest, 1 - alpha_kd."""
 
-    alpha_task: float = 0.5
     alpha_kd: float = 0.5
 
     def __post_init__(self):
-        if abs(self.alpha_task + self.alpha_kd - 1.0) > 1e-12:
-            raise ConfigError("alpha_task + alpha_kd must equal 1")
+        if not 0.0 <= self.alpha_kd <= 1.0:
+            raise ConfigError(f"alpha_kd must lie in [0, 1], got {self.alpha_kd}")
 
 
 @dataclass
@@ -219,8 +202,8 @@ def _run_loop(model: MaeModel, n: int, plan: TrainPlan,
                           seconds=time.perf_counter() - t0)
         log.records.append(rec)
         if epoch % LOG_EVERY == 0 or epoch == plan.epochs - 1:
-            logger.info("%s epoch %d/%d lr %.3g loss %.5g",
-                        plan.phase, epoch, plan.epochs, lr, rec.loss)
+            logger.info("epoch %d/%d lr %.3g loss %.5g",
+                        epoch, plan.epochs, lr, rec.loss)
     return log
 
 
@@ -293,15 +276,16 @@ def finetune_tle(model: MaeModel, labeled_windows: Sequence, plan: TrainPlan) ->
 
 
 def kd_loss(y_s: np.ndarray, y_t: np.ndarray, y_true: np.ndarray, kd: KDConfig):
-    """Distillation objective: alpha_task * MAE(y_s, y_true) + alpha_kd * RMSE(y_s, y_t).
+    """Distillation objective: (1 - alpha_kd) * MAE(y_s, y_true) + alpha_kd * RMSE(y_s, y_t).
 
     Returns (loss, dloss/dy_s).
     """
     n = len(y_s)
+    alpha_task = 1.0 - kd.alpha_kd
     task = float(np.mean(np.abs(y_s - y_true)))
     rmse = float(np.sqrt(np.mean((y_s - y_t) ** 2)))
-    loss = kd.alpha_task * task + kd.alpha_kd * rmse
-    grad = kd.alpha_task * np.sign(y_s - y_true) / n
+    loss = alpha_task * task + kd.alpha_kd * rmse
+    grad = alpha_task * np.sign(y_s - y_true) / n
     if kd.alpha_kd != 0.0 and rmse > 0.0:
         grad = grad + kd.alpha_kd * (y_s - y_t) / (n * rmse)
     return loss, grad

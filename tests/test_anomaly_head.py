@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shm_fomo.anomaly_head import (
     AdMetrics,
@@ -13,6 +13,30 @@ from shm_fomo.anomaly_head import (
     write_decisions_csv,
 )
 from shm_fomo.errors import CalibrationError, ConfigError, DataError, EmptyInputError
+
+
+def loop_threshold(train_errors, calibration_day_errors, step_fraction=0.01,
+                   max_steps=10_000):
+    """The search calibrate_threshold's closed form replaces: from init, add
+    init * step_fraction until every calibration error is at or below the
+    threshold. Returns (threshold, steps); the running sum rounds once per
+    step, so its bits may differ from init + steps * step."""
+    train = np.asarray(train_errors, dtype=np.float64)
+    calib = np.asarray(calibration_day_errors, dtype=np.float64)
+    init = float(train.mean() + calib.std())
+    top = float(calib.max())
+    threshold = init
+    for steps in range(max_steps):
+        if top <= threshold:
+            return threshold, steps
+        threshold += init * step_fraction
+    raise CalibrationError(f"no threshold within {max_steps} steps")
+
+
+def grid_steps(threshold, train_errors, calibration_day_errors, step_fraction=0.01):
+    """k of a threshold init + k * step, as perfbench's observer derives it."""
+    init = float(np.mean(train_errors) + np.std(calibration_day_errors))
+    return round((threshold - init) / (init * step_fraction))
 
 
 def oracle_median_smooth(errors, L):
@@ -55,20 +79,49 @@ class TestCalibrateThreshold:
             thr = calibrate_threshold(train, calib, cfg)
             init = train.mean() + calib.std()
             step = init * cfg.step_fraction
-            grid = init + step * np.arange(cfg.max_steps)
+            grid = init + step * np.arange(10_000)
             ok = grid >= calib.max()
             expected = grid[np.argmax(ok)]
             assert thr == pytest.approx(expected, rel=1e-12)
 
-    def test_max_steps_exceeded(self):
-        with pytest.raises(CalibrationError):
-            calibrate_threshold([1.0], [100.0], ThresholdConfig(max_steps=3))
+    def test_unreachable_grid_raises(self):
+        for train, calib, step_fraction in [
+                ([-1.0], [0.5, 0.5], 0.01),     # init -1 + 0: the grid steps down
+                ([0.0], [1.0], 0.01),           # init 0, so the step is 0
+                ([1.0], [1.0, np.nan], 0.01),   # NaN init and maximum
+                ([1.0], [2.0e300], 1e-300)]:    # more steps than a float counts
+            with pytest.raises(CalibrationError):
+                calibrate_threshold(train, calib, ThresholdConfig(step_fraction=step_fraction))
+
+    @settings(max_examples=300, deadline=None)
+    @given(train=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=20),
+           calib=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=20),
+           step_fraction=st.floats(0.005, 0.5))
+    @example(train=[0.1], calib=[2.0], step_fraction=0.25)   # a tie the loop misses
+    def test_closed_form_matches_loop(self, train, calib, step_fraction):
+        thr = calibrate_threshold(train, calib, ThresholdConfig(step_fraction=step_fraction))
+        expected, loop_k = loop_threshold(train, calib, step_fraction, max_steps=50_000)
+        k = grid_steps(thr, train, calib, step_fraction)
+        if k == loop_k:
+            assert thr == pytest.approx(expected, rel=1e-12, abs=0.0)
+            return
+        # The loop's running sum drifts by a rounding per step, so where the
+        # maximum calibration error sits on a grid point to within that
+        # drift, the loop may cross it one step late or early. The closed
+        # form is then still the least grid value at or above the maximum.
+        init = float(np.mean(train) + np.std(calib))
+        step = init * step_fraction
+        top = max(calib)
+        assert abs(k - loop_k) == 1
+        drift = 4 * np.finfo(np.float64).eps * (loop_k + 1) * top
+        assert abs(init + min(k, loop_k) * step - top) <= drift
+        assert init + (k - 1) * step < top <= thr == init + k * step
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyInputError):
             calibrate_threshold([], [1.0])
 
-    @pytest.mark.parametrize("kwargs", [{"step_fraction": 0.0}, {"max_steps": 0}])
+    @pytest.mark.parametrize("kwargs", [{"step_fraction": 0.0}, {"step_fraction": -0.01}])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ThresholdConfig(**kwargs)

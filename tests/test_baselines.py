@@ -8,10 +8,8 @@ from shm_fomo.baselines import (
     knn_predict,
     linreg_fit,
     linreg_predict,
-    load_pca,
     pca_errors,
     pca_fit,
-    save_pca,
 )
 from shm_fomo.errors import DataError
 
@@ -112,16 +110,6 @@ class TestPca:
         model = pca_fit(np.random.default_rng(11).normal(size=(30, 50)), cf=10)
         with pytest.raises(DataError):
             pca_errors(model, np.zeros((2, 49)))
-
-    def test_persistence_round_trip(self, tmp_path):
-        data = np.random.default_rng(10).normal(size=(30, 40))
-        model = pca_fit(data, cf=8)
-        path = tmp_path / "pca.ckpt"
-        save_pca(model, path)
-        back = load_pca(path)
-        assert np.allclose(back.mean, model.mean, atol=1e-6)
-        assert np.allclose(back.components, model.components, atol=1e-6)
-        assert back.n_comp == model.n_comp
 
 
 class TestFeatures:

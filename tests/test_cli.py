@@ -5,15 +5,21 @@ import sys
 import numpy as np
 import pytest
 
-from shm_fomo import cli, mae_model
-from shm_fomo.anomaly_head import FILTER_LENGTHS, ThresholdConfig
+from shm_fomo import cli, mae_model, trainer
+from shm_fomo.anomaly_head import FILTER_LENGTHS
 from shm_fomo.errors import ConfigError, DataError
-from shm_fomo.evaluation import read_predictions_csv
 from shm_fomo.io_formats import (load_dataset, load_manifest, save_dataset,
                                  save_manifest, save_recording_binary)
 from shm_fomo.mae_model import ModelConfig, build_model, save_model
 from shm_fomo.signal_pipeline import PipelineConfig, build_dataset
 from shm_fomo.synth_bench import BridgeConfig, TrafficConfig, gen_ambient, gen_traffic
+
+
+def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (y_true, y_pred) columns of a ``predictions.csv``."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return (np.array([float(r[1]) for r in rows]),
+            np.array([float(r[2]) for r in rows]))
 
 
 def run_cli(argv, out_dir):
@@ -165,7 +171,7 @@ vehicle_class = any
     cfg_kd = tmp_path / "kd.ini"
     cfg_kd.write_text(TRAIN_CFG.format(dataset=dataset)
                       + f"checkpoint = {ckpt}\nteacher = {tle_ckpt}\n"
-                      + "\n[kd]\nalpha_task = 0.5\nalpha_kd = 0.5\n")
+                      + "\n[kd]\nalpha_kd = 0.5\n")
     assert run_cli(["distill", "--config", str(cfg_kd)], out) == 0
 
     cfg_base = tmp_path / "base.ini"
@@ -284,6 +290,11 @@ PHASE_DEFAULTS = {   # (base_lr, weight_decay, batch_size, warmup_epochs)
     "finetune_tle": (2.5e-6, 0.05, 8, 0),
     "finetune_kd": (2.5e-6, 0.05, 8, 0),
 }
+# the plan factory each phase's subcommand lays its section over; distill
+# fine-tunes with the regression defaults
+PHASE_PLANS = {"pretrain": trainer.pretrain_plan, "finetune_ad": trainer.finetune_ad_plan,
+               "finetune_tle": trainer.finetune_tle_plan,
+               "finetune_kd": trainer.finetune_tle_plan}
 
 
 class TestPartialPlanSections:
@@ -291,22 +302,25 @@ class TestPartialPlanSections:
 
     @pytest.mark.parametrize("phase", sorted(PHASE_DEFAULTS))
     def test_train_section_overrides_phase_defaults(self, phase):
-        plan = cli._train_plan(_config("[train]\nepochs = 300\n"), phase, seed=7)
-        assert plan.phase == phase and plan.epochs == 300
+        plan = cli._train_plan(_config("[train]\nepochs = 300\n"), PHASE_PLANS[phase],
+                               seed=7)
+        assert plan.epochs == 300
         assert plan.seed == cli.derive_seed(7, "trainer")
         assert (plan.base_lr, plan.weight_decay, plan.batch_size,
                 plan.warmup_epochs) == PHASE_DEFAULTS[phase]
 
     def test_ablation_finetune_section(self):
         cfg = _config("[finetune]\nepochs = 300\nseed = 4\n")
-        plan = cli._train_plan(cfg, "finetune_tle", seed=7, name="finetune")
-        assert (plan.phase, plan.epochs, plan.seed) == ("finetune_tle", 300, 4)
+        plan = cli._train_plan(cfg, trainer.finetune_tle_plan, seed=7, name="finetune")
+        assert (plan.epochs, plan.seed) == (300, 4)
         assert (plan.base_lr, plan.weight_decay, plan.batch_size,
                 plan.warmup_epochs) == PHASE_DEFAULTS["finetune_tle"]
 
     def test_section_naming_another_phase_rejected(self):
-        with pytest.raises(ConfigError):
-            cli._train_plan(_config("[train]\nphase = pretrain\n"), "finetune_tle", seed=7)
+        # the subcommand picks the phase; ``phase`` is no plan key
+        with pytest.raises(ConfigError, match="phase"):
+            cli._train_plan(_config("[train]\nphase = pretrain\n"),
+                            trainer.finetune_tle_plan, seed=7)
 
 
 class TestTypedValues:
@@ -320,9 +334,9 @@ class TestTypedValues:
         with pytest.raises(ConfigError, match="n_blocks"):
             cli.run(["pretrain", "--config", str(cfg), "--out", str(tmp_path)])
 
-    def test_fractional_threshold_int_rejected(self):
-        with pytest.raises(ConfigError):
-            cli.build_from_section(ThresholdConfig, {"max_steps": "2.5"})
+    def test_fractional_plan_int_rejected(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            cli.build_from_section(trainer.TrainPlan, {"epochs": "2.5"})
 
 
 def main_exit_code(argv, monkeypatch):
@@ -334,6 +348,7 @@ def main_exit_code(argv, monkeypatch):
 
 
 PCA_PATHS = "[paths]\ntrain_manifest = x\ncalibration_manifest = x\ntest_manifest = x\n"
+KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
 
 
 @pytest.mark.parametrize("command, text", [
@@ -347,6 +362,9 @@ PCA_PATHS = "[paths]\ntrain_manifest = x\ncalibration_manifest = x\ntest_manifes
     ("synth-gen", "[experiment]\nsed = 1\n"),
     ("pretrain", "[train]\nmask_ratio = 0.5\n[paths]\ndataset = x\n"),
     ("pretrain", "[train]\nphase = pretrain\n[paths]\ndataset = x\n"),
+    ("distill", "[kd]\nalpha_kd = 1.5\n" + KD_PATHS),
+    ("distill", "[kd]\nalpha_kd = -0.5\n" + KD_PATHS),
+    ("distill", "[kd]\nalpha_task = 0.5\n" + KD_PATHS),
     ("synth-gen", "[synht]\nduration_s = 10\n"),
     ("synth-gen", "[synth]\nduration_s = 10\n[Synth]\ncount = 2\n"),
 ])
@@ -463,20 +481,53 @@ def test_pretrain_masks_at_model_ratio(tmp_path, monkeypatch):
     assert mae_model.load_meta(ckpt)["mask_ratio"] == 0.5
 
 
-def test_ablation(tmp_path, traffic_data):
-    _, dataset = traffic_data
+def _ablation_config(tmp_path, dataset, finetune_dataset=None):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\ne_dim = 24\nd_dim = 16\n"
                    "[train]\nepochs = 1\nwarmup_epochs = 0\nbatch_size = 8\n"
                    "[finetune]\nepochs = 1\nbatch_size = 8\n[paths]\n"
                    + "".join(f"{key} = {dataset}\n" for key in (
-                       "pretrain_all_dataset", "task_dataset", "finetune_dataset",
-                       "test_dataset")))
+                       "pretrain_all_dataset", "task_dataset", "test_dataset"))
+                   + f"finetune_dataset = {finetune_dataset or dataset}\n")
+    return cfg
+
+
+def test_ablation(tmp_path, traffic_data):
+    _, dataset = traffic_data
     out = tmp_path / "runs"
-    assert run_cli(["ablation", "--config", str(cfg)], out) == 0
+    assert run_cli(["ablation", "--config", str(_ablation_config(tmp_path, dataset))],
+                   out) == 0
     rows = _report_rows(only_run_dir(out, "ablation"))
     assert [r[:3] for r in rows] == [["tle_synth", regime, "25"] for regime in
                                      ("no_pretrain", "pretrain_uc", "pretrain_all")]
+
+
+def test_ablation_exits_1_when_regimes_fail(tmp_path, traffic_data, monkeypatch, capsys):
+    # a fine-tune split without targets fails every regime
+    _, dataset = traffic_data
+    no_targets = tmp_path / "ambient.shmd"
+    pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
+    save_dataset(build_dataset([gen_ambient(BridgeConfig(), 30, seed=1)], pipe).windows,
+                 no_targets)
+    cfg = _ablation_config(tmp_path, dataset, finetune_dataset=no_targets)
+    assert main_exit_code(["ablation", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                          monkeypatch) == 1
+    assert capsys.readouterr().out.count("FAILED") == 3
+    assert _report_rows(only_run_dir(tmp_path / "runs", "ablation")) == []
+
+
+def test_ablation_reports_the_regimes_that_succeed(tmp_path, traffic_data, monkeypatch):
+    _, dataset = traffic_data
+
+    def no_pretraining(*args):
+        raise DataError("pretraining unavailable")
+
+    monkeypatch.setattr(trainer, "pretrain", no_pretraining)
+    out = tmp_path / "runs"
+    assert run_cli(["ablation", "--config", str(_ablation_config(tmp_path, dataset))],
+                   out) == 1
+    rows = _report_rows(only_run_dir(out, "ablation"))
+    assert [r[:3] for r in rows] == [["tle_synth", "no_pretrain", "25"]]
 
 
 def test_baseline_knn_tle(tmp_path, traffic_data):

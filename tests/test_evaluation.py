@@ -7,7 +7,6 @@ from shm_fomo.evaluation import (
     ablation_protocol,
     evaluate_anomaly_detection,
     format_report_table,
-    read_predictions_csv,
     regression_metrics,
     write_predictions_csv,
     write_report_csv,
@@ -16,6 +15,18 @@ from shm_fomo.io_formats import config_hash
 from shm_fomo.mae_model import ModelConfig
 from shm_fomo.signal_pipeline import SpectrogramWindow
 from shm_fomo.trainer import TrainPlan, pretrain_plan
+
+
+def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (y_true, y_pred) columns of a ``write_predictions_csv`` file."""
+    y_true, y_pred = [], []
+    with open(path) as f:
+        next(f)
+        for line in f:
+            _, t, p = line.strip().split(",")
+            y_true.append(float(t))
+            y_pred.append(float(p))
+    return np.asarray(y_true), np.asarray(y_pred)
 
 
 def brute_force_metrics(y_pred, y_true):
@@ -129,7 +140,7 @@ class TestAblation:
     def test_three_regimes_and_identical_finetune_hash(self):
         cfg = ModelConfig(e_dim=24, d_dim=16)
         pre = pretrain_plan(epochs=1, warmup_epochs=0, batch_size=8, seed=0)
-        ft = TrainPlan(phase="finetune_tle", base_lr=1e-4, epochs=1,
+        ft = TrainPlan(base_lr=1e-4, epochs=1,
                        warmup_epochs=0, batch_size=4, seed=0)
         results = ablation_protocol(
             cfg, tiny_windows(8, 0), tiny_windows(8, 1), tiny_windows(8, 2),
@@ -145,7 +156,7 @@ class TestAblation:
     def test_regime_failure_is_contained(self):
         cfg = ModelConfig(e_dim=24, d_dim=16)
         pre = pretrain_plan(epochs=1, warmup_epochs=0, batch_size=8, seed=0)
-        ft = TrainPlan(phase="finetune_tle", base_lr=1e-4, epochs=1,
+        ft = TrainPlan(base_lr=1e-4, epochs=1,
                        warmup_epochs=0, batch_size=4, seed=0)
         # fine-tune windows without targets break every regime's fine-tune,
         # but pretraining-only regimes still record the failure and continue

@@ -17,11 +17,19 @@ from shm_fomo.io_formats import (
     save_dataset,
     save_manifest,
     save_recording_binary,
-    save_recording_csv,
     write_container,
 )
 from shm_fomo.mae_model import ModelConfig, build_model, save_model
 from shm_fomo.signal_pipeline import RawRecording, SpectrogramWindow
+
+
+def save_recording_csv(rec: RawRecording, path) -> None:
+    """One sample per row: timestamp, accel_z, label (label blank if absent)."""
+    with open(path, "w") as f:
+        f.write("timestamp,accel_z,label\n")
+        for i, x in enumerate(rec.samples):
+            label = "" if rec.labels is None else str(int(rec.labels[i]))
+            f.write(f"{i / rec.fs:.6f},{float(x)!r},{label}\n")
 
 
 def test_recording_binary_round_trip(tmp_path):

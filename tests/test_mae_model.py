@@ -17,7 +17,6 @@ from shm_fomo.mae_model import (
     build_model,
     forward_regress,
     load_model,
-    param_count,
     param_shapes,
     patchify,
     pretrain_backward,
@@ -34,6 +33,14 @@ from shm_fomo.trainer import pretrain, pretrain_plan
 
 TINY = ModelConfig(e_dim=24, d_dim=16)
 DIVISORS_OF_100 = [1, 2, 4, 5, 10, 20, 25, 50, 100]
+
+
+def param_count(cfg: ModelConfig, with_decoder: bool = True,
+                with_reg_head: bool = False) -> int:
+    """Trainable scalars from the shape table alone (fixed positional
+    tables excluded): the oracle for ``MaeModel.n_params``."""
+    return sum(int(np.prod(s)) for s in
+               param_shapes(cfg, with_decoder, with_reg_head).values())
 
 
 def depatchify(patches, patch_size):

@@ -7,6 +7,7 @@ from shm_fomo.errors import ConfigError, DataError, EmptyInputError
 from shm_fomo.signal_pipeline import (
     HANN_TAPER,
     NORM_EPS,
+    STFT_NFFT,
     UC1_PIPELINE,
     UC2_PIPELINE,
     PipelineConfig,
@@ -16,13 +17,17 @@ from shm_fomo.signal_pipeline import (
     chronological_split,
     compute_target,
     energy_keep,
-    freq_bin_of,
     kept_windows,
     make_windows,
     normalize,
     spectrogram,
     window_energy,
 )
+
+
+def freq_bin_of(freq_hz: float, fs: int) -> int:
+    """Spectrogram column index nearest a physical frequency."""
+    return int(round(freq_hz * STFT_NFFT / fs))
 
 
 def rec_of(n, fs=100, seed=0, labels=None):

@@ -3,10 +3,10 @@ import pytest
 
 from shm_fomo.errors import ConfigError
 from shm_fomo.signal_pipeline import (
+    STFT_NFFT,
     PipelineConfig,
     TimeWindow,
     compute_target,
-    freq_bin_of,
     make_windows,
     normalize,
     spectrogram,
@@ -20,6 +20,11 @@ from shm_fomo.synth_bench import (
     gen_traffic,
     write_vehicle_label,
 )
+
+
+def freq_bin_of(freq_hz: float, fs: int) -> int:
+    """Spectrogram column index nearest a physical frequency."""
+    return int(round(freq_hz * STFT_NFFT / fs))
 
 
 def count_labels(labels, lo, hi, k):

@@ -19,8 +19,10 @@ from shm_fomo.trainer import (
     _run_loop,
     clip_gradients,
     finetune_ad,
+    finetune_ad_plan,
     finetune_kd,
     finetune_tle,
+    finetune_tle_plan,
     kd_loss,
     lr_at,
     pretrain,
@@ -57,7 +59,7 @@ class TestSchedule:
         assert lr_at(plan, 100) == pytest.approx(2.5e-4, abs=0.0)
 
     def test_closed_form_everywhere(self):
-        plan = TrainPlan(phase="pretrain", base_lr=3e-3, epochs=50,
+        plan = TrainPlan(base_lr=3e-3, epochs=50,
                          warmup_epochs=10, batch_size=4)
         for epoch in range(50):
             if epoch < 10:
@@ -72,7 +74,7 @@ class TestSchedule:
         assert lr_at(plan, 199) == pytest.approx(expected, rel=1e-12)
 
     def test_continuous_and_nonincreasing_after_warmup(self):
-        plan = TrainPlan(phase="pretrain", base_lr=1e-3, epochs=40, warmup_epochs=8)
+        plan = TrainPlan(base_lr=1e-3, epochs=40, warmup_epochs=8)
         values = [lr_at(plan, e) for e in range(40)]
         assert values[7] <= values[8] == plan.base_lr
         after = values[8:]
@@ -182,14 +184,19 @@ class TestKdLoss:
     def test_alpha_kd_zero_equals_mae(self):
         rng = np.random.default_rng(2)
         y_s, y_t, y_true = rng.normal(size=(3, 16))
-        loss_kd, grad_kd = kd_loss(y_s, y_t, y_true, KDConfig(1.0, 0.0))
+        loss_kd, grad_kd = kd_loss(y_s, y_t, y_true, KDConfig(alpha_kd=0.0))
         loss_mae, grad_mae = mae_loss(y_s, y_true)
         assert loss_kd == loss_mae
         assert np.array_equal(grad_kd, grad_mae)
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            KDConfig(alpha_task=0.6, alpha_kd=0.6)
+        # the task term takes what the distillation term leaves
+        y_s, y_t, y_true = np.array([1.0, 3.0]), np.array([2.0, 1.0]), np.array([0.0, 3.0])
+        loss, _ = kd_loss(y_s, y_t, y_true, KDConfig(alpha_kd=0.25))
+        assert loss == pytest.approx(0.75 * 0.5 + 0.25 * np.sqrt(2.5), abs=1e-12)
+        for alpha_kd in (-0.5, 1.5, float("nan")):
+            with pytest.raises(ConfigError):
+                KDConfig(alpha_kd=alpha_kd)
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(3)
@@ -220,7 +227,7 @@ student = head(mae_model.ModelConfig(e_dim=24, d_dim=16), 2)
 rng = np.random.default_rng(0)
 windows = [SpectrogramWindow(image=rng.normal(size=(100, 100)).astype(np.float32),
                              target=1.0) for _ in range(256)]
-plan = trainer.TrainPlan(phase="finetune_kd", base_lr=1e-4, epochs=1,
+plan = trainer.TrainPlan(base_lr=1e-4, epochs=1,
                          warmup_epochs=0, batch_size=8, seed=0)
 mae_model.regress_forward_batch(teacher, windows[0].image[None])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -254,24 +261,24 @@ class TestPhases:
     def test_finetune_ad_keeps_architecture(self):
         model = build_model(TINY, seed=0)
         before = model.n_params()
-        plan = TrainPlan(phase="finetune_ad", base_lr=1e-3, epochs=2,
+        plan = TrainPlan(base_lr=1e-3, epochs=2,
                          warmup_epochs=0, batch_size=4, seed=0)
         finetune_ad(model, synth_windows(8, tag="normal"), plan)
         assert model.n_params() == before
 
     def test_finetune_tle_requires_targets(self):
         model = attach_regression_head(build_model(TINY, seed=0), seed=1)
-        plan = TrainPlan(phase="finetune_tle", base_lr=1e-4, epochs=1,
+        plan = TrainPlan(base_lr=1e-4, epochs=1,
                          warmup_epochs=0, batch_size=4, seed=0)
         with pytest.raises(DataError):
             finetune_tle(model, synth_windows(8, targets=False), plan)
 
     def test_kd_alpha_zero_matches_plain_mae_stepwise(self):
         windows = synth_windows(16, seed=5, targets=True)
-        plan = TrainPlan(phase="finetune_kd", base_lr=1e-4, epochs=3,
+        plan = TrainPlan(base_lr=1e-4, epochs=3,
                          warmup_epochs=0, batch_size=4, seed=3)
         student_a = attach_regression_head(build_model(TINY, seed=9), seed=10)
-        log_a = finetune_kd(student_a, None, windows, plan, KDConfig(1.0, 0.0))
+        log_a = finetune_kd(student_a, None, windows, plan, KDConfig(alpha_kd=0.0))
         student_b = attach_regression_head(build_model(TINY, seed=9), seed=10)
         log_b = _regression_loop(student_b, windows, plan, mae_loss)
         assert log_a.step_losses == log_b.step_losses
@@ -280,7 +287,7 @@ class TestPhases:
 
     def test_kd_teacher_frozen_and_required(self):
         windows = synth_windows(8, seed=6, targets=True)
-        plan = TrainPlan(phase="finetune_kd", base_lr=1e-4, epochs=1,
+        plan = TrainPlan(base_lr=1e-4, epochs=1,
                          warmup_epochs=0, batch_size=4, seed=0)
         student = attach_regression_head(build_model(TINY, seed=1), seed=2)
         with pytest.raises(ConfigError):
@@ -333,9 +340,9 @@ def test_pretrain_plan_must_match_model_mask_ratio():
         pretrain(model, synth_windows(4), plan)
 
 
-def plan_from_file(path, phase):
+def plan_from_file(path, plan_factory):
     """The plan ``cli`` builds from the ``[train]`` section of a config file."""
-    return cli._train_plan(cli.load_config(path), phase, seed=0)
+    return cli._train_plan(cli.load_config(path), plan_factory, seed=0)
 
 
 class TestPlanParsing:
@@ -344,15 +351,15 @@ class TestPlanParsing:
         path.write_text(
             "# fine-tune settings\n[train]\nbase_lr = 2.5e-6\n"
             "epochs = 500\nbatch_size = 8\nwarmup_epochs = 0\nseed = 42\n")
-        plan = plan_from_file(path, "finetune_tle")
-        assert plan.phase == "finetune_tle"
+        plan = plan_from_file(path, finetune_tle_plan)
+        assert plan.weight_decay == 0.05
         assert plan.base_lr == 2.5e-6
         assert plan.epochs == 500 and plan.batch_size == 8 and plan.seed == 42
 
     def test_partial_file_keeps_phase_defaults(self, tmp_path):
         path = tmp_path / "plan.ini"
         path.write_text("[train]\nepochs = 300\n")
-        plan = plan_from_file(path, "finetune_tle")
+        plan = plan_from_file(path, finetune_tle_plan)
         assert (plan.base_lr, plan.batch_size, plan.warmup_epochs) == (2.5e-6, 8, 0)
         assert plan.epochs == 300
 
@@ -360,17 +367,15 @@ class TestPlanParsing:
         path = tmp_path / "plan.ini"
         path.write_text("[train]\nlearning_rate = 0.1\n")
         with pytest.raises(ConfigError):
-            plan_from_file(path, "pretrain")
+            plan_from_file(path, pretrain_plan)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "plan.ini"
         path.write_text("[train]\nbase_lr 0.1\n")
         with pytest.raises(ConfigError):
-            plan_from_file(path, "pretrain")
+            plan_from_file(path, pretrain_plan)
 
     def test_phase_defaults(self):
-        from shm_fomo.trainer import finetune_ad_plan, finetune_tle_plan
-
         assert pretrain_plan().base_lr == 2.5e-4
         assert pretrain_plan().epochs == 200
         assert pretrain_plan().batch_size == 128
