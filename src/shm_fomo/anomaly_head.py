@@ -30,19 +30,9 @@ class ThresholdConfig:
     step_fraction: float = 0.01
 
     def __post_init__(self):
-        if self.step_fraction <= 0:
-            raise ConfigError("step_fraction must be positive")
-
-
-@dataclass
-class AdDecision:
-    """One smoothed window verdict, for export."""
-
-    window_index: int
-    raw_error: float
-    smoothed_error: float
-    verdict: bool  # True = anomaly
-    filter_len: int
+        if not 0.0 < self.step_fraction < math.inf:
+            raise ConfigError(f"step_fraction must be positive and finite, "
+                              f"got {self.step_fraction}")
 
 
 def calibrate_threshold(train_errors: Sequence[float],
@@ -142,23 +132,16 @@ def ad_metrics(verdicts: Sequence[bool], truth: Sequence[bool]) -> AdMetrics:
     return AdMetrics(accuracy=acc, sensitivity=sens, specificity=spec)
 
 
-def decisions(errors: Sequence[float], threshold: float, L: int) -> list[AdDecision]:
-    """Smooth, classify, and bundle per-window decisions for export."""
+def write_decisions_csv(path, errors: Sequence[float], threshold: float, L: int,
+                        truth: Sequence[bool], start_index: Sequence[int]) -> None:
+    """One row per window: its raw error, the error median-smoothed over L
+    windows, the verdict against ``threshold``, the truth and ``start_index``
+    (the window's first sample in its recording)."""
     errors = np.asarray(errors, dtype=np.float64)
     smoothed = median_smooth(errors, L)
     verdicts = classify(smoothed, threshold)
-    return [AdDecision(window_index=i, raw_error=float(errors[i]),
-                       smoothed_error=float(smoothed[i]),
-                       verdict=bool(verdicts[i]), filter_len=L)
-            for i in range(errors.size)]
-
-
-def write_decisions_csv(path, decs: list[AdDecision], truth: Sequence[bool],
-                        start_index: Sequence[int]) -> None:
-    """One row per decision; ``truth`` and ``start_index`` (the window's first
-    sample in its recording) are per window, like ``decs``."""
     with open(path, "w") as f:
         f.write("window_index,raw_error,smoothed_error,verdict,truth,start_index\n")
-        for i, d in enumerate(decs):
-            f.write(f"{d.window_index},{d.raw_error!r},{d.smoothed_error!r},"
-                    f"{int(d.verdict)},{int(bool(truth[i]))},{int(start_index[i])}\n")
+        for i in range(errors.size):
+            f.write(f"{i},{float(errors[i])!r},{float(smoothed[i])!r},"
+                    f"{int(verdicts[i])},{int(bool(truth[i]))},{int(start_index[i])}\n")

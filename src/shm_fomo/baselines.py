@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 LINREG_RIDGE = 1e-8      # added to the Gram diagonal in linreg_fit
 
@@ -26,11 +26,6 @@ class PcaModel:
 
     mean: np.ndarray
     components: np.ndarray       # (T, n_comp), descending explained variance
-    explained_variance: np.ndarray
-
-    @property
-    def n_comp(self) -> int:
-        return self.components.shape[1]
 
 
 def pca_fit(normal_windows: np.ndarray, cf: int = 32) -> PcaModel:
@@ -39,6 +34,8 @@ def pca_fit(normal_windows: np.ndarray, cf: int = 32) -> PcaModel:
     Keeps n_comp = T // cf components. Column signs are canonicalized so the
     largest-magnitude entry of each component is positive.
     """
+    if cf < 1:
+        raise ConfigError(f"compression factor must be >= 1, got {cf}")
     x = np.asarray(normal_windows, dtype=np.float64)
     if x.ndim != 2:
         raise DataError(f"expected (n_windows, T) array, got shape {x.shape}")
@@ -51,12 +48,11 @@ def pca_fit(normal_windows: np.ndarray, cf: int = 32) -> PcaModel:
     mean = x.mean(axis=0)
     xc = x - mean
     # SVD of the centered data = eigendecomposition of its covariance
-    _, s, vt = np.linalg.svd(xc, full_matrices=False)
+    _, _, vt = np.linalg.svd(xc, full_matrices=False)
     components = vt[:n_comp].T.copy()
     flip = components[np.abs(components).argmax(axis=0), np.arange(n_comp)] < 0
     components[:, flip] *= -1.0
-    explained = (s[:n_comp] ** 2) / max(n - 1, 1)
-    return PcaModel(mean=mean, components=components, explained_variance=explained)
+    return PcaModel(mean=mean, components=components)
 
 
 def pca_errors(model: PcaModel, windows: np.ndarray) -> np.ndarray:
@@ -99,6 +95,8 @@ def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
                 query: np.ndarray, k: int = 7) -> float:
     """Mean target of the k nearest training points in standardized feature
     space; distance ties break toward the lower training index."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     x = np.asarray(train_features, dtype=np.float64)
     y = np.asarray(train_targets, dtype=np.float64)
     if x.shape[0] < k:

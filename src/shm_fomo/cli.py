@@ -47,8 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baselines, evaluation, mae_model, synth_bench, trainer
-from .anomaly_head import (ThresholdConfig, calibrate_threshold, decisions,
-                           write_decisions_csv)
+from .anomaly_head import ThresholdConfig, calibrate_threshold, write_decisions_csv
 from .errors import ConfigError, DataError, FormatError, ShmFomoError
 from .io_formats import (config_hash, load_dataset, load_manifest,
                          load_recording_binary, load_recording_csv,
@@ -224,7 +223,13 @@ def cmd_synth_gen(args, cfg, run_dir: Path) -> int:
                    SYNTH_OPTIONS, "[synth]")
     kind, duration, damaged, count = (opts["kind"], opts["duration_s"],
                                       opts["damaged"], opts["count"])
+    if kind not in ("ambient", "traffic"):
+        raise ConfigError(f"unknown synth kind {kind!r}")
+    if count < 1:
+        raise ConfigError(f"[synth] count must be >= 1, got {count}")
     bridge = build_from_section(BridgeConfig, synth)
+    if kind == "traffic":
+        traffic = build_from_section(TrafficConfig, section(cfg, "traffic"))
     entries = []
     for i in range(count):
         rec_seed = seed + i
@@ -232,12 +237,9 @@ def cmd_synth_gen(args, cfg, run_dir: Path) -> int:
             rec = synth_bench.gen_ambient(bridge, duration, damaged=damaged,
                                           seed=rec_seed)
             state = "damaged" if damaged else "normal"
-        elif kind == "traffic":
-            traffic = build_from_section(TrafficConfig, section(cfg, "traffic"))
+        else:
             rec = synth_bench.gen_traffic(bridge, traffic, duration, seed=rec_seed)
             state = "traffic"
-        else:
-            raise ConfigError(f"unknown synth kind {kind!r}")
         name = f"rec_{state}_{i:03d}.bin"
         save_recording_binary(rec, run_dir / name)
         entries.append({"file": name, "state": state, "seed": rec_seed,
@@ -350,6 +352,7 @@ def cmd_distill(args, cfg, run_dir: Path) -> int:
 def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
     (train_path, calib_path, test_path, ckpt) = paths_of(
         cfg, "train_dataset", "calibration_dataset", "test_dataset", "checkpoint")
+    thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
     model = _load_checkpoint(ckpt)
     eval_seed = derive_seed(args.seed, "eval_ad")
     train_err = mae_model.reconstruction_errors(model, _load_dataset(train_path),
@@ -359,17 +362,17 @@ def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
     test_windows = _load_dataset(test_path)
     test_err = mae_model.reconstruction_errors(model, test_windows, base_seed=eval_seed)
     truth = np.array([w.tag == TAG_ANOMALY for w in test_windows])
-    threshold = _detection_report(run_dir, cfg, "mae", train_err, calib_err, test_err, truth)
-    write_decisions_csv(run_dir / "decisions.csv", decisions(test_err, threshold, 15),
+    threshold = _detection_report(run_dir, thr_cfg, "mae", train_err, calib_err, test_err,
+                                  truth)
+    write_decisions_csv(run_dir / "decisions.csv", test_err, threshold, 15,
                         truth, [w.start_index for w in test_windows])
     return 0
 
 
-def _detection_report(run_dir: Path, cfg, model_id: str, train_err, calib_err,
-                      test_err, truth) -> float:
+def _detection_report(run_dir: Path, thr_cfg: ThresholdConfig, model_id: str,
+                      train_err, calib_err, test_err, truth) -> float:
     """Calibrate on the training and calibration errors, score the test errors
     at every filter length, write ``report.csv``, print it, return the threshold."""
-    thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
     threshold = calibrate_threshold(train_err, calib_err, thr_cfg)
     per_filter = evaluation.evaluate_anomaly_detection(test_err, truth, threshold)
     report = evaluation.MetricsReport(task_id="ad_synth", model_id=model_id,
@@ -460,13 +463,14 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
         (train_m, calib_m, test_m) = paths_of(
             cfg, "train_manifest", "calibration_manifest", "test_manifest")
         cf = opts["cf"]
+        thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
         train, _ = _raw_normalized_windows(train_m, pipe, "normal")
         calib, _ = _raw_normalized_windows(calib_m, pipe, "normal")
         test, test_states = _raw_normalized_windows(test_m, pipe, "normal", "damaged")
         model = baselines.pca_fit(train, cf=cf)
         test_err = baselines.pca_errors(model, test)
         truth = test_states == "damaged"
-        _detection_report(run_dir, cfg, f"pca_cf{cf}", baselines.pca_errors(model, train),
+        _detection_report(run_dir, thr_cfg, f"pca_cf{cf}", baselines.pca_errors(model, train),
                           baselines.pca_errors(model, calib), test_err, truth)
         return 0
     if mode in ("knn-tle", "linreg-tle"):

@@ -10,7 +10,6 @@ import numpy as np
 from . import mae_model, trainer
 from .anomaly_head import FILTER_LENGTHS, AdMetrics, ad_metrics, classify, median_smooth
 from .errors import DataError, EmptyInputError
-from .io_formats import config_hash
 from .mae_model import ModelConfig
 from .trainer import TrainPlan
 
@@ -30,10 +29,6 @@ class MetricsReport:
     mse_pct: float = float("nan")
     mae_pct: float = float("nan")
     ad_by_filter: dict[int, AdMetrics] = field(default_factory=dict)
-
-    def regression_dict(self) -> dict:
-        return {"MSE": self.mse, "MAE": self.mae, "R2": self.r2,
-                "MSE%": self.mse_pct, "MAE%": self.mae_pct}
 
 
 def regression_metrics(y_pred: Sequence[float], y_true: Sequence[float]) -> MetricsReport:
@@ -111,9 +106,7 @@ def format_report_table(reports: Sequence[MetricsReport]) -> str:
 
 @dataclass
 class AblationResult:
-    regime: str
     report: MetricsReport
-    finetune_config_hash: str
     error: Optional[str] = None
 
 
@@ -132,7 +125,6 @@ def ablation_protocol(model_cfg: ModelConfig, pretrain_all_windows,
     regime is recorded and the others still run.
     """
     results: dict[str, AblationResult] = {}
-    ft_hash = config_hash(finetune_plan)
     y_true = np.array([w.target for w in task_test_windows], dtype=np.float64)
     test_images = [w.image for w in task_test_windows]
 
@@ -149,10 +141,9 @@ def ablation_protocol(model_cfg: ModelConfig, pretrain_all_windows,
             report = regression_metrics(y_pred, y_true)
             report.task_id = "tle_synth"
             report.model_id = regime
-            results[regime] = AblationResult(regime=regime, report=report,
-                                             finetune_config_hash=ft_hash)
+            results[regime] = AblationResult(report=report)
         except Exception as exc:  # a failed regime must not sink the others
             results[regime] = AblationResult(
-                regime=regime, report=MetricsReport(model_id=regime),
-                finetune_config_hash=ft_hash, error=f"{type(exc).__name__}: {exc}")
+                report=MetricsReport(model_id=regime),
+                error=f"{type(exc).__name__}: {exc}")
     return results

@@ -134,23 +134,6 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return x
 
 
-def init_params(cfg: ModelConfig, seed: int, dtype=np.float32,
-                with_decoder: bool = True, with_reg_head: bool = False) -> dict:
-    rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in param_shapes(cfg, with_decoder, with_reg_head).items():
-        if name == "mask_token":
-            arr = rng.normal(0.0, INIT_STD, size=shape)
-        elif name.endswith(".g"):
-            arr = np.ones(shape)
-        elif name.endswith((".b", ".bq", ".bk", ".bv", ".bo")):
-            arr = np.zeros(shape)
-        else:
-            arr = _trunc_normal(rng, shape, INIT_STD)
-        params[name] = arr.astype(dtype)
-    return params
-
-
 @dataclass
 class MaeModel:
     """Parameter set plus fixed positional tables for one configuration."""
@@ -194,10 +177,21 @@ class MaeModel:
                         params={k: v.astype(dtype) for k, v in self.params.items()})
 
 
-def build_model(cfg: ModelConfig, seed: int, dtype=np.float32,
-                with_decoder: bool = True, with_reg_head: bool = False) -> MaeModel:
-    return MaeModel(config=cfg,
-                    params=init_params(cfg, seed, dtype, with_decoder, with_reg_head))
+def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> MaeModel:
+    """A freshly initialized encoder-decoder, its tensors drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        if name == "mask_token":
+            arr = rng.normal(0.0, INIT_STD, size=shape)
+        elif name.endswith(".g"):
+            arr = np.ones(shape)
+        elif name.endswith((".b", ".bq", ".bk", ".bv", ".bo")):
+            arr = np.zeros(shape)
+        else:
+            arr = _trunc_normal(rng, shape, INIT_STD)
+        params[name] = arr.astype(dtype)
+    return MaeModel(config=cfg, params=params)
 
 
 def attach_regression_head(model: MaeModel, seed: int) -> MaeModel:

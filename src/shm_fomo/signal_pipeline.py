@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -85,12 +86,13 @@ class PipelineConfig:
     vehicle_class: str = "any"
 
     def __post_init__(self):
-        if self.stride_s <= 0 or self.window_s < self.stride_s:
+        if not 0.0 < self.stride_s <= self.window_s < math.inf:
             raise ConfigError(
-                f"need window_s >= stride_s > 0, got {self.window_s}/{self.stride_s}"
+                f"need finite window_s >= stride_s > 0, got {self.window_s}/{self.stride_s}"
             )
-        if self.energy_threshold < 0:
-            raise ConfigError("energy_threshold must be >= 0")
+        if not 0.0 <= self.energy_threshold < math.inf:
+            raise ConfigError(f"energy_threshold must be >= 0 and finite, "
+                              f"got {self.energy_threshold}")
         if self.vehicle_class not in ("light", "heavy", "any"):
             raise ConfigError(f"unknown vehicle_class {self.vehicle_class!r}")
 

@@ -9,6 +9,7 @@ global-norm gradient clipping at 1.0, and per-epoch shuffling seeded from
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -42,10 +43,17 @@ class TrainPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be positive")
+        if not 0.0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError(f"epochs and batch_size must be >= 1, "
+                              f"got {self.epochs}/{self.batch_size}")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ConfigError("need 0 <= warmup_epochs <= epochs")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def pretrain_plan(**overrides) -> TrainPlan:
@@ -124,10 +132,8 @@ def lr_at(plan: TrainPlan, epoch: int) -> float:
     return float(plan.base_lr * 0.5 * (1.0 + np.cos(np.pi * t)))
 
 
-def clip_gradients(grads: dict, max_norm: float = CLIP_NORM) -> dict:
-    """Scale all gradients by max_norm/||g|| when the global L2 norm exceeds it."""
-    if max_norm <= 0:
-        raise ConfigError("max_norm must be positive")
+def clip_gradients(grads: dict) -> dict:
+    """Scale all gradients by CLIP_NORM/||g|| when the global L2 norm exceeds it."""
     sq = 0.0
     for g in grads.values():
         s = float(np.dot(g.reshape(-1), g.reshape(-1)))
@@ -135,9 +141,9 @@ def clip_gradients(grads: dict, max_norm: float = CLIP_NORM) -> dict:
             raise DivergenceError("non-finite gradient encountered")
         sq += s
     norm = np.sqrt(sq)
-    if norm <= max_norm:
+    if norm <= CLIP_NORM:
         return grads
-    scale = max_norm / norm
+    scale = CLIP_NORM / norm
     return {k: g * scale for k, g in grads.items()}
 
 
@@ -250,15 +256,20 @@ def _targets_of(windows) -> np.ndarray:
 
 
 def _regression_loop(model: MaeModel, windows, plan: TrainPlan,
-                     loss_fn: Callable) -> TrainLog:
+                     make_loss: Callable) -> TrainLog:
+    """Regression fine-tuning on the stacked images of ``windows``.
+
+    ``make_loss(images, targets)`` returns the step loss ``loss(yhat, idx)``,
+    which gives (loss, dloss/dyhat) for the batch of window indices ``idx``.
+    """
     if not model.has_reg_head:
         raise ConfigError("attach_regression_head before regression fine-tuning")
     images = _stack_images(windows, model.dtype)
-    targets = _targets_of(windows)
+    loss_fn = make_loss(images, _targets_of(windows))
 
     def step(idx, rng):
         yhat, cache = mae_model.regress_forward_batch(model, images[idx])
-        loss, dyhat = loss_fn(yhat.astype(np.float64), targets[idx])
+        loss, dyhat = loss_fn(yhat.astype(np.float64), idx)
         grads = mae_model.regress_backward(model, cache, dyhat)
         return loss, grads
 
@@ -272,7 +283,10 @@ def mse_loss(yhat: np.ndarray, y: np.ndarray):
 
 def finetune_tle(model: MaeModel, labeled_windows: Sequence, plan: TrainPlan) -> TrainLog:
     """Supervised regression fine-tuning with squared-error loss."""
-    return _regression_loop(model, labeled_windows, plan, mse_loss)
+    def make_loss(images, y):
+        return lambda yhat, idx: mse_loss(yhat, y[idx])
+
+    return _regression_loop(model, labeled_windows, plan, make_loss)
 
 
 def kd_loss(y_s: np.ndarray, y_t: np.ndarray, y_true: np.ndarray, kd: KDConfig):
@@ -304,20 +318,12 @@ def finetune_kd(student: MaeModel, teacher: Optional[MaeModel], labeled_windows,
             raise ConfigError("distillation with alpha_kd > 0 needs a teacher")
         if not teacher.has_reg_head:
             raise ConfigError("teacher has no regression head")
-    if not student.has_reg_head:
-        raise ConfigError("student has no regression head")
-    images = _stack_images(labeled_windows, student.dtype)
-    targets = _targets_of(labeled_windows)
-    if kd.alpha_kd != 0.0:
-        teacher_preds = mae_model.regress_predictions(teacher, images).astype(np.float64)
-    else:
-        teacher_preds = np.zeros(len(labeled_windows))
 
-    def step(idx, rng):
-        yhat, cache = mae_model.regress_forward_batch(student, images[idx])
-        loss, dyhat = kd_loss(yhat.astype(np.float64), teacher_preds[idx],
-                              targets[idx], kd)
-        grads = mae_model.regress_backward(student, cache, dyhat)
-        return loss, grads
+    def make_loss(images, y):
+        if kd.alpha_kd != 0.0:
+            y_t = mae_model.regress_predictions(teacher, images).astype(np.float64)
+        else:
+            y_t = np.zeros(len(y))
+        return lambda yhat, idx: kd_loss(yhat, y_t[idx], y[idx], kd)
 
-    return _run_loop(student, len(labeled_windows), plan, step)
+    return _regression_loop(student, labeled_windows, plan, make_loss)

@@ -8,7 +8,6 @@ from shm_fomo.anomaly_head import (
     ad_metrics,
     calibrate_threshold,
     classify,
-    decisions,
     median_smooth,
     write_decisions_csv,
 )
@@ -121,7 +120,9 @@ class TestCalibrateThreshold:
         with pytest.raises(EmptyInputError):
             calibrate_threshold([], [1.0])
 
-    @pytest.mark.parametrize("kwargs", [{"step_fraction": 0.0}, {"step_fraction": -0.01}])
+    @pytest.mark.parametrize("kwargs", [{"step_fraction": 0.0}, {"step_fraction": -0.01},
+                                        {"step_fraction": float("nan")},
+                                        {"step_fraction": float("inf")}])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ThresholdConfig(**kwargs)
@@ -275,12 +276,11 @@ class TestMedianVoteEquivalence:
 
 def test_decisions_export(tmp_path):
     errors = [0.1, 0.2, 5.0, 0.1]
-    decs = decisions(errors, threshold=1.0, L=1)
-    assert [d.verdict for d in decs] == [False, False, True, False]
     path = tmp_path / "dec.csv"
-    write_decisions_csv(path, decs, truth=[False, False, True, False],
-                        start_index=[0, 200, 400, 600])
+    write_decisions_csv(path, errors, threshold=1.0, L=1,
+                        truth=[False, False, True, False], start_index=[0, 200, 400, 600])
     lines = path.read_text().strip().splitlines()
+    assert [line.split(",")[3] for line in lines[1:]] == ["0", "0", "1", "0"]
     assert lines[0] == "window_index,raw_error,smoothed_error,verdict,truth,start_index"
     assert len(lines) == 5
     assert lines[3].startswith("2,5.0,5.0,1,1")

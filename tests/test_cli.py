@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from shm_fomo import cli, mae_model, trainer
+from shm_fomo import baselines, cli, mae_model, trainer
 from shm_fomo.anomaly_head import FILTER_LENGTHS
 from shm_fomo.errors import ConfigError, DataError
 from shm_fomo.io_formats import (load_dataset, load_manifest, save_dataset,
@@ -367,6 +367,13 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
     ("distill", "[kd]\nalpha_task = 0.5\n" + KD_PATHS),
     ("synth-gen", "[synht]\nduration_s = 10\n"),
     ("synth-gen", "[synth]\nduration_s = 10\n[Synth]\ncount = 2\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\ncount = -2\n"),
+    ("synth-gen", "[synth]\ncount = 0\nkind = bogus\n"),
+    ("pretrain", "[train]\nbase_lr = nan\n[paths]\ndataset = x\n"),
+    ("pretrain", "[train]\nbatch_size = 0\n[paths]\ndataset = x\n"),
+    ("preprocess", "[pipeline]\nenergy_threshold = nan\n[paths]\ninput = x\n"),
+    ("eval-ad", "[threshold]\nstep_fraction = nan\n[paths]\ntrain_dataset = x\n"
+                "calibration_dataset = x\ntest_dataset = x\ncheckpoint = x\n"),
 ])
 def test_bad_section_exits_3(tmp_path, monkeypatch, command, text):
     cfg = tmp_path / "c.ini"
@@ -624,6 +631,54 @@ def test_malformed_manifest_exits_4(tmp_path, monkeypatch, capsys, text):
                           monkeypatch)
     assert code == 4
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def _normal_and_damaged(tmp_path):
+    return _write_recordings(tmp_path / "test", {
+        "n": ("normal", gen_ambient(BridgeConfig(), 30, seed=2)),
+        "d": ("damaged", gen_ambient(BridgeConfig(), 30, damaged=True, seed=2))})
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("scoring ran before the config was checked")
+
+
+def test_bad_threshold_exits_3_before_scoring(tmp_path, monkeypatch):
+    pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
+    dataset = tmp_path / "d.shmd"
+    save_dataset(build_dataset([gen_ambient(BridgeConfig(), 20, seed=5)], pipe).windows,
+                 dataset)
+    ckpt = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
+    monkeypatch.setattr(mae_model, "reconstruction_errors", _never_called)
+    monkeypatch.setattr(baselines, "pca_errors", _never_called)
+    bad = "[threshold]\nstep_fraction = 0\n"
+    eval_cfg = tmp_path / "ad.ini"
+    eval_cfg.write_text(bad + f"[paths]\ntrain_dataset = {dataset}\n"
+                        f"calibration_dataset = {dataset}\ntest_dataset = {dataset}\n"
+                        f"checkpoint = {ckpt}\n")
+    pca_cfg = _pca_config(tmp_path, _normal_and_damaged(tmp_path))
+    pca_cfg.write_text(pca_cfg.read_text() + bad)
+    for command, cfg in (("eval-ad", eval_cfg), ("baseline", pca_cfg)):
+        assert main_exit_code([command, "--config", str(cfg),
+                               "--out", str(tmp_path / "runs")], monkeypatch) == 3
+
+
+@pytest.mark.parametrize("mode, setting", [("knn-tle", "k = -3"), ("knn-tle", "k = 0"),
+                                           ("pca-ad", "cf = 0")])
+def test_baseline_argument_out_of_range_exits_3(tmp_path, monkeypatch, traffic_data,
+                                                mode, setting):
+    if mode == "pca-ad":
+        cfg = _pca_config(tmp_path, _normal_and_damaged(tmp_path))
+        cfg.write_text(cfg.read_text().replace("cf = 50", setting))
+    else:
+        manifest, _ = traffic_data
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[baseline]\nmode = {mode}\n{setting}\n" + TLE_PIPELINE
+                       + f"[paths]\ntrain_manifest = {manifest}\ntest_manifest = {manifest}\n")
+    code = main_exit_code(["baseline", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                          monkeypatch)
+    assert code == 3
 
 
 def test_baseline_pca_ad_needs_both_states(tmp_path):

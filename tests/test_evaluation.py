@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shm_fomo import trainer
 from shm_fomo.errors import DataError, EmptyInputError
 from shm_fomo.evaluation import (
     MetricsReport,
@@ -104,7 +105,8 @@ class TestReports:
         assert np.array_equal(p2, y_pred)
         r1 = regression_metrics(y_pred, y_true)
         r2 = regression_metrics(p2, t2)
-        assert r1.regression_dict() == r2.regression_dict()
+        assert ((r1.mse, r1.mae, r1.r2, r1.mse_pct, r1.mae_pct)
+                == (r2.mse, r2.mae, r2.r2, r2.mse_pct, r2.mae_pct))
 
     def test_report_csv_and_table(self, tmp_path):
         r = regression_metrics([1.0, 2.0], [1.5, 2.5])
@@ -137,16 +139,25 @@ def tiny_windows(n, seed, with_targets=True):
 
 
 class TestAblation:
-    def test_three_regimes_and_identical_finetune_hash(self):
+    def test_three_regimes_and_identical_finetune_hash(self, monkeypatch):
         cfg = ModelConfig(e_dim=24, d_dim=16)
         pre = pretrain_plan(epochs=1, warmup_epochs=0, batch_size=8, seed=0)
         ft = TrainPlan(base_lr=1e-4, epochs=1,
                        warmup_epochs=0, batch_size=4, seed=0)
+        finetune_tle = trainer.finetune_tle
+        plans = []
+
+        def recording_finetune(model, windows, plan):
+            plans.append(plan)
+            return finetune_tle(model, windows, plan)
+
+        monkeypatch.setattr(trainer, "finetune_tle", recording_finetune)
         results = ablation_protocol(
             cfg, tiny_windows(8, 0), tiny_windows(8, 1), tiny_windows(8, 2),
             tiny_windows(6, 3), pre, ft, seed=5)
         assert set(results) == {"no_pretrain", "pretrain_uc", "pretrain_all"}
-        hashes = {r.finetune_config_hash for r in results.values()}
+        assert len(plans) == 3
+        hashes = {config_hash(plan) for plan in plans}
         assert len(hashes) == 1
         assert hashes == {config_hash(ft)}
         for r in results.values():

@@ -59,6 +59,18 @@ class TestRawRecording:
             build_dataset([RawRecording(samples=samples, labels=labels)], cfg)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"energy_threshold": float("nan")}, {"energy_threshold": -1.0},
+    {"energy_threshold": float("inf")},
+    {"window_s": float("nan")}, {"stride_s": float("nan")}, {"window_s": float("inf")},
+    {"stride_s": 0.0}, {"window_s": 1.0, "stride_s": 2.0},
+    {"vehicle_class": "bus"},
+])
+def test_out_of_contract_pipeline_rejected(kwargs):
+    with pytest.raises(ConfigError):
+        PipelineConfig(**kwargs)
+
+
 class TestMakeWindows:
     def test_count_and_offsets(self):
         windows = make_windows(rec_of(900), PipelineConfig(window_s=5, stride_s=2))

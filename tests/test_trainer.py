@@ -12,6 +12,7 @@ from shm_fomo.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    CLIP_NORM,
     AdamW,
     KDConfig,
     TrainPlan,
@@ -90,31 +91,31 @@ class TestSchedule:
 class TestClip:
     def test_identity_below_norm(self):
         grads = {"a": np.array([0.3, 0.4])}
-        assert clip_gradients(grads, 1.0) is grads
+        assert clip_gradients(grads) is grads
 
     def test_scales_to_max_norm(self):
         grads = {"a": np.array([6.0, 8.0])}  # norm 10
-        clipped = clip_gradients(grads, 1.0)
+        clipped = clip_gradients(grads)
         assert np.allclose(clipped["a"], [0.6, 0.8])
         assert np.linalg.norm(clipped["a"]) == pytest.approx(1.0, rel=1e-12)
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(0)
         grads = {"a": rng.normal(size=20) * 50}
-        clipped = clip_gradients(grads, 1.0)
+        clipped = clip_gradients(grads)
         a, b = grads["a"], clipped["a"]
         cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
         assert abs(cos - 1.0) < 1e-12
 
     def test_global_norm_across_tensors(self):
         grads = {"a": np.full(4, 3.0), "b": np.full(4, 4.0)}  # global norm 10
-        clipped = clip_gradients(grads, 5.0)
+        clipped = clip_gradients(grads)
         total = np.sqrt(sum(float(g @ g) for g in clipped.values()))
-        assert total == pytest.approx(5.0, rel=1e-12)
+        assert total == pytest.approx(CLIP_NORM, rel=1e-12)
 
     def test_nan_rejected(self):
         with pytest.raises(DivergenceError):
-            clip_gradients({"a": np.array([np.nan, 1.0])}, 1.0)
+            clip_gradients({"a": np.array([np.nan, 1.0])})
 
 
 class TestAdamW:
@@ -280,7 +281,8 @@ class TestPhases:
         student_a = attach_regression_head(build_model(TINY, seed=9), seed=10)
         log_a = finetune_kd(student_a, None, windows, plan, KDConfig(alpha_kd=0.0))
         student_b = attach_regression_head(build_model(TINY, seed=9), seed=10)
-        log_b = _regression_loop(student_b, windows, plan, mae_loss)
+        log_b = _regression_loop(student_b, windows, plan,
+                                 lambda images, y: lambda yhat, idx: mae_loss(yhat, y[idx]))
         assert log_a.step_losses == log_b.step_losses
         for k in student_a.params:
             assert np.array_equal(student_a.params[k], student_b.params[k])
@@ -331,6 +333,18 @@ class TestPhases:
         losses = [r.loss for r in log.records]
         for e in range(len(losses) - 50):
             assert losses[e + 50] <= losses[e]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"base_lr": float("nan")}, {"base_lr": float("inf")}, {"base_lr": 0.0},
+    {"weight_decay": float("nan")}, {"weight_decay": -0.1},
+    {"batch_size": 0}, {"batch_size": -2},
+    {"epochs": 0, "warmup_epochs": 0}, {"warmup_epochs": 201},
+    {"seed": -1},
+])
+def test_out_of_contract_plan_rejected(kwargs):
+    with pytest.raises(ConfigError):
+        TrainPlan(**kwargs)
 
 
 def test_pretrain_plan_must_match_model_mask_ratio():
