@@ -20,7 +20,8 @@ unknown key or a value of the wrong type is a config error):
   The model sets the mask ratio.
 - ``[kd]``: ``alpha_kd`` (``trainer.KDConfig``), in [0, 1].
 - ``[threshold]``: ``step_fraction`` (``anomaly_head.ThresholdConfig``).
-- ``[baseline]``: ``mode`` (pca-ad | knn-tle | linreg-tle), ``cf``, ``k``.
+- ``[baseline]``: ``mode`` (pca-ad | knn-tle | linreg-tle), ``cf`` and ``k``
+  (each >= 1), all checked before any recording is read.
 - ``[paths]``: the input, dataset and checkpoint paths each subcommand names.
 
 A section outside this list is a config error; a listed section that the
@@ -114,10 +115,8 @@ def typed_values(values: dict, defaults: dict, owner: str) -> dict:
     for key, raw in values.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {key!r} for {owner}")
-        default = defaults[key]
-        typ = type(default) if default is not dataclasses.MISSING else str
         try:
-            out[key] = _coerce(raw, typ)
+            out[key] = _coerce(raw, type(defaults[key]))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     return out
@@ -457,12 +456,15 @@ def _raw_normalized_windows(manifest_path: Path, pipe: PipelineConfig, *states):
 
 def cmd_baseline(args, cfg, run_dir: Path) -> int:
     opts = options(section(cfg, "baseline"), BASELINE_OPTIONS, "[baseline]")
-    mode = opts["mode"]
+    mode, cf, k = opts["mode"], opts["cf"], opts["k"]
+    if mode not in ("pca-ad", "knn-tle", "linreg-tle"):
+        raise ConfigError(f"unknown baseline mode {mode!r}")
+    if cf < 1 or k < 1:
+        raise ConfigError(f"[baseline] cf and k must be >= 1, got cf = {cf}, k = {k}")
     pipe = build_from_section(PipelineConfig, section(cfg, "pipeline"))
     if mode == "pca-ad":
         (train_m, calib_m, test_m) = paths_of(
             cfg, "train_manifest", "calibration_manifest", "test_manifest")
-        cf = opts["cf"]
         thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
         train, _ = _raw_normalized_windows(train_m, pipe, "normal")
         calib, _ = _raw_normalized_windows(calib_m, pipe, "normal")
@@ -473,22 +475,18 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
         _detection_report(run_dir, thr_cfg, f"pca_cf{cf}", baselines.pca_errors(model, train),
                           baselines.pca_errors(model, calib), test_err, truth)
         return 0
-    if mode in ("knn-tle", "linreg-tle"):
-        (train_m, test_m) = paths_of(cfg, "train_manifest", "test_manifest")
-        x_train, y_train = _feature_targets(train_m, pipe)
-        x_test, y_test = _feature_targets(test_m, pipe)
-        if mode == "knn-tle":
-            k = opts["k"]
-            y_pred = np.array([baselines.knn_predict(x_train, y_train, q, k=k)
-                               for q in x_test])
-            model_id = f"knn_k{k}"
-        else:
-            lin = baselines.linreg_fit(x_train, y_train)
-            y_pred = baselines.linreg_predict(lin, x_test)
-            model_id = "linreg"
-        _regression_report(run_dir, model_id, y_test, y_pred)
-        return 0
-    raise ConfigError(f"unknown baseline mode {mode!r}")
+    (train_m, test_m) = paths_of(cfg, "train_manifest", "test_manifest")
+    x_train, y_train = _feature_targets(train_m, pipe)
+    x_test, y_test = _feature_targets(test_m, pipe)
+    if mode == "knn-tle":
+        y_pred = np.array([baselines.knn_predict(x_train, y_train, q, k=k) for q in x_test])
+        model_id = f"knn_k{k}"
+    else:
+        lin = baselines.linreg_fit(x_train, y_train)
+        y_pred = baselines.linreg_predict(lin, x_test)
+        model_id = "linreg"
+    _regression_report(run_dir, model_id, y_test, y_pred)
+    return 0
 
 
 def cmd_describe(args, cfg, run_dir) -> int:

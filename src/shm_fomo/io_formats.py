@@ -1,7 +1,11 @@
 """On-disk formats: raw recordings, spectrogram datasets, named-tensor containers.
 
-Everything is little-endian and fixed-layout so the files round-trip
-bit-exactly and can be produced or consumed by non-Python tooling.
+Every binary artifact is one named-tensor container (``write_container`` /
+``read_container``): a 4-byte magic, a version, JSON metadata, named
+little-endian float32 tensors and a CRC32, so files round-trip bit-exactly,
+corruption is detected on load, and non-Python tooling can read them. The
+magic names the kind: ``SHMR`` a recording, ``SHMD`` a dataset, ``MAEC`` a
+model checkpoint (``mae_model.CHECKPOINT_MAGIC``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from .errors import DataError, FormatError
 from .signal_pipeline import RawRecording, SpectrogramWindow, SPEC_SIZE
 
-RECORDING_MAGIC = b"SHM1"
+RECORDING_MAGIC = b"SHMR"
 CSV_TIME_TOL = 0.01      # largest timestamp misfit a CSV may have, in sample periods
 MANIFEST_STATES = ("normal", "damaged", "traffic")
 
@@ -29,37 +33,34 @@ _U8_TO_TAG = {v: k for k, v in _TAG_TO_U8.items()}
 
 
 def save_recording_binary(rec: RawRecording, path) -> None:
-    """Write the flat binary recording format (magic SHM1)."""
-    has_labels = rec.labels is not None
-    with open(path, "wb") as f:
-        f.write(RECORDING_MAGIC)
-        f.write(struct.pack("<IQB", rec.fs, len(rec), int(has_labels)))
-        f.write(np.asarray(rec.samples, dtype="<f4").tobytes())
-        if has_labels:
-            f.write(np.asarray(rec.labels, dtype=np.uint8).tobytes())
+    """Write a recording as one container file (magic SHMR): tensor
+    ``samples`` (n,) as float32, tensor ``labels`` (n,) as float32 values 0, 1
+    or 2 when the recording is labelled, and metadata ``fs``."""
+    tensors = {"samples": rec.samples}
+    if rec.labels is not None:
+        tensors["labels"] = rec.labels
+    write_container(path, RECORDING_MAGIC, {"fs": int(rec.fs)}, tensors)
 
 
 def load_recording_binary(path) -> RawRecording:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != RECORDING_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {RECORDING_MAGIC!r}")
-        header = f.read(13)
-        if len(header) != 13:
-            raise FormatError(f"{path}: truncated header")
-        fs, count, has_labels = struct.unpack("<IQB", header)
-        raw = f.read(count * 4)
-        if len(raw) != count * 4:
-            raise FormatError(f"{path}: truncated sample block")
-        samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        labels = None
-        if has_labels:
-            raw = f.read(count)
-            if len(raw) != count:
-                raise FormatError(f"{path}: truncated label block")
-            labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
+    """The recording of a ``save_recording_binary`` file; a file that breaks
+    that layout, or holds a label that is not a whole number, is a
+    FormatError."""
+    meta, tensors = read_container(path, RECORDING_MAGIC)
+    samples, labels = tensors.pop("samples", None), tensors.pop("labels", None)
+    fs = meta.get("fs")
+    if samples is None or samples.ndim != 1:
+        raise FormatError(f"{path}: recording needs a 1-D 'samples' tensor")
+    if type(fs) is not int:
+        raise FormatError(f"{path}: sampling rate {fs!r} is not an integer")
+    if tensors:
+        raise FormatError(f"{path}: unexpected tensors {sorted(tensors)} in a recording")
+    if labels is not None:
+        with np.errstate(invalid="ignore"):   # NaN, inf, huge: garbage that fails below
+            codes = labels.astype(np.int64)
+        if not np.array_equal(codes, labels):
+            raise FormatError(f"{path}: labels must be whole numbers")
+        labels = codes
     return RawRecording(samples=samples, fs=fs, labels=labels)
 
 
@@ -105,7 +106,7 @@ def _sampling_rate(path, times: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# named-tensor container (model checkpoints, datasets)
+# named-tensor container (recordings, datasets, model checkpoints)
 
 CONTAINER_VERSION = 1
 
@@ -164,7 +165,12 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if version != CONTAINER_VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
     (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(str(take(meta_len), "utf-8"))
+    try:
+        meta = json.loads(str(take(meta_len), "utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: metadata is not valid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: metadata is not a JSON object")
     (n_tensors,) = struct.unpack("<I", take(4))
     tensors = {}
     for _ in range(n_tensors):

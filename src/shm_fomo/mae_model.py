@@ -9,7 +9,7 @@ Positional tables are fixed 2-D sinusoids and are not trained or persisted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -210,18 +210,15 @@ def attach_regression_head(model: MaeModel, seed: int) -> MaeModel:
 
 
 def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
-    """Split square image(s) into a row-major grid of flattened patches."""
-    single = images.ndim == 2
-    if single:
-        images = images[None]
+    """Split each square image of a (b, h, w) batch into a row-major grid of
+    flattened patches: (b, patches, patch_size ** 2)."""
     b, h, w = images.shape
     if h % patch_size or w % patch_size:
         raise ConfigError(f"patch_size {patch_size} does not divide image {h}x{w}")
     g = h // patch_size
-    patches = (images.reshape(b, g, patch_size, g, patch_size)
-               .transpose(0, 1, 3, 2, 4)
-               .reshape(b, g * g, patch_size * patch_size))
-    return patches[0] if single else patches
+    return (images.reshape(b, g, patch_size, g, patch_size)
+            .transpose(0, 1, 3, 2, 4)
+            .reshape(b, g * g, patch_size * patch_size))
 
 
 def sample_mask(num_patches: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,30 +465,22 @@ def reconstruction_errors(model: MaeModel, windows, base_seed: int = 0) -> np.nd
 
 def save_model(model: MaeModel, path, provenance: str = "") -> None:
     """Self-describing checkpoint: config header + named f32 tensors."""
-    cfg = model.config
-    meta = {
-        "e_dim": cfg.e_dim, "d_dim": cfg.d_dim, "n_blocks": cfg.n_blocks,
-        "patch_size": cfg.patch_size, "mask_ratio": cfg.mask_ratio,
-        "e_heads": cfg.e_heads, "d_heads": cfg.d_heads, "mlp_ratio": cfg.mlp_ratio,
-        "has_decoder": model.has_decoder, "has_reg_head": model.has_reg_head,
-        "provenance": provenance,
-    }
+    meta = {**asdict(model.config), "has_decoder": model.has_decoder,
+            "has_reg_head": model.has_reg_head, "provenance": provenance}
     write_container(path, CHECKPOINT_MAGIC, meta, model.params)
 
 
 def load_model(path) -> MaeModel:
     meta, tensors = read_container(path, CHECKPOINT_MAGIC)
     try:
-        cfg = ModelConfig(
-            e_dim=int(meta["e_dim"]), d_dim=int(meta["d_dim"]),
-            n_blocks=int(meta["n_blocks"]), patch_size=int(meta["patch_size"]),
-            mask_ratio=float(meta["mask_ratio"]), e_heads=int(meta["e_heads"]),
-            d_heads=int(meta["d_heads"]), mlp_ratio=int(meta["mlp_ratio"]),
-        )
+        cfg = ModelConfig(**{f.name: type(f.default)(meta[f.name])
+                             for f in fields(ModelConfig)})
+        expected = param_shapes(cfg, with_decoder=bool(meta["has_decoder"]),
+                                with_reg_head=bool(meta["has_reg_head"]))
     except KeyError as exc:
         raise FormatError(f"{path}: missing config field {exc}") from exc
-    expected = param_shapes(cfg, with_decoder=bool(meta["has_decoder"]),
-                            with_reg_head=bool(meta["has_reg_head"]))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad config value ({exc})") from exc
     if set(expected) != set(tensors):
         missing = sorted(set(expected) ^ set(tensors))
         raise FormatError(f"{path}: tensor set mismatch near {missing[:4]}")

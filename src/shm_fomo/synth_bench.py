@@ -10,6 +10,7 @@ processing pipeline matches the generator's own bookkeeping exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,12 @@ class BridgeConfig:
         for f in self.modal_freqs:
             if not 0 < f < FS / 2:
                 raise ConfigError(f"modal frequency {f} outside (0, {FS / 2})")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+        for d in self.damping:
+            if not 0 < d < math.inf:
+                raise ConfigError(f"damping {d} must be positive and finite")
+        for name in ("noise_std", "excite_rate", "amp_sigma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if not 0 < self.anomaly_shift <= 1:
             raise ConfigError("anomaly_shift must be in (0, 1]")
 
@@ -55,12 +60,13 @@ class TrafficConfig:
     pulse_dur_s: float = 3.0
 
     def __post_init__(self):
-        if self.arrival_rate_light < 0 or self.arrival_rate_heavy < 0:
-            raise ConfigError("arrival rates must be >= 0")
-        if self.pulse_amp_heavy <= self.pulse_amp_light:
-            raise ConfigError("heavy pulse amplitude must exceed light")
-        if self.pulse_dur_s <= 0:
-            raise ConfigError("pulse_dur_s must be positive")
+        for rate in (self.arrival_rate_light, self.arrival_rate_heavy):
+            if not 0 <= rate < math.inf:
+                raise ConfigError(f"arrival rates must be >= 0 and finite, got {rate}")
+        if not -math.inf < self.pulse_amp_light < self.pulse_amp_heavy < math.inf:
+            raise ConfigError("pulse amplitudes must be finite, heavy above light")
+        if not 0 < self.pulse_dur_s < math.inf:
+            raise ConfigError("pulse_dur_s must be positive and finite")
 
 
 def _poisson_times(rng: np.random.Generator, rate_per_s: float,
@@ -96,8 +102,8 @@ def gen_ambient(cfg: BridgeConfig, duration_s: float, damaged: bool = False,
     phases, amplitudes, and the additive noise stream are drawn identically
     for both states under the same seed.
     """
-    if duration_s < 1:
-        raise ConfigError("duration must be at least 1 s")
+    if not 1 <= duration_s < math.inf:
+        raise ConfigError(f"duration must be at least 1 s and finite, got {duration_s}")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * FS))
     signal = np.zeros(n)
@@ -134,8 +140,8 @@ def gen_traffic(bridge: BridgeConfig, traffic: TrafficConfig,
     groups starting at its arrival group; overlaps resolve to the heavier
     class.
     """
-    if duration_s < 60:
-        raise ConfigError("traffic generation needs at least 60 s")
+    if not 60 <= duration_s < math.inf:
+        raise ConfigError(f"traffic needs a finite duration of at least 60 s, got {duration_s}")
     rng = np.random.default_rng([seed, 1])
     ambient = gen_ambient(bridge, duration_s, damaged=False,
                           seed=int(np.random.default_rng([seed, 2]).integers(2 ** 63)))

@@ -12,7 +12,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,10 +125,7 @@ def lr_at(plan: TrainPlan, epoch: int) -> float:
         raise ConfigError(f"epoch {epoch} outside [0,{plan.epochs})")
     if epoch < plan.warmup_epochs:
         return plan.base_lr * epoch / plan.warmup_epochs
-    span = plan.epochs - plan.warmup_epochs
-    if span == 0:
-        return plan.base_lr
-    t = (epoch - plan.warmup_epochs) / span
+    t = (epoch - plan.warmup_epochs) / (plan.epochs - plan.warmup_epochs)
     return float(plan.base_lr * 0.5 * (1.0 + np.cos(np.pi * t)))
 
 
@@ -305,7 +302,7 @@ def kd_loss(y_s: np.ndarray, y_t: np.ndarray, y_true: np.ndarray, kd: KDConfig):
     return loss, grad
 
 
-def finetune_kd(student: MaeModel, teacher: Optional[MaeModel], labeled_windows,
+def finetune_kd(student: MaeModel, teacher: MaeModel, labeled_windows,
                 plan: TrainPlan, kd: KDConfig) -> TrainLog:
     """Distilled fine-tuning: the frozen teacher's predictions steer the student.
 
@@ -313,11 +310,8 @@ def finetune_kd(student: MaeModel, teacher: Optional[MaeModel], labeled_windows,
     With alpha_kd = 0 the teacher is unused and the loop degenerates to plain
     absolute-error fine-tuning.
     """
-    if kd.alpha_kd != 0.0:
-        if teacher is None:
-            raise ConfigError("distillation with alpha_kd > 0 needs a teacher")
-        if not teacher.has_reg_head:
-            raise ConfigError("teacher has no regression head")
+    if kd.alpha_kd != 0.0 and not teacher.has_reg_head:
+        raise ConfigError("teacher has no regression head")
 
     def make_loss(images, y):
         if kd.alpha_kd != 0.0:

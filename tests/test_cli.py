@@ -1,4 +1,5 @@
 import configparser
+import struct
 import subprocess
 import sys
 
@@ -374,6 +375,22 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
     ("preprocess", "[pipeline]\nenergy_threshold = nan\n[paths]\ninput = x\n"),
     ("eval-ad", "[threshold]\nstep_fraction = nan\n[paths]\ntrain_dataset = x\n"
                 "calibration_dataset = x\ntest_dataset = x\ncheckpoint = x\n"),
+    ("synth-gen", "[synth]\nduration_s = nan\n"),
+    ("synth-gen", "[synth]\nduration_s = inf\n"),
+    ("synth-gen", "[synth]\nkind = traffic\nduration_s = nan\n"),
+    ("synth-gen", "[synth]\nkind = traffic\nduration_s = inf\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\nexcite_rate = nan\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\nexcite_rate = -1\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\namp_sigma = -1\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\namp_sigma = inf\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\nnoise_std = nan\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\ndamping = 0, 1.2, 1.6\n"),
+    ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\n"
+                  "arrival_rate_light = nan\n"),
+    ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\n"
+                  "pulse_amp_heavy = nan\n"),
+    ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\n"
+                  "pulse_dur_s = inf\n"),
 ])
 def test_bad_section_exits_3(tmp_path, monkeypatch, command, text):
     cfg = tmp_path / "c.ini"
@@ -412,6 +429,32 @@ def test_non_numeric_csv_cell_exits_4(tmp_path, monkeypatch, capsys):
                           monkeypatch)
     assert code == 4
     assert "row 3" in capsys.readouterr().err
+
+
+def _flip_a_sample_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[-100] ^= 0x01   # inside the last tensor, the samples of an unlabelled file
+    path.write_bytes(bytes(blob))
+
+
+def _write_shm1(path):
+    samples = np.asarray(gen_ambient(BridgeConfig(), 10, seed=1).samples, "<f4")
+    path.write_bytes(b"SHM1" + struct.pack("<IQB", 100, samples.size, 0) + samples.tobytes())
+
+
+@pytest.mark.parametrize("spoil, message", [(_flip_a_sample_byte, "checksum"),
+                                            (_write_shm1, "bad magic")])
+def test_corrupt_or_old_recording_exits_4(tmp_path, monkeypatch, capsys, spoil, message):
+    rec = tmp_path / "r.bin"
+    save_recording_binary(gen_ambient(BridgeConfig(), 10, seed=1), rec)
+    spoil(rec)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[paths]\ninput = {rec}\n")
+    code = main_exit_code(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                          monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("input error:") and message in err
 
 
 def test_eval_ad_decisions_carry_start_index(tmp_path):
@@ -640,7 +683,7 @@ def _normal_and_damaged(tmp_path):
 
 
 def _never_called(*args, **kwargs):
-    raise AssertionError("scoring ran before the config was checked")
+    raise AssertionError("work ran before the config was checked")
 
 
 def test_bad_threshold_exits_3_before_scoring(tmp_path, monkeypatch):
@@ -668,6 +711,7 @@ def test_bad_threshold_exits_3_before_scoring(tmp_path, monkeypatch):
                                            ("pca-ad", "cf = 0")])
 def test_baseline_argument_out_of_range_exits_3(tmp_path, monkeypatch, traffic_data,
                                                 mode, setting):
+    monkeypatch.setattr(cli, "_load_recording", _never_called)   # checked before any read
     if mode == "pca-ad":
         cfg = _pca_config(tmp_path, _normal_and_damaged(tmp_path))
         cfg.write_text(cfg.read_text().replace("cf = 50", setting))

@@ -1,13 +1,16 @@
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from shm_fomo.errors import DataError, FormatError
+from shm_fomo.errors import ConfigError, DataError, FormatError
 from shm_fomo.io_formats import (
     DATASET_MAGIC,
+    RECORDING_MAGIC,
     config_hash,
     load_dataset,
     load_manifest,
@@ -65,6 +68,83 @@ def test_recording_binary_truncated(tmp_path):
     save_recording_binary(rec, path)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(FormatError):
+        load_recording_binary(path)
+
+
+def test_recording_binary_layout(tmp_path):
+    """A recording is a container: float32 ``samples`` and ``labels``, ``fs`` in
+    the metadata."""
+    rec = RawRecording(samples=[0.5, -1.25, 3.0], fs=250, labels=[0, 2, 1])
+    path = tmp_path / "rec.bin"
+    save_recording_binary(rec, path)
+    assert path.read_bytes()[:4] == RECORDING_MAGIC == b"SHMR"
+    meta, tensors = read_container(path, RECORDING_MAGIC)
+    assert meta == {"fs": 250}
+    assert sorted(tensors) == ["labels", "samples"]
+    assert tensors["samples"].tolist() == [0.5, -1.25, 3.0]
+    assert tensors["labels"].tolist() == [0.0, 2.0, 1.0]
+    assert {t.dtype for t in tensors.values()} == {np.dtype(np.float32)}
+
+
+def test_recording_binary_flipped_sample_byte(tmp_path):
+    rec = RawRecording(samples=np.arange(100, dtype=np.float64))
+    path = tmp_path / "rec.bin"
+    save_recording_binary(rec, path)
+    blob = bytearray(path.read_bytes())
+    blob[-4 - 4 * 50] ^= 0x01   # a byte of sample 50
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="checksum"):
+        load_recording_binary(path)
+
+
+def shm1_recording_bytes(samples, fs=100) -> bytes:
+    """A recording in the flat, unchecked layout of earlier versions: magic
+    SHM1, u32 fs, u64 count, u8 label flag, float32 samples."""
+    samples = np.asarray(samples, "<f4")
+    return b"SHM1" + struct.pack("<IQB", fs, samples.size, 0) + samples.tobytes()
+
+
+def test_recording_binary_rejects_shm1_layout(tmp_path):
+    path = tmp_path / "old.bin"
+    path.write_bytes(shm1_recording_bytes(np.arange(100)))
+    with pytest.raises(FormatError, match="bad magic"):
+        load_recording_binary(path)
+
+
+SAMPLES = np.arange(6, dtype=np.float32)
+
+
+@pytest.mark.parametrize("meta, tensors, match", [
+    ({"fs": 100}, {}, "samples"),
+    ({"fs": 100}, {"samples": SAMPLES.reshape(2, 3)}, "samples"),
+    ({"fs": 100}, {"samples": np.float32(1.0)}, "samples"),
+    ({}, {"samples": SAMPLES}, "integer"),
+    ({"fs": 100.0}, {"samples": SAMPLES}, "integer"),
+    ({"fs": "100"}, {"samples": SAMPLES}, "integer"),
+    ({"fs": True}, {"samples": SAMPLES}, "integer"),
+    ({"fs": 100}, {"samples": SAMPLES, "extra": SAMPLES}, "unexpected"),
+    ({"fs": 100}, {"samples": SAMPLES, "labels": [0, 1, 1.5, 2, 0, 0]}, "whole"),
+    ({"fs": 100}, {"samples": SAMPLES, "labels": [0, 1, np.nan, 2, 0, 0]}, "whole"),
+    ({"fs": 100}, {"samples": SAMPLES, "labels": [0, 1, np.inf, 2, 0, 0]}, "whole"),
+    ({"fs": 100}, {"samples": SAMPLES, "labels": [0, 1, 1e20, 2, 0, 0]}, "whole"),
+])
+def test_recording_binary_rejects_malformed_contents(tmp_path, meta, tensors, match):
+    path = tmp_path / "rec.bin"
+    write_container(path, RECORDING_MAGIC, meta, tensors)
+    with pytest.raises(FormatError, match=match):
+        load_recording_binary(path)
+
+
+@pytest.mark.parametrize("meta, tensors, error", [
+    ({"fs": 0}, {"samples": SAMPLES}, ConfigError),
+    ({"fs": 100}, {"samples": [0, 1, np.nan, 3, 4, 5]}, DataError),
+    ({"fs": 100}, {"samples": SAMPLES, "labels": [0, 1, 3, 2, 0, 0]}, DataError),
+    ({"fs": 100}, {"samples": SAMPLES, "labels": [0, 1, 2]}, DataError),
+])
+def test_recording_binary_keeps_recording_checks(tmp_path, meta, tensors, error):
+    path = tmp_path / "rec.bin"
+    write_container(path, RECORDING_MAGIC, meta, tensors)
+    with pytest.raises(error):
         load_recording_binary(path)
 
 
@@ -283,6 +363,17 @@ def test_container_detects_truncation(tmp_path):
     write_container(path, b"TEST", {}, {"x": np.ones(8, np.float32)})
     path.write_bytes(path.read_bytes()[:-6])
     with pytest.raises(FormatError):
+        read_container(path, b"TEST")
+
+
+def test_container_metadata_must_be_a_json_object(tmp_path):
+    path = tmp_path / "box.bin"
+    write_container(path, b"TEST", [1, 2], {})
+    with pytest.raises(FormatError, match="JSON object"):
+        read_container(path, b"TEST")
+    body = struct.pack("<II", 1, 1) + b"{" + struct.pack("<I", 0)
+    path.write_bytes(b"TEST" + body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(FormatError, match="not valid JSON"):
         read_container(path, b"TEST")
 
 

@@ -5,8 +5,10 @@ from scipy.stats import chi2
 
 from shm_fomo import nn_core
 from shm_fomo.errors import ConfigError, FormatError
+from shm_fomo.io_formats import read_container, write_container
 from shm_fomo.signal_pipeline import SpectrogramWindow
 from shm_fomo.mae_model import (
+    CHECKPOINT_MAGIC,
     EVAL_BATCH,
     SIZE_FAMILY,
     ModelConfig,
@@ -45,29 +47,25 @@ def param_count(cfg: ModelConfig, with_decoder: bool = True,
 
 def depatchify(patches, patch_size):
     """Inverse of patchify: the oracle for its round trip."""
-    single = patches.ndim == 2
-    if single:
-        patches = patches[None]
     b, n, _ = patches.shape
     g = int(round(np.sqrt(n)))
-    images = (patches.reshape(b, g, g, patch_size, patch_size)
-              .transpose(0, 1, 3, 2, 4)
-              .reshape(b, g * patch_size, g * patch_size))
-    return images[0] if single else images
+    return (patches.reshape(b, g, g, patch_size, patch_size)
+            .transpose(0, 1, 3, 2, 4)
+            .reshape(b, g * patch_size, g * patch_size))
 
 
 def reconstruct(model, image, masked, visible):
     """One image through the batched encoder and decoder, as an image."""
     latents, _ = _encode_batch(model, image[None], visible[None])
     pred, _ = _decode_batch(model, latents, masked[None], visible[None])
-    return depatchify(pred[0], model.config.patch_size)
+    return depatchify(pred, model.config.patch_size)[0]
 
 
 def masked_mse(pred_image, true_image, masked_idx, patch_size=10):
     """The training loss of one image pair, through the production masked
     difference and the loss's float64 mean."""
-    pred = patchify(np.asarray(pred_image), patch_size)[None]
-    true = patchify(np.asarray(true_image), patch_size)[None]
+    pred = patchify(np.asarray(pred_image)[None], patch_size)
+    true = patchify(np.asarray(true_image)[None], patch_size)
     diff = _masked_diff(pred, true, masked_idx[None])
     return float(np.mean(diff.astype(np.float64) ** 2))
 
@@ -83,22 +81,22 @@ def rand_image(seed=0):
 
 class TestPatchify:
     def test_patch_count_and_size(self):
-        patches = patchify(rand_image(), 10)
-        assert patches.shape == (100, 100)
+        patches = patchify(rand_image()[None], 10)
+        assert patches.shape == (1, 100, 100)
 
     def test_constant_image(self):
-        patches = patchify(np.full((100, 100), 3.5), 20)
-        assert patches.shape == (25, 400)
+        patches = patchify(np.full((1, 100, 100), 3.5), 20)
+        assert patches.shape == (1, 25, 400)
         assert (patches == 3.5).all()
 
     def test_round_trip_bit_exact_50_images(self):
         for seed in range(50):
-            img = rand_image(seed)
+            img = rand_image(seed)[None]
             assert np.array_equal(depatchify(patchify(img, 10), 10), img)
 
     @pytest.mark.parametrize("p", DIVISORS_OF_100)
     def test_round_trip_all_divisors(self, p):
-        img = rand_image(1)
+        img = rand_image(1)[None]
         assert np.array_equal(depatchify(patchify(img, p), p), img)
 
     @settings(max_examples=30, deadline=None)
@@ -112,13 +110,13 @@ class TestPatchify:
 
     def test_indivisible_patch_size(self):
         with pytest.raises(ConfigError):
-            patchify(rand_image(), 7)
+            patchify(rand_image()[None], 7)
 
     def test_row_major_grid_order(self):
-        img = np.arange(10000, dtype=float).reshape(100, 100)
+        img = np.arange(10000, dtype=float).reshape(1, 100, 100)
         patches = patchify(img, 10)
         # patch 1 is the grid cell at row 0, columns 10..19
-        assert np.array_equal(patches[1], img[0:10, 10:20].reshape(-1))
+        assert np.array_equal(patches[0, 1], img[0, 0:10, 10:20].reshape(-1))
 
 
 class TestMasking:
@@ -205,10 +203,9 @@ class TestPretrainLoss:
     def test_constant_offset_closed_form(self):
         img = rand_image(2)
         masked, _ = sample_mask(100, 0.8, 1)
-        pred = img.copy()
-        patches = patchify(pred, 10)
-        patches[masked] += 0.3
-        pred = depatchify(patches, 10)
+        patches = patchify(img[None], 10)
+        patches[0, masked] += 0.3
+        pred = depatchify(patches, 10)[0]
         assert masked_mse(pred, img, masked) == pytest.approx(0.09, rel=1e-12)
 
     def test_visible_perturbation_invariance_exact(self):
@@ -216,10 +213,10 @@ class TestPretrainLoss:
         masked, visible = sample_mask(100, 0.8, 2)
         pred = img + 0.1
         base = masked_mse(pred, img, masked)
-        patches = patchify(pred, 10)
-        patches[visible] += np.random.default_rng(0).normal(
+        patches = patchify(pred[None], 10)
+        patches[0, visible] += np.random.default_rng(0).normal(
             size=(20, 100)) * 100
-        perturbed = depatchify(patches, 10)
+        perturbed = depatchify(patches, 10)[0]
         assert masked_mse(perturbed, img, masked) == base
 
     def test_empty_masked_set_rejected(self):
@@ -487,6 +484,9 @@ class TestParamCount:
             assert d % cfg.d_heads == 0 and d // cfg.d_heads >= 8 or d == 16
 
 
+DROP = object()   # a header key to delete
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, tiny_model):
         path = tmp_path / "model.ckpt"
@@ -522,6 +522,25 @@ class TestCheckpoint:
         blob[len(blob) // 2] ^= 0x55
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("e_dim", "x", "bad config value"),
+        ("mask_ratio", None, "bad config value"),
+        ("n_blocks", [3], "bad config value"),
+        ("e_dim", DROP, "missing config field 'e_dim'"),
+        ("has_decoder", DROP, "missing config field 'has_decoder'"),
+    ])
+    def test_bad_config_header_rejected(self, tmp_path, tiny_model, key, value, match):
+        path = tmp_path / "model.ckpt"
+        save_model(tiny_model, path)
+        meta, tensors = read_container(path, CHECKPOINT_MAGIC)
+        if value is DROP:
+            del meta[key]
+        else:
+            meta[key] = value
+        write_container(path, CHECKPOINT_MAGIC, meta, tensors)
+        with pytest.raises(FormatError, match=match):
             load_model(path)
 
     def test_checkpoint_48_32_under_0p7_mb(self, tmp_path):

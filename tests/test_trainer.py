@@ -81,6 +81,10 @@ class TestSchedule:
         after = values[8:]
         assert all(a >= b for a, b in zip(after, after[1:]))
 
+    def test_all_warmup_plan_only_ramps(self):
+        plan = TrainPlan(base_lr=1e-3, epochs=5, warmup_epochs=5)
+        assert [lr_at(plan, e) for e in range(5)] == [1e-3 * e / 5 for e in range(5)]
+
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
             lr_at(pretrain_plan(), 200)
@@ -279,7 +283,8 @@ class TestPhases:
         plan = TrainPlan(base_lr=1e-4, epochs=3,
                          warmup_epochs=0, batch_size=4, seed=3)
         student_a = attach_regression_head(build_model(TINY, seed=9), seed=10)
-        log_a = finetune_kd(student_a, None, windows, plan, KDConfig(alpha_kd=0.0))
+        unused_teacher = build_model(TINY, seed=11)   # no head: alpha_kd = 0 never runs it
+        log_a = finetune_kd(student_a, unused_teacher, windows, plan, KDConfig(alpha_kd=0.0))
         student_b = attach_regression_head(build_model(TINY, seed=9), seed=10)
         log_b = _regression_loop(student_b, windows, plan,
                                  lambda images, y: lambda yhat, idx: mae_loss(yhat, y[idx]))
@@ -292,8 +297,6 @@ class TestPhases:
         plan = TrainPlan(base_lr=1e-4, epochs=1,
                          warmup_epochs=0, batch_size=4, seed=0)
         student = attach_regression_head(build_model(TINY, seed=1), seed=2)
-        with pytest.raises(ConfigError):
-            finetune_kd(student, None, windows, plan, KDConfig())
         teacher_base = build_model(TINY, seed=3)
         with pytest.raises(ConfigError):
             finetune_kd(student, teacher_base, windows, plan, KDConfig())
