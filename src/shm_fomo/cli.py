@@ -29,8 +29,10 @@ subcommand does not read is ignored, so one file can serve several
 subcommands. A dataset is one file: ``preprocess`` writes
 ``<run>/dataset.shmd``, and the ``*dataset`` paths name such a file.
 
-Exit codes: 0 success, 2 usage error, 3 malformed config, 4 missing or
-malformed input file (checkpoint, dataset, manifest, recording).
+Exit codes: 0 success, 2 usage error, 3 malformed config, 4 one ``input
+error:`` line for any ``OSError`` or ``FormatError``: an input file (checkpoint,
+dataset, manifest, recording) that is missing, a directory or malformed, and
+an ``OSError`` while writing the run directory. Inputs get no pre-checks.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ import numpy as np
 from . import __version__, baselines, evaluation, mae_model, synth_bench, trainer
 from .anomaly_head import ThresholdConfig, calibrate_threshold, write_decisions_csv
 from .errors import ConfigError, DataError, FormatError, ShmFomoError
-from .io_formats import (config_hash, load_dataset, load_manifest,
-                         load_recording_binary, load_recording_csv,
+from .io_formats import (config_hash, load_dataset, load_manifest, load_recording,
                          save_dataset, save_manifest, save_recording_binary)
 from .mae_model import ModelConfig
 from .signal_pipeline import (TAG_ANOMALY, TAG_NORMAL, PipelineConfig,
@@ -181,34 +182,18 @@ def _global_seed(args, cfg) -> int:
     return exp["seed"] if args.seed is None else args.seed
 
 
-def _load_recording(path: Path):
-    if not path.is_file():
-        raise FileNotFoundError(f"recording not found: {path}")
-    if path.suffix == ".csv":
-        return load_recording_csv(path)
-    return load_recording_binary(path)
-
-
 def _manifest_recordings(manifest_path: Path, states=None):
     """(entry, recording) per manifest entry; with ``states``, others go unread."""
     for entry in load_manifest(manifest_path):
         if states is None or entry.get("state") in states:
-            yield entry, _load_recording(manifest_path.parent / entry["file"])
+            yield entry, load_recording(manifest_path.parent / entry["file"])
 
 
 def _load_dataset(path: Path):
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
     windows = load_dataset(path)
     if not windows:
         raise FormatError(f"{path}: dataset holds no windows")
     return windows
-
-
-def _load_checkpoint(path: Path):
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"checkpoint not found: {path}")
-    return mae_model.load_model(path)
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +241,23 @@ def cmd_preprocess(args, cfg, run_dir: Path) -> int:
     (input_path,) = paths_of(cfg, "input")
     if input_path.is_dir():
         input_path = input_path / "manifest.json"
-    if not input_path.is_file():
-        raise FileNotFoundError(f"input not found: {input_path}")
     recs, tags = [], []
     if input_path.suffix == ".json":
         for entry, rec in _manifest_recordings(input_path):
             recs.append(rec)
             tags.append(_STATE_TO_TAG.get(entry.get("state")))
     else:
-        recs.append(_load_recording(input_path))
+        recs.append(load_recording(input_path))
         tags.append(None)
     result = build_dataset(recs, pipe, tags=tags)
     out_path = run_dir / DATASET_FILE
     save_dataset(result.windows, out_path)
+    dropped = result.n_candidates - len(result.windows)
     summary = {"windows": len(result.windows), "candidates": result.n_candidates,
-               "dropped_by_energy_filter": result.n_dropped}
+               "dropped_by_energy_filter": dropped}
     (run_dir / "preprocess.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"kept {len(result.windows)}/{result.n_candidates} windows "
-          f"({result.n_dropped} dropped); dataset at {out_path}")
+          f"({dropped} dropped); dataset at {out_path}")
     return 0
 
 
@@ -314,7 +298,7 @@ def _save_training_outputs(model, log, run_dir: Path, plan, cfg_note: str) -> No
 
 def cmd_finetune_ad(args, cfg, run_dir: Path) -> int:
     (data_path, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
-    model = _load_checkpoint(ckpt_in)
+    model = mae_model.load_model(ckpt_in)
     windows = _load_dataset(data_path)
     plan = _train_plan(cfg, trainer.finetune_ad_plan, args.seed,
                       mask_ratio=model.config.mask_ratio)
@@ -325,7 +309,7 @@ def cmd_finetune_ad(args, cfg, run_dir: Path) -> int:
 
 def cmd_finetune_tle(args, cfg, run_dir: Path) -> int:
     (data_path, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
-    model = _load_checkpoint(ckpt_in)
+    model = mae_model.load_model(ckpt_in)
     windows = _load_dataset(data_path)
     plan = _train_plan(cfg, trainer.finetune_tle_plan, args.seed)
     student = mae_model.attach_regression_head(model, seed=derive_seed(args.seed, "reg_head"))
@@ -338,8 +322,8 @@ def cmd_distill(args, cfg, run_dir: Path) -> int:
     (data_path, ckpt_in, teacher_path) = paths_of(cfg, "dataset", "checkpoint", "teacher")
     plan = _train_plan(cfg, trainer.finetune_tle_plan, args.seed)
     kd = build_from_section(KDConfig, section(cfg, "kd"))
-    student_base = _load_checkpoint(ckpt_in)
-    teacher = _load_checkpoint(teacher_path)
+    student_base = mae_model.load_model(ckpt_in)
+    teacher = mae_model.load_model(teacher_path)
     windows = _load_dataset(data_path)
     student = mae_model.attach_regression_head(student_base,
                                                seed=derive_seed(args.seed, "reg_head"))
@@ -352,7 +336,7 @@ def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
     (train_path, calib_path, test_path, ckpt) = paths_of(
         cfg, "train_dataset", "calibration_dataset", "test_dataset", "checkpoint")
     thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
-    model = _load_checkpoint(ckpt)
+    model = mae_model.load_model(ckpt)
     eval_seed = derive_seed(args.seed, "eval_ad")
     train_err = mae_model.reconstruction_errors(model, _load_dataset(train_path),
                                                 base_seed=eval_seed)
@@ -386,7 +370,7 @@ def _detection_report(run_dir: Path, thr_cfg: ThresholdConfig, model_id: str,
 
 def cmd_eval_tle(args, cfg, run_dir: Path) -> int:
     (test_path, ckpt) = paths_of(cfg, "test_dataset", "checkpoint")
-    model = _load_checkpoint(ckpt)
+    model = mae_model.load_model(ckpt)
     windows = _load_dataset(test_path)
     y_true = np.array([w.target for w in windows], dtype=np.float64)
     y_pred = mae_model.regress_predictions(model, [w.image for w in windows])
@@ -489,9 +473,9 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
     return 0
 
 
-def cmd_describe(args, cfg, run_dir) -> int:
+def cmd_describe(args) -> int:
     path = Path(args.checkpoint)
-    model = _load_checkpoint(path)
+    model = mae_model.load_model(path)
     meta = mae_model.load_meta(path)
     cfg_m = model.config
     print(f"checkpoint        {path}")
@@ -534,25 +518,26 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("checkpoint", help="checkpoint file to inspect")
         if needs_config:
             p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="global seed override")
-        p.add_argument("--out", default=None,
-                       help=f"output root (default ${ENV_OUT} or ./runs)")
+            p.add_argument("--seed", type=int, default=None, help="global seed override")
+            p.add_argument("--out", default=None,
+                           help=f"output root (default ${ENV_OUT} or ./runs)")
     return parser
 
 
 def run(argv) -> int:
     """Parse ``argv``, read the config once and run the subcommand. Handlers
-    find the resolved global seed in ``args.seed``."""
+    find the resolved global seed in ``args.seed``; ``describe`` reads no
+    config and gets ``args`` alone."""
     args = build_parser().parse_args(argv)
     handler, needs_config = COMMANDS[args.command]
-    cfg = load_config(args.config) if needs_config else configparser.ConfigParser()
+    if not needs_config:
+        return handler(args)
+    cfg = load_config(args.config)
     args.seed = _global_seed(args, cfg)
-    run_dir = None
-    if needs_config:
-        cfg_sha = config_hash({s: dict(cfg[s]) for s in cfg.sections()})
-        out_root = Path(args.out or os.environ.get(ENV_OUT, "runs"))
-        run_dir = make_run_dir(out_root, args.command, cfg_sha)
-        write_run_info(run_dir, args.command, args.config, cfg_sha, args.seed)
+    cfg_sha = config_hash({s: dict(cfg[s]) for s in cfg.sections()})
+    out_root = Path(args.out or os.environ.get(ENV_OUT, "runs"))
+    run_dir = make_run_dir(out_root, args.command, cfg_sha)
+    write_run_info(run_dir, args.command, args.config, cfg_sha, args.seed)
     return handler(args, cfg, run_dir)
 
 
@@ -562,7 +547,7 @@ def main() -> None:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = 3
-    except (FileNotFoundError, FormatError) as exc:
+    except (OSError, FormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         code = 4
     except ShmFomoError as exc:

@@ -22,7 +22,7 @@ class FormatError(ShmFomoError):
 
 
 class CalibrationError(ShmFomoError):
-    """Threshold calibration did not terminate within its step budget."""
+    """The threshold grid cannot reach the largest calibration error."""
 
 
 class DivergenceError(ShmFomoError):

@@ -5,19 +5,24 @@ Every binary artifact is one named-tensor container (``write_container`` /
 little-endian float32 tensors and a CRC32, so files round-trip bit-exactly,
 corruption is detected on load, and non-Python tooling can read them. The
 magic names the kind: ``SHMR`` a recording, ``SHMD`` a dataset, ``MAEC`` a
-model checkpoint (``mae_model.CHECKPOINT_MAGIC``).
+model checkpoint (``mae_model.CHECKPOINT_MAGIC``). A container loads in one
+bounded pass: each tensor is read once, into its own array, after its length
+is checked against the file size, and the CRC is checked before anything is
+returned.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .signal_pipeline import RawRecording, SpectrogramWindow, SPEC_SIZE
 
 RECORDING_MAGIC = b"SHMR"
@@ -64,25 +69,36 @@ def load_recording_binary(path) -> RawRecording:
     return RawRecording(samples=samples, fs=fs, labels=labels)
 
 
+def load_recording(path) -> RawRecording:
+    """The recording in a ``.csv`` file or a binary container; contents that
+    RawRecording rejects (``fs = 0``, a label of 3) are a FormatError."""
+    try:
+        if Path(path).suffix == ".csv":
+            return load_recording_csv(path)
+        return load_recording_binary(path)
+    except (ConfigError, DataError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def load_recording_csv(path) -> RawRecording:
     """Read the CSV format; the sampling rate comes from the timestamps."""
     times, samples, labels = [], [], []
     any_label = False
-    with open(path) as f:
-        for row, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("timestamp"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise FormatError(f"{path}: malformed row {row}: {line!r}")
+    with open(path, "rb") as f:
+        for row, raw in enumerate(f, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line or line.startswith("timestamp"):
+                    continue
+                parts = line.split(",")
+                if len(parts) < 2:
+                    raise ValueError("needs a timestamp and a sample")
                 times.append(float(parts[0]))
                 samples.append(float(parts[1]))
                 has_label = len(parts) > 2 and parts[2] != ""
                 labels.append(int(parts[2]) if has_label else 0)
             except ValueError as exc:
-                raise FormatError(f"{path}: row {row}: {line!r}: {exc}") from exc
+                raise FormatError(f"{path}: row {row}: {raw.strip()!r}: {exc}") from exc
             any_label = any_label or has_label
     return RawRecording(
         samples=np.asarray(samples),
@@ -142,47 +158,48 @@ def write_container(path, magic: bytes, meta: dict, tensors: dict[str, np.ndarra
 
 
 def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    blob = Path(path).read_bytes()
-    if len(blob) < 12:
-        raise FormatError(f"{path}: file too short")
-    if blob[:4] != magic:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
-    body, crc_stored = memoryview(blob)[4:-4], struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) != crc_stored:
-        raise FormatError(f"{path}: checksum mismatch (corrupted file)")
+    """The metadata and tensors of a ``write_container`` file, in one bounded
+    pass; a file that breaks the layout or fails its CRC32 is a FormatError."""
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size - 4   # where the CRC starts
+        head = f.read(4)
+        if head != magic:
+            raise FormatError(f"{path}: bad magic {head!r}, expected {magic!r}")
+        off, crc = 4, 0
 
-    off = 0
+        def take(n: int, alloc=bytearray):
+            nonlocal off, crc
+            # the size check comes first, so nothing past the file is allocated
+            if off + n > end or f.readinto(buf := alloc(n)) != n:
+                raise FormatError(f"{path}: truncated at offset {off}")
+            off += n
+            crc = zlib.crc32(buf, crc)
+            return buf
 
-    def take(n: int) -> memoryview:
-        nonlocal off
-        if off + n > len(body):
-            raise FormatError(f"{path}: truncated at offset {off}")
-        chunk = body[off:off + n]
-        off += n
-        return chunk
-
-    (version,) = struct.unpack("<I", take(4))
-    if version != CONTAINER_VERSION:
-        raise FormatError(f"{path}: unsupported container version {version}")
-    (meta_len,) = struct.unpack("<I", take(4))
-    try:
-        meta = json.loads(str(take(meta_len), "utf-8"))
-    except ValueError as exc:
-        raise FormatError(f"{path}: metadata is not valid JSON ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: metadata is not a JSON object")
-    (n_tensors,) = struct.unpack("<I", take(4))
-    tensors = {}
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = str(take(name_len), "utf-8")
-        (rank,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(take(size * 4), dtype="<f4").reshape(shape)
-        tensors[name] = data.copy()
-    if off != len(body):
-        raise FormatError(f"{path}: {len(body) - off} trailing bytes in container")
+        (version, meta_len) = struct.unpack("<II", take(8))
+        if version != CONTAINER_VERSION:
+            raise FormatError(f"{path}: unsupported container version {version}")
+        try:
+            meta = json.loads(str(take(meta_len), "utf-8"))
+        except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
+            raise FormatError(f"{path}: metadata is not valid JSON ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: metadata is not a JSON object")
+        (n_tensors,) = struct.unpack("<I", take(4))
+        tensors = {}
+        for _ in range(n_tensors):
+            try:   # a name that is not UTF-8, or more dimensions than numpy allows
+                (name_len,) = struct.unpack("<H", take(2))
+                name = str(take(name_len), "utf-8")
+                (rank,) = struct.unpack("<B", take(1))
+                shape = struct.unpack(f"<{rank}I", take(4 * rank))
+                tensors[name] = take(4 * math.prod(shape), lambda n: np.empty(shape, "<f4"))
+            except ValueError as exc:
+                raise FormatError(f"{path}: malformed tensor header ({exc})") from exc
+        if off != end:
+            raise FormatError(f"{path}: {end - off} trailing bytes in container")
+        if f.read(4) != struct.pack("<I", crc):
+            raise FormatError(f"{path}: checksum mismatch (corrupted file)")
     return meta, tensors
 
 
@@ -214,10 +231,6 @@ def save_dataset(windows, path) -> None:
 def load_dataset(path) -> list[SpectrogramWindow]:
     """The windows of a ``save_dataset`` file; their float32 images are rows of
     one array."""
-    path = Path(path)
-    if path.is_dir():
-        raise FormatError(f"{path}: a directory, as in the old one-file-per-window "
-                          "dataset format; a dataset is now one file (run preprocess again)")
     meta, tensors = read_container(path, DATASET_MAGIC)
     images, targets = tensors.get("images"), tensors.get("targets")
     tags, starts = meta.get("tags"), meta.get("start_index")
@@ -252,7 +265,7 @@ def load_manifest(path) -> list[dict]:
     with open(path) as f:
         try:
             entries = json.load(f)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(entries, list):
         raise FormatError(f"{path}: a manifest is a list of entries")

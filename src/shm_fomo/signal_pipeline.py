@@ -233,11 +233,11 @@ def compute_target(labels: np.ndarray, k) -> float:
 
 @dataclass
 class DatasetBuildResult:
-    """Output of build_dataset: kept windows plus filter bookkeeping."""
+    """Output of build_dataset: the kept windows and the number of candidate
+    windows they were kept from."""
 
     windows: list[SpectrogramWindow] = field(default_factory=list)
     n_candidates: int = 0
-    n_dropped: int = 0
 
 
 def kept_windows(rec: RawRecording, cfg: PipelineConfig) -> tuple[int, list, Optional[list]]:
@@ -265,8 +265,8 @@ def build_dataset(
 
     ``tags`` optionally assigns one "normal"/"anomaly" tag per recording to all
     of its windows. Temporal order is preserved within each recording; the
-    returned result also records how many candidate windows the energy filter
-    dropped.
+    returned result also counts the candidate windows, so the energy filter
+    dropped ``n_candidates - len(windows)``.
     """
     if tags is not None and len(tags) != len(recs):
         raise DataError("tags must align one-to-one with recordings")
@@ -279,14 +279,13 @@ def build_dataset(
         tag = tags[r] if tags is not None else None
         n_candidates, kept, targets = kept_windows(rec, cfg)
         result.n_candidates += n_candidates
-        result.n_dropped += n_candidates - len(kept)
         for i, w in enumerate(kept):
             result.windows.append(SpectrogramWindow(
                 image=spectrogram(normalize(w)).astype(np.float32),
                 target=None if targets is None else targets[i],
                 tag=tag, start_index=w.start_index))
     if result.n_candidates and not result.windows:
-        logger.warning("energy filter dropped all %d candidate windows", result.n_dropped)
+        logger.warning("energy filter dropped all %d candidate windows", result.n_candidates)
     return result
 
 

@@ -2,6 +2,7 @@ import configparser
 import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from shm_fomo import baselines, cli, mae_model, trainer
 from shm_fomo.anomaly_head import FILTER_LENGTHS
 from shm_fomo.errors import ConfigError, DataError
-from shm_fomo.io_formats import (load_dataset, load_manifest, save_dataset,
-                                 save_manifest, save_recording_binary)
+from shm_fomo.io_formats import (RECORDING_MAGIC, load_dataset, load_manifest, save_dataset,
+                                 save_manifest, save_recording_binary, write_container)
 from shm_fomo.mae_model import ModelConfig, build_model, save_model
 from shm_fomo.signal_pipeline import PipelineConfig, build_dataset
 from shm_fomo.synth_bench import BridgeConfig, TrafficConfig, gen_ambient, gen_traffic
@@ -252,7 +253,7 @@ class TestExitCodes:
         cfg.write_text("[paths]\ncheckpoint = /nonexistent.ckpt\n")
         code, err = exit_code_of(["describe", "/nonexistent.ckpt"])
         assert code == 4
-        assert "not found" in err
+        assert err.startswith("input error:") and "/nonexistent.ckpt" in err
 
     def test_unknown_config_key_in_process(self, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -417,7 +418,7 @@ def test_old_dataset_directory_exits_4(tmp_path, monkeypatch, capsys):
     code = main_exit_code(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "runs")],
                           monkeypatch)
     assert code == 4
-    assert "one-file-per-window" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_non_numeric_csv_cell_exits_4(tmp_path, monkeypatch, capsys):
@@ -455,6 +456,65 @@ def test_corrupt_or_old_recording_exits_4(tmp_path, monkeypatch, capsys, spoil, 
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("input error:") and message in err
+
+
+def _huge_shape_checkpoint(tmp_path):
+    """A checkpoint with a valid CRC whose one tensor claims shape (65536,) * 4."""
+    body = (struct.pack("<II", 1, 2) + b"{}" + struct.pack("<IH", 1, 1) + b"w"
+            + struct.pack("<B4I", 4, *(65536,) * 4))
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(mae_model.CHECKPOINT_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+    return ["describe", str(path)]
+
+
+def _preprocess(tmp_path, input_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[paths]\ninput = {input_path}\n")
+    return ["preprocess", "--config", str(cfg), "--out", str(tmp_path / "runs")]
+
+
+def _manifest_directory(tmp_path):
+    (tmp_path / "m").mkdir()
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[baseline]\nmode = knn-tle\n[paths]\ntrain_manifest = {tmp_path / 'm'}\n"
+                   f"test_manifest = {tmp_path / 'm'}\n")
+    return ["baseline", "--config", str(cfg), "--out", str(tmp_path / "runs")]
+
+
+def _non_utf8_csv(tmp_path):
+    csv = tmp_path / "r.csv"
+    csv.write_bytes(b"timestamp,accel_z,label\n0.00,0.1,\n0.01,0.2\xff,\n0.02,0.3,\n")
+    return _preprocess(tmp_path, csv)
+
+
+def _binary_recording(meta, labels=None):
+    def argv(tmp_path):
+        tensors = {"samples": np.ones(1000, np.float32)}
+        if labels is not None:
+            tensors["labels"] = np.full(1000, labels, np.float32)
+        write_container(tmp_path / "r.bin", RECORDING_MAGIC, meta, tensors)
+        return _preprocess(tmp_path, tmp_path / "r.bin")
+    return argv
+
+
+@pytest.mark.parametrize("bad_input", [
+    _manifest_directory, _non_utf8_csv, _binary_recording({"fs": 0}),
+    _binary_recording({"fs": 100}, labels=3), _huge_shape_checkpoint,
+], ids=["directory-manifest", "non-utf8-csv", "fs-0", "label-3", "huge-shape-checkpoint"])
+def test_bad_input_file_is_one_input_error_line(tmp_path, monkeypatch, capsys, bad_input):
+    code = main_exit_code(bad_input(tmp_path), monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.splitlines()) == 1 and err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+def test_describe_takes_no_seed_or_out(tmp_path, monkeypatch):
+    ckpt = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
+    for extra in (["--out", str(tmp_path / "d")], ["--seed", "5"]):
+        assert main_exit_code(["describe", str(ckpt), *extra], monkeypatch) == 2
+    assert not (tmp_path / "d").exists()
 
 
 def test_eval_ad_decisions_carry_start_index(tmp_path):
@@ -658,6 +718,7 @@ def test_baseline_pca_ad_scores_the_windows_preprocess_keeps(tmp_path):
 
 @pytest.mark.parametrize("text", [
     "[{\"file\": \"a.bin\",",                       # not JSON
+    pytest.param("[" * 100_000, id="nested-past-the-parser-limit"),
     "{\"file\": \"a.bin\"}",                        # not a list
     "[\"a.bin\"]",                                   # entry not an object
     "[{\"state\": \"normal\"}]",                    # entry without a file
@@ -711,7 +772,7 @@ def test_bad_threshold_exits_3_before_scoring(tmp_path, monkeypatch):
                                            ("pca-ad", "cf = 0")])
 def test_baseline_argument_out_of_range_exits_3(tmp_path, monkeypatch, traffic_data,
                                                 mode, setting):
-    monkeypatch.setattr(cli, "_load_recording", _never_called)   # checked before any read
+    monkeypatch.setattr(cli, "load_recording", _never_called)   # checked before any read
     if mode == "pca-ad":
         cfg = _pca_config(tmp_path, _normal_and_damaged(tmp_path))
         cfg.write_text(cfg.read_text().replace("cf = 50", setting))

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -14,6 +15,7 @@ from shm_fomo.io_formats import (
     config_hash,
     load_dataset,
     load_manifest,
+    load_recording,
     load_recording_binary,
     load_recording_csv,
     read_container,
@@ -148,6 +150,32 @@ def test_recording_binary_keeps_recording_checks(tmp_path, meta, tensors, error)
         load_recording_binary(path)
 
 
+@pytest.mark.parametrize("meta, tensors, match", [
+    ({"fs": 0}, {"samples": SAMPLES}, "sampling rate"),
+    ({"fs": 100}, {"samples": [0, 1, np.nan, 3, 4, 5]}, "non-finite"),
+    ({"fs": 100}, {"samples": SAMPLES, "labels": [0, 1, 3, 2, 0, 0]}, "labels outside"),
+    ({"fs": 100}, {"samples": SAMPLES, "labels": [0, 1, 2]}, "labels length"),
+])
+def test_load_recording_makes_recording_checks_format_errors(tmp_path, meta, tensors, match):
+    path = tmp_path / "rec.bin"
+    write_container(path, RECORDING_MAGIC, meta, tensors)
+    with pytest.raises(FormatError, match=match):
+        load_recording(path)
+
+
+def test_load_recording_reads_csv_by_suffix(tmp_path):
+    rec = RawRecording(samples=np.arange(5, dtype=np.float64), fs=50, labels=[0, 1, 2, 0, 0])
+    path = tmp_path / "rec.csv"
+    save_recording_csv(rec, path)
+    back = load_recording(path)
+    assert back.fs == 50
+    assert np.array_equal(back.samples, rec.samples)
+    assert np.array_equal(back.labels, rec.labels)
+    path.write_text("timestamp,accel_z,label\n0.00,0.1,3\n0.01,0.2,0\n")
+    with pytest.raises(FormatError, match="labels outside"):
+        load_recording(path)
+
+
 def test_recording_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     rec = RawRecording(samples=rng.normal(size=50),
@@ -277,7 +305,7 @@ def test_dataset_rejects_old_directory_format(tmp_path):
     d = tmp_path / "dataset"
     d.mkdir()
     (d / "win_000000.bin").write_bytes(b"\x00" * (100 * 100 * 4 + 5))
-    with pytest.raises(FormatError, match="one-file-per-window"):
+    with pytest.raises(OSError):
         load_dataset(d)
 
 
@@ -322,6 +350,24 @@ def test_container_bytes_pinned(tmp_path):
 def test_recording_csv_non_numeric_cell(tmp_path, row):
     path = tmp_path / "r.csv"
     path.write_text(f"timestamp,accel_z,label\n0.00,0.1,\n{row}\n0.02,0.3,\n")
+    with pytest.raises(FormatError, match="row 3"):
+        load_recording_csv(path)
+
+
+@pytest.mark.parametrize("text, row", [
+    (b"timestamp,accel_z,label\n0.00,0.1,\n0.01,\xff,\n0.02,0.3,\n", 3),
+    (b"\xfftimestamp,accel_z,label\n0.00,0.1,\n0.01,0.2,\n", 1),   # before any row decodes
+])
+def test_recording_csv_non_utf8_row(tmp_path, text, row):
+    path = tmp_path / "r.csv"
+    path.write_bytes(text)
+    with pytest.raises(FormatError, match=f"row {row}: .*utf-8"):
+        load_recording_csv(path)
+
+
+def test_recording_csv_row_without_a_sample(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("timestamp,accel_z,label\n0.00,0.1,\n0.01\n0.02,0.3,\n")
     with pytest.raises(FormatError, match="row 3"):
         load_recording_csv(path)
 
@@ -375,6 +421,52 @@ def test_container_metadata_must_be_a_json_object(tmp_path):
     path.write_bytes(b"TEST" + body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(FormatError, match="not valid JSON"):
         read_container(path, b"TEST")
+
+
+def signed_container(path, magic, meta_blob, tensor_head, payload=b""):
+    """A container of one tensor, written by hand with a valid CRC."""
+    body = (struct.pack("<II", 1, len(meta_blob)) + meta_blob + struct.pack("<I", 1)
+            + tensor_head + payload)
+    path.write_bytes(magic + body + struct.pack("<I", zlib.crc32(body)))
+
+
+@pytest.mark.parametrize("meta_blob, name, rank, match", [
+    pytest.param(b"\xff", b"w", 0, "not valid JSON", id="meta-not-utf8"),
+    pytest.param(b"[" * 100_000, b"w", 0, "not valid JSON", id="meta-nested-past-the-limit"),
+    pytest.param(b"{}", b"\xff", 0, "tensor header", id="name-not-utf8"),
+    pytest.param(b"{}", b"w", 65, "tensor header", id="past-numpy-max-rank"),
+])
+def test_container_header_must_be_readable(tmp_path, meta_blob, name, rank, match):
+    path = tmp_path / "box.bin"
+    signed_container(path, b"TEST", meta_blob,
+                     struct.pack(f"<H{len(name)}sB{rank}I", len(name), name, rank, *[1] * rank),
+                     b"\0" * 4)
+    with pytest.raises(FormatError, match=match):
+        read_container(path, b"TEST")
+
+
+def test_container_shape_past_the_file_rejected(tmp_path):
+    # (65536,) * 4 is 2**64 elements: an int64 product wraps to 0 and once let
+    # this shape through to a failing reshape
+    path = tmp_path / "box.bin"
+    signed_container(path, b"TEST", b"{}",
+                     struct.pack("<H", 1) + b"w" + struct.pack("<B4I", 4, *(65536,) * 4))
+    with pytest.raises(FormatError, match="truncated"):
+        read_container(path, b"TEST")
+
+
+def test_container_load_holds_each_tensor_once(tmp_path):
+    tensor = np.arange(2 * 2 ** 20, dtype=np.float32)   # 8 MB
+    path = tmp_path / "big.bin"
+    write_container(path, b"TEST", {"n": 1}, {"x": tensor})
+    tracemalloc.start()
+    try:
+        _, tensors = read_container(path, b"TEST")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(tensors["x"], tensor)
+    assert peak <= 1.1 * tensor.nbytes
 
 
 def test_container_magic_must_be_4_bytes(tmp_path):
