@@ -13,8 +13,9 @@ unknown key or a value of the wrong type is a config error):
   ``count``, plus the fields of ``synth_bench.BridgeConfig``.
 - ``[traffic]``: ``synth_bench.TrafficConfig``.
 - ``[pipeline]``: ``signal_pipeline.PipelineConfig``.
-- ``[model]``: ``mae_model.ModelConfig``. Its ``mask_ratio`` alone sets the
-  ratio pretraining masks at; ``finetune-ad`` takes it from the checkpoint.
+- ``[model]``: ``mae_model.ModelConfig``: ``e_dim`` and ``d_dim``, a pair of
+  ``mae_model.SIZE_FAMILY``, and ``mask_ratio``, which alone sets the ratio
+  pretraining masks at; ``finetune-ad`` takes it from the checkpoint.
 - ``[train]``, and the ablation's ``[finetune]``: ``trainer.TrainPlan``
   without ``mask_ratio``, laid over the defaults of the subcommand's phase.
   The model sets the mask ratio.
@@ -43,6 +44,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -476,18 +478,17 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
 def cmd_describe(args) -> int:
     path = Path(args.checkpoint)
     model = mae_model.load_model(path)
-    meta = mae_model.load_meta(path)
     cfg_m = model.config
     print(f"checkpoint        {path}")
     print(f"embedding dims    encoder {cfg_m.e_dim}, decoder {cfg_m.d_dim}")
-    print(f"blocks/heads      {cfg_m.n_blocks} blocks; {cfg_m.e_heads}/{cfg_m.d_heads} heads")
-    print(f"patch/mask        {cfg_m.patch_size}px patches, mask ratio {cfg_m.mask_ratio}")
+    print(f"blocks/heads      {mae_model.N_BLOCKS} blocks; {cfg_m.e_heads}/{cfg_m.d_heads} heads")
+    print(f"patch/mask        {mae_model.PATCH_SIZE}px patches, mask ratio {cfg_m.mask_ratio}")
     print(f"decoder present   {model.has_decoder}")
     print(f"regression head   {model.has_reg_head}")
     print(f"trainable params  {model.n_params()}")
     print(f"file size         {path.stat().st_size} bytes "
           f"({path.stat().st_size / 1e6:.3f} MB)")
-    print(f"provenance        {meta.get('provenance', '')!r}")
+    print(f"provenance        {model.provenance!r}")
     return 0
 
 
@@ -527,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Parse ``argv``, read the config once and run the subcommand. Handlers
     find the resolved global seed in ``args.seed``; ``describe`` reads no
-    config and gets ``args`` alone."""
+    config and gets ``args`` alone. A run that raises removes its run
+    directory and re-raises; one that returns non-zero keeps it."""
     args = build_parser().parse_args(argv)
     handler, needs_config = COMMANDS[args.command]
     if not needs_config:
@@ -537,8 +539,12 @@ def run(argv) -> int:
     cfg_sha = config_hash({s: dict(cfg[s]) for s in cfg.sections()})
     out_root = Path(args.out or os.environ.get(ENV_OUT, "runs"))
     run_dir = make_run_dir(out_root, args.command, cfg_sha)
-    write_run_info(run_dir, args.command, args.config, cfg_sha, args.seed)
-    return handler(args, cfg, run_dir)
+    try:
+        write_run_info(run_dir, args.command, args.config, cfg_sha, args.seed)
+        return handler(args, cfg, run_dir)
+    except BaseException:
+        shutil.rmtree(run_dir, ignore_errors=True)
+        raise
 
 
 def main() -> None:

@@ -1,15 +1,19 @@
 """Masked autoencoder over spectrogram patches, plus its regression variant.
 
-The model is a flat dict of named numpy arrays: a linear patch embedding, a
-3-block pre-norm transformer encoder, a trainable mask token, a 3-block
-decoder reconstructing masked patches, and (after the head swap for traffic
-estimation) a single linear output neuron on the mean-pooled latents.
-Positional tables are fixed 2-D sinusoids and are not trained or persisted.
+The model is a flat dict of named numpy arrays: a linear patch embedding, an
+``N_BLOCKS``-block pre-norm transformer encoder, a trainable mask token, a
+decoder of as many blocks reconstructing masked patches, and (after the head
+swap for traffic estimation) a single linear output neuron on the mean-pooled
+latents. Positional tables are fixed 2-D sinusoids and are not trained or
+persisted. A model is a member of ``SIZE_FAMILY``, which sets its widths and
+head counts; every member cuts ``PATCH_SIZE``-pixel patches (``NUM_PATCHES``
+on a ``GRID`` x ``GRID`` grid, ``PATCH_DIM`` values each) and has MLPs
+``MLP_RATIO`` times as wide as their block.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -21,12 +25,17 @@ from .signal_pipeline import SPEC_SIZE
 
 CHECKPOINT_MAGIC = b"MAEC"
 
-# (encoder width, decoder width) family, halving from the largest member
-SIZE_FAMILY = [(768, 512), (384, 256), (192, 128), (96, 64), (48, 32), (24, 16)]
+# (encoder width, decoder width) of each member, halving from the largest,
+# to its (encoder heads, decoder heads); per-head width is at least 8
+SIZE_FAMILY = {(768, 512): (12, 8), (384, 256): (6, 8), (192, 128): (3, 4),
+               (96, 64): (3, 4), (48, 32): (3, 4), (24, 16): (3, 2)}
 
-# head counts keep per-head width >= 8 at every family size
-ENC_HEADS = {768: 12, 384: 6, 192: 3, 96: 3, 48: 3, 24: 3}
-DEC_HEADS = {512: 8, 256: 8, 128: 4, 64: 4, 32: 4, 16: 2}
+N_BLOCKS = 3
+PATCH_SIZE = 10
+MLP_RATIO = 4
+GRID = SPEC_SIZE // PATCH_SIZE
+NUM_PATCHES = GRID ** 2
+PATCH_DIM = PATCH_SIZE ** 2
 
 INIT_STD = 0.02
 
@@ -35,68 +44,41 @@ INIT_STD = 0.02
 EVAL_BATCH = 16
 
 
-def _default_heads(dim: int, table: dict) -> int:
-    if dim in table:
-        return table[dim]
-    for h in (16, 12, 8, 6, 4, 3, 2, 1):
-        if dim % h == 0 and dim // h >= 8:
-            return h
-    return 1
-
-
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters for one family member."""
+    """One member of the size family and the ratio it masks patches at."""
 
     e_dim: int = 768
     d_dim: int = 512
-    n_blocks: int = 3
-    patch_size: int = 10
     mask_ratio: float = 0.8
-    e_heads: int = 0
-    d_heads: int = 0
-    mlp_ratio: int = 4
 
     def __post_init__(self):
-        if self.e_heads == 0:
-            object.__setattr__(self, "e_heads", _default_heads(self.e_dim, ENC_HEADS))
-        if self.d_heads == 0:
-            object.__setattr__(self, "d_heads", _default_heads(self.d_dim, DEC_HEADS))
-        if self.e_dim % self.e_heads:
-            raise ConfigError(f"e_dim {self.e_dim} not divisible by e_heads {self.e_heads}")
-        if self.d_dim % self.d_heads:
-            raise ConfigError(f"d_dim {self.d_dim} not divisible by d_heads {self.d_heads}")
-        if SPEC_SIZE % self.patch_size:
-            raise ConfigError(f"patch_size {self.patch_size} must divide {SPEC_SIZE}")
+        if (self.e_dim, self.d_dim) not in SIZE_FAMILY:
+            raise ConfigError(f"(e_dim, d_dim) = ({self.e_dim}, {self.d_dim}) is no "
+                              f"family member; pick one of {list(SIZE_FAMILY)}")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must be in [0,1), got {self.mask_ratio}")
-        if self.e_dim % 4 or self.d_dim % 4:
-            raise ConfigError("embedding widths must be multiples of 4")
 
     @property
-    def grid(self) -> int:
-        return SPEC_SIZE // self.patch_size
+    def e_heads(self) -> int:
+        return SIZE_FAMILY[self.e_dim, self.d_dim][0]
 
     @property
-    def num_patches(self) -> int:
-        return self.grid ** 2
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch_size ** 2
+    def d_heads(self) -> int:
+        return SIZE_FAMILY[self.e_dim, self.d_dim][1]
 
 
 def param_shapes(cfg: ModelConfig, with_decoder: bool = True,
                  with_reg_head: bool = False) -> dict[str, tuple]:
     """Shape table for every trainable tensor."""
     shapes = {
-        "patch_embed.w": (cfg.patch_dim, cfg.e_dim),
+        "patch_embed.w": (PATCH_DIM, cfg.e_dim),
         "patch_embed.b": (cfg.e_dim,),
     }
 
     def add_side(side: str, dim: int):
-        hidden = dim * cfg.mlp_ratio
-        for i in range(cfg.n_blocks):
+        hidden = dim * MLP_RATIO
+        for i in range(N_BLOCKS):
             pre = f"{side}.{i}"
             shapes.update({
                 f"{pre}.ln1.g": (dim,), f"{pre}.ln1.b": (dim,),
@@ -117,7 +99,7 @@ def param_shapes(cfg: ModelConfig, with_decoder: bool = True,
         shapes.update({
             "enc_to_dec.w": (cfg.e_dim, cfg.d_dim), "enc_to_dec.b": (cfg.d_dim,),
             "mask_token": (cfg.d_dim,),
-            "recon_head.w": (cfg.d_dim, cfg.patch_dim), "recon_head.b": (cfg.patch_dim,),
+            "recon_head.w": (cfg.d_dim, PATCH_DIM), "recon_head.b": (PATCH_DIM,),
         })
     if with_reg_head:
         shapes.update({"reg_head.w": (cfg.e_dim, 1), "reg_head.b": (1,)})
@@ -136,21 +118,21 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
 
 @dataclass
 class MaeModel:
-    """Parameter set plus fixed positional tables for one configuration."""
+    """Parameter set plus fixed positional tables for one configuration;
+    ``provenance`` is that of the checkpoint it was loaded from."""
 
     config: ModelConfig
     params: dict[str, np.ndarray]
     enc_pos: np.ndarray = field(repr=False, default=None)
     dec_pos: np.ndarray = field(repr=False, default=None)
+    provenance: str = ""
 
     def __post_init__(self):
         dtype = self.dtype
         if self.enc_pos is None:
-            self.enc_pos = nn_core.sincos_table_2d(
-                self.config.grid, self.config.e_dim).astype(dtype)
+            self.enc_pos = nn_core.sincos_table_2d(GRID, self.config.e_dim).astype(dtype)
         if self.dec_pos is None and self.has_decoder:
-            self.dec_pos = nn_core.sincos_table_2d(
-                self.config.grid, self.config.d_dim).astype(dtype)
+            self.dec_pos = nn_core.sincos_table_2d(GRID, self.config.d_dim).astype(dtype)
 
     @property
     def dtype(self):
@@ -245,13 +227,12 @@ def sample_mask_batch(num_patches: int, p: float, batch: int,
 # forward / backward
 
 
-def _stack(x: np.ndarray, p: dict, side: str, n_blocks: int, n_heads: int,
-           keep_cache: bool):
+def _stack(x: np.ndarray, p: dict, side: str, n_heads: int, keep_cache: bool):
     """``nn_core.stack_fwd``; without ``keep_cache`` each block's activations,
     which only backward reads, are freed as soon as the next block starts."""
     if keep_cache:
-        return nn_core.stack_fwd(x, p, side, n_blocks, n_heads)
-    for i in range(n_blocks):
+        return nn_core.stack_fwd(x, p, side, N_BLOCKS, n_heads)
+    for i in range(N_BLOCKS):
         x, _ = nn_core.block_fwd(x, p, f"{side}.{i}", n_heads)
     y, _ = nn_core.layernorm_fwd(x, p[f"{side}.norm.g"], p[f"{side}.norm.b"])
     return y, None
@@ -267,7 +248,7 @@ def _encode_batch(model: MaeModel, images: np.ndarray,
                   visible_idx: Optional[np.ndarray], keep_cache: bool = True):
     cfg = model.config
     p = model.params
-    patches = patchify(np.asarray(images), cfg.patch_size).astype(model.dtype, copy=False)
+    patches = patchify(np.asarray(images), PATCH_SIZE).astype(model.dtype, copy=False)
     if visible_idx is None:
         vis_patches = patches
         pos = model.enc_pos[None, :, :]
@@ -276,7 +257,7 @@ def _encode_batch(model: MaeModel, images: np.ndarray,
         pos = model.enc_pos[visible_idx]
     tokens = nn_core.linear_fwd(vis_patches, p["patch_embed.w"], p["patch_embed.b"])
     tokens += pos
-    latents, stack_cache = _stack(tokens, p, "enc", cfg.n_blocks, cfg.e_heads, keep_cache)
+    latents, stack_cache = _stack(tokens, p, "enc", cfg.e_heads, keep_cache)
     return latents, (patches, vis_patches, stack_cache)
 
 
@@ -284,7 +265,7 @@ def _encode_backward(model: MaeModel, dlatents: np.ndarray, cache) -> dict:
     cfg = model.config
     _, vis_patches, stack_cache = cache
     dtokens, grads = nn_core.stack_bwd(dlatents, stack_cache, model.params,
-                                       "enc", cfg.n_blocks, cfg.e_heads)
+                                       "enc", N_BLOCKS, cfg.e_heads)
     _, dw, db = nn_core.linear_bwd(dtokens, vis_patches, model.params["patch_embed.w"])
     grads["patch_embed.w"] = dw
     grads["patch_embed.b"] = db
@@ -297,11 +278,11 @@ def _decode_batch(model: MaeModel, latents: np.ndarray, masked_idx: np.ndarray,
     p = model.params
     b = latents.shape[0]
     z = nn_core.linear_fwd(latents, p["enc_to_dec.w"], p["enc_to_dec.b"])
-    tokens = np.empty((b, cfg.num_patches, cfg.d_dim), dtype=p["mask_token"].dtype)
+    tokens = np.empty((b, NUM_PATCHES, cfg.d_dim), dtype=p["mask_token"].dtype)
     tokens[...] = p["mask_token"]
     tokens[_rows(visible_idx), visible_idx] = z
     tokens += model.dec_pos
-    hidden, stack_cache = _stack(tokens, p, "dec", cfg.n_blocks, cfg.d_heads, keep_cache)
+    hidden, stack_cache = _stack(tokens, p, "dec", cfg.d_heads, keep_cache)
     pred_patches = nn_core.linear_fwd(hidden, p["recon_head.w"], p["recon_head.b"])
     return pred_patches, (latents, z, hidden, stack_cache, masked_idx, visible_idx)
 
@@ -314,7 +295,7 @@ def _decode_backward(model: MaeModel, dpred: np.ndarray, cache):
     dhidden, grads["recon_head.w"], grads["recon_head.b"] = nn_core.linear_bwd(
         dpred, hidden, p["recon_head.w"])
     dtokens, stack_grads = nn_core.stack_bwd(dhidden, stack_cache, p,
-                                             "dec", cfg.n_blocks, cfg.d_heads)
+                                             "dec", N_BLOCKS, cfg.d_heads)
     grads.update(stack_grads)
     rows = _rows(visible_idx)
     dz = dtokens[rows, visible_idx]
@@ -420,7 +401,7 @@ def _masked_errors(model: MaeModel, images: np.ndarray, seeds) -> np.ndarray:
     if not model.has_decoder:
         raise ConfigError("reconstruction error needs the decoder")
     cfg = model.config
-    masks = [sample_mask(cfg.num_patches, cfg.mask_ratio, seed) for seed in seeds]
+    masks = [sample_mask(NUM_PATCHES, cfg.mask_ratio, seed) for seed in seeds]
     masked_idx, visible_idx = (np.stack(idx) for idx in zip(*masks))
     latents, enc_cache = _encode_batch(model, images, visible_idx, keep_cache=False)
     pred_patches, _ = _decode_batch(model, latents, masked_idx, visible_idx,
@@ -463,24 +444,40 @@ def reconstruction_errors(model: MaeModel, windows, base_seed: int = 0) -> np.nd
 # persistence
 
 
+def _architecture(cfg: ModelConfig) -> dict:
+    """The checkpoint header's model keys: the config, and the constants and
+    head counts of its family member, so readers need no family table."""
+    return {"e_dim": cfg.e_dim, "d_dim": cfg.d_dim, "mask_ratio": cfg.mask_ratio,
+            "n_blocks": N_BLOCKS, "patch_size": PATCH_SIZE, "mlp_ratio": MLP_RATIO,
+            "e_heads": cfg.e_heads, "d_heads": cfg.d_heads}
+
+
 def save_model(model: MaeModel, path, provenance: str = "") -> None:
-    """Self-describing checkpoint: config header + named f32 tensors."""
-    meta = {**asdict(model.config), "has_decoder": model.has_decoder,
+    """Self-describing checkpoint: architecture header + named f32 tensors."""
+    meta = {**_architecture(model.config), "has_decoder": model.has_decoder,
             "has_reg_head": model.has_reg_head, "provenance": provenance}
     write_container(path, CHECKPOINT_MAGIC, meta, model.params)
 
 
 def load_model(path) -> MaeModel:
+    """The model of a checkpoint. Every architecture value in its header must
+    be the one its (e_dim, d_dim) family member has: tensors of the right
+    shapes under other head counts would load and compute something else."""
     meta, tensors = read_container(path, CHECKPOINT_MAGIC)
     try:
         cfg = ModelConfig(**{f.name: type(f.default)(meta[f.name])
                              for f in fields(ModelConfig)})
+        wrong = [f"{key} = {meta[key]!r}, not {value!r}"
+                 for key, value in _architecture(cfg).items() if meta[key] != value]
         expected = param_shapes(cfg, with_decoder=bool(meta["has_decoder"]),
                                 with_reg_head=bool(meta["has_reg_head"]))
     except KeyError as exc:
         raise FormatError(f"{path}: missing config field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise FormatError(f"{path}: bad config value ({exc})") from exc
+    if wrong:
+        raise FormatError(f"{path}: bad config value ({'; '.join(wrong)}) for the "
+                          f"{cfg.e_dim}/{cfg.d_dim} family member")
     if set(expected) != set(tensors):
         missing = sorted(set(expected) ^ set(tensors))
         raise FormatError(f"{path}: tensor set mismatch near {missing[:4]}")
@@ -489,9 +486,4 @@ def load_model(path) -> MaeModel:
             raise FormatError(
                 f"{path}: tensor {name} has shape {tensors[name].shape}, "
                 f"expected {shape}")
-    return MaeModel(config=cfg, params=tensors)
-
-
-def load_meta(path) -> dict:
-    meta, _ = read_container(path, CHECKPOINT_MAGIC)
-    return meta
+    return MaeModel(config=cfg, params=tensors, provenance=meta.get("provenance", ""))

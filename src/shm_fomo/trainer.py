@@ -223,11 +223,10 @@ def pretrain(model: MaeModel, windows: Sequence, plan: TrainPlan) -> TrainLog:
         raise ConfigError(f"plan mask_ratio {plan.mask_ratio} differs from the "
                           f"model's {model.config.mask_ratio}")
     images = _stack_images(windows, model.dtype)
-    num_patches = model.config.num_patches
 
     def step(idx, rng):
         masked, visible = mae_model.sample_mask_batch(
-            num_patches, plan.mask_ratio, len(idx), rng)
+            mae_model.NUM_PATCHES, plan.mask_ratio, len(idx), rng)
         loss, cache = mae_model.pretrain_forward_batch(model, images[idx], masked, visible)
         return loss, mae_model.pretrain_backward(model, cache)
 

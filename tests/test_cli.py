@@ -10,8 +10,9 @@ import pytest
 from shm_fomo import baselines, cli, mae_model, trainer
 from shm_fomo.anomaly_head import FILTER_LENGTHS
 from shm_fomo.errors import ConfigError, DataError
-from shm_fomo.io_formats import (RECORDING_MAGIC, load_dataset, load_manifest, save_dataset,
-                                 save_manifest, save_recording_binary, write_container)
+from shm_fomo.io_formats import (RECORDING_MAGIC, load_dataset, load_manifest, read_container,
+                                 save_dataset, save_manifest, save_recording_binary,
+                                 write_container)
 from shm_fomo.mae_model import ModelConfig, build_model, save_model
 from shm_fomo.signal_pipeline import PipelineConfig, build_dataset
 from shm_fomo.synth_bench import BridgeConfig, TrafficConfig, gen_ambient, gen_traffic
@@ -331,9 +332,9 @@ class TestTypedValues:
     def test_fractional_model_int_rejected(self, tmp_path):
         # main() maps ConfigError to exit code 3
         cfg = tmp_path / "c.ini"
-        cfg.write_text("[model]\ne_dim = 24\nd_dim = 16\nn_blocks = 2.5\n"
+        cfg.write_text("[model]\ne_dim = 2.5\nd_dim = 16\n"
                        "[paths]\ndataset = x\n")
-        with pytest.raises(ConfigError, match="n_blocks"):
+        with pytest.raises(ConfigError, match="e_dim"):
             cli.run(["pretrain", "--config", str(cfg), "--out", str(tmp_path)])
 
     def test_fractional_plan_int_rejected(self):
@@ -363,6 +364,7 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
     ("synth-gen", "[experiment]\nseed = x1\n"),
     ("synth-gen", "[experiment]\nsed = 1\n"),
     ("pretrain", "[train]\nmask_ratio = 0.5\n[paths]\ndataset = x\n"),
+    ("pretrain", "[model]\ne_dim = 24\nd_dim = 32\n[paths]\ndataset = x\n"),
     ("pretrain", "[train]\nphase = pretrain\n[paths]\ndataset = x\n"),
     ("distill", "[kd]\nalpha_kd = 1.5\n" + KD_PATHS),
     ("distill", "[kd]\nalpha_kd = -0.5\n" + KD_PATHS),
@@ -509,6 +511,63 @@ def test_bad_input_file_is_one_input_error_line(tmp_path, monkeypatch, capsys, b
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["n_blocks", "patch_size", "mlp_ratio", "e_heads", "d_heads"])
+def test_architecture_is_no_model_key(tmp_path, monkeypatch, capsys, key):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[model]\ne_dim = 24\nd_dim = 16\n{key} = 2\n[paths]\ndataset = x\n")
+    code = main_exit_code(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                          monkeypatch)
+    assert code == 3
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("e_heads", 6), ("n_blocks", 2)])
+def test_checkpoint_off_its_family_member_exits_4(tmp_path, monkeypatch, capsys, key, value):
+    # same tensor shapes, so without the header check it would load and compute
+    # with the member's own architecture instead
+    ckpt = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
+    meta, tensors = read_container(ckpt, mae_model.CHECKPOINT_MAGIC)
+    write_container(ckpt, mae_model.CHECKPOINT_MAGIC, {**meta, key: value}, tensors)
+    code = main_exit_code(["describe", str(ckpt)], monkeypatch)
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert err.startswith("input error:") and f"{key} = {value}" in err
+    assert out == ""
+
+
+def test_describe_reads_the_checkpoint_once(tmp_path, monkeypatch, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt, provenance="cafe")
+    calls = []
+    real = mae_model.read_container
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mae_model, "read_container", spy)
+    assert cli.run(["describe", str(ckpt)]) == 0
+    assert len(calls) == 1
+    assert "provenance        'cafe'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, text, code", [
+    ("preprocess", "[paths]\ninput = {empty}\n", 4),
+    ("pretrain", "[model]\ne_dim = 24\nd_dim = 16\n[paths]\ndataset = {empty}/d.shmd\n", 4),
+    ("synth-gen", "[synth]\nkind = bogus\n", 3),
+])
+def test_failed_run_leaves_no_run_directory(tmp_path, monkeypatch, command, text, code):
+    # each fails inside its handler, after the run directory is made
+    (tmp_path / "empty").mkdir()
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text.format(empty=tmp_path / "empty"))
+    out = tmp_path / "runs"
+    assert main_exit_code([command, "--config", str(cfg), "--out", str(out)],
+                          monkeypatch) == code
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
 def test_describe_takes_no_seed_or_out(tmp_path, monkeypatch):
     ckpt = tmp_path / "m.ckpt"
     save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
@@ -588,7 +647,7 @@ def test_pretrain_masks_at_model_ratio(tmp_path, monkeypatch):
     assert run_cli(["pretrain", "--config", str(cfg)], out) == 0
     assert ratios and set(ratios) == {0.5}
     ckpt = only_run_dir(out, "pretrain") / "checkpoint.ckpt"
-    assert mae_model.load_meta(ckpt)["mask_ratio"] == 0.5
+    assert mae_model.load_model(ckpt).config.mask_ratio == 0.5
 
 
 def _ablation_config(tmp_path, dataset, finetune_dataset=None):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,9 @@ from shm_fomo.signal_pipeline import SpectrogramWindow
 from shm_fomo.mae_model import (
     CHECKPOINT_MAGIC,
     EVAL_BATCH,
+    N_BLOCKS,
+    NUM_PATCHES,
+    PATCH_SIZE,
     SIZE_FAMILY,
     ModelConfig,
     _decode_batch,
@@ -58,7 +64,7 @@ def reconstruct(model, image, masked, visible):
     """One image through the batched encoder and decoder, as an image."""
     latents, _ = _encode_batch(model, image[None], visible[None])
     pred, _ = _decode_batch(model, latents, masked[None], visible[None])
-    return depatchify(pred, model.config.patch_size)[0]
+    return depatchify(pred, PATCH_SIZE)[0]
 
 
 def masked_mse(pred_image, true_image, masked_idx, patch_size=10):
@@ -175,10 +181,10 @@ class TestEncodeDecode:
         rng = np.random.default_rng(0)
         tokens = rng.normal(size=(1, 12, 24))
         out, _ = nn_core.stack_fwd(tokens, model.params, "enc",
-                                   model.config.n_blocks, model.config.e_heads)
+                                   N_BLOCKS, model.config.e_heads)
         perm = rng.permutation(12)
         out_perm, _ = nn_core.stack_fwd(tokens[:, perm], model.params, "enc",
-                                        model.config.n_blocks, model.config.e_heads)
+                                        N_BLOCKS, model.config.e_heads)
         assert np.allclose(out[:, perm], out_perm, atol=1e-10)
 
     def test_decode_shape(self, tiny_model):
@@ -251,16 +257,16 @@ class TestPretrainLoss:
 def ref_pretrain_forward(model, images, masked_idx, visible_idx):
     """(loss, diff, cache) of one masked reconstruction batch."""
     cfg, p = model.config, model.params
-    patches = patchify(np.asarray(images), cfg.patch_size).astype(model.dtype)
+    patches = patchify(np.asarray(images), PATCH_SIZE).astype(model.dtype)
     vis = np.take_along_axis(patches, visible_idx[:, :, None], axis=1)
     tokens = (nn_core.linear_fwd(vis, p["patch_embed.w"], p["patch_embed.b"])
               + model.enc_pos[visible_idx])
-    latents, enc_stack = nn_core.stack_fwd(tokens, p, "enc", cfg.n_blocks, cfg.e_heads)
+    latents, enc_stack = nn_core.stack_fwd(tokens, p, "enc", N_BLOCKS, cfg.e_heads)
     z = nn_core.linear_fwd(latents, p["enc_to_dec.w"], p["enc_to_dec.b"])
-    dec_in = np.broadcast_to(p["mask_token"], (len(z), cfg.num_patches, cfg.d_dim)).copy()
+    dec_in = np.broadcast_to(p["mask_token"], (len(z), NUM_PATCHES, cfg.d_dim)).copy()
     np.put_along_axis(dec_in, visible_idx[:, :, None], z, axis=1)
     hidden, dec_stack = nn_core.stack_fwd(dec_in + model.dec_pos[None], p, "dec",
-                                          cfg.n_blocks, cfg.d_heads)
+                                          N_BLOCKS, cfg.d_heads)
     pred = nn_core.linear_fwd(hidden, p["recon_head.w"], p["recon_head.b"])
     idx = masked_idx[:, :, None]
     diff = np.take_along_axis(pred, idx, axis=1) - np.take_along_axis(patches, idx, axis=1)
@@ -278,7 +284,7 @@ def ref_pretrain_backward(model, masked_idx, visible_idx, diff, cache):
     dhidden, grads["recon_head.w"], grads["recon_head.b"] = nn_core.linear_bwd(
         dpred, hidden, p["recon_head.w"])
     dtokens, dec_grads = nn_core.stack_bwd(dhidden, dec_stack, p, "dec",
-                                           cfg.n_blocks, cfg.d_heads)
+                                           N_BLOCKS, cfg.d_heads)
     grads.update(dec_grads)
     dz = np.take_along_axis(dtokens, visible_idx[:, :, None], axis=1)
     grads["mask_token"] = np.take_along_axis(
@@ -286,7 +292,7 @@ def ref_pretrain_backward(model, masked_idx, visible_idx, diff, cache):
     dlatents, grads["enc_to_dec.w"], grads["enc_to_dec.b"] = nn_core.linear_bwd(
         dz, latents, p["enc_to_dec.w"])
     dvis_tokens, enc_grads = nn_core.stack_bwd(dlatents, enc_stack, p, "enc",
-                                               cfg.n_blocks, cfg.e_heads)
+                                               N_BLOCKS, cfg.e_heads)
     grads.update(enc_grads)
     _, grads["patch_embed.w"], grads["patch_embed.b"] = nn_core.linear_bwd(
         dvis_tokens, vis, p["patch_embed.w"])
@@ -295,7 +301,7 @@ def ref_pretrain_backward(model, masked_idx, visible_idx, diff, cache):
 
 def ref_reconstruction_errors(model, images, base_seed):
     cfg = model.config
-    masks = [sample_mask(cfg.num_patches, cfg.mask_ratio, base_seed ^ i)
+    masks = [sample_mask(NUM_PATCHES, cfg.mask_ratio, base_seed ^ i)
              for i in range(len(images))]
     masked_idx, visible_idx = (np.stack(idx) for idx in zip(*masks))
     _, diff, _ = ref_pretrain_forward(model, images, masked_idx, visible_idx)
@@ -382,7 +388,7 @@ class TestReconstructionError:
     def test_equals_training_loss_under_same_mask(self, tiny_model):
         # scoring drops the backward caches; the training forward is the reference
         img = rand_image(8)
-        masked, visible = sample_mask(TINY.num_patches, TINY.mask_ratio, 99)
+        masked, visible = sample_mask(NUM_PATCHES, TINY.mask_ratio, 99)
         loss, _ = pretrain_forward_batch(tiny_model, img[None],
                                          masked[None], visible[None])
         assert reconstruction_error(tiny_model, img, eval_seed=99) == loss
@@ -484,6 +490,31 @@ class TestParamCount:
             assert d % cfg.d_heads == 0 and d // cfg.d_heads >= 8 or d == 16
 
 
+class TestFamily:
+    def test_config_is_a_member_and_its_mask_ratio(self):
+        assert [f.name for f in fields(ModelConfig)] == ["e_dim", "d_dim", "mask_ratio"]
+
+    @pytest.mark.parametrize("e_dim, d_dim", [(24, 32), (8, 8), (32, 24), (768, 256)])
+    def test_non_family_pair_rejected(self, e_dim, d_dim):
+        with pytest.raises(ConfigError, match="family"):
+            ModelConfig(e_dim=e_dim, d_dim=d_dim)
+
+    @pytest.mark.parametrize("ratio", [-0.1, 1.0, float("nan")])
+    def test_mask_ratio_outside_unit_interval_rejected(self, ratio):
+        with pytest.raises(ConfigError, match="mask_ratio"):
+            ModelConfig(e_dim=24, d_dim=16, mask_ratio=ratio)
+
+    def test_every_member_builds_at_the_shared_architecture(self):
+        # 3 blocks a side, 10-px patches, MLPs 4 times as wide
+        for e, d in SIZE_FAMILY:
+            shapes = param_shapes(ModelConfig(e_dim=e, d_dim=d))
+            assert shapes["patch_embed.w"] == (100, e)
+            assert shapes["enc.2.mlp.w1"] == (e, 4 * e)
+            assert shapes["dec.2.mlp.w2"] == (4 * d, d)
+            assert "enc.3.ln1.g" not in shapes and "dec.3.ln1.g" not in shapes
+            assert shapes["recon_head.w"] == (d, 100)
+
+
 DROP = object()   # a header key to delete
 
 
@@ -493,6 +524,7 @@ class TestCheckpoint:
         save_model(tiny_model, path, provenance="abc123")
         back = load_model(path)
         assert back.config == tiny_model.config
+        assert back.provenance == "abc123"
         assert set(back.params) == set(tiny_model.params)
         for name, tensor in tiny_model.params.items():
             assert np.array_equal(back.params[name], tensor), name
@@ -530,6 +562,12 @@ class TestCheckpoint:
         ("n_blocks", [3], "bad config value"),
         ("e_dim", DROP, "missing config field 'e_dim'"),
         ("has_decoder", DROP, "missing config field 'has_decoder'"),
+        ("n_blocks", 2, "n_blocks = 2, not 3"),
+        ("e_heads", 6, "e_heads = 6, not 3"),
+        ("d_heads", 4, "d_heads = 4, not 2"),
+        ("patch_size", 20, "patch_size = 20, not 10"),
+        ("mlp_ratio", 2, "mlp_ratio = 2, not 4"),
+        ("d_dim", 32, "no family member"),
     ])
     def test_bad_config_header_rejected(self, tmp_path, tiny_model, key, value, match):
         path = tmp_path / "model.ckpt"
@@ -542,6 +580,16 @@ class TestCheckpoint:
         write_container(path, CHECKPOINT_MAGIC, meta, tensors)
         with pytest.raises(FormatError, match=match):
             load_model(path)
+
+    def test_header_spells_out_the_architecture(self, tmp_path, tiny_model):
+        path = tmp_path / "model.ckpt"
+        save_model(tiny_model, path, provenance="abc123")
+        meta, _ = read_container(path, CHECKPOINT_MAGIC)
+        want = {"e_dim": 24, "d_dim": 16, "n_blocks": 3, "patch_size": 10,
+                "mask_ratio": 0.8, "e_heads": 3, "d_heads": 2, "mlp_ratio": 4,
+                "has_decoder": True, "has_reg_head": False, "provenance": "abc123"}
+        # as JSON text, so that an integer written as a float would show
+        assert json.dumps(meta, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_checkpoint_48_32_under_0p7_mb(self, tmp_path):
         model = build_model(ModelConfig(e_dim=48, d_dim=32), seed=0)

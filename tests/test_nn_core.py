@@ -352,8 +352,9 @@ class TestGradcheck:
             _check(loss, arr, grads[name], _sample_indices(arr, pick, 24))
 
 
-TINY64 = ModelConfig(e_dim=DIM, d_dim=DIM, n_blocks=1, patch_size=20,
-                     e_heads=HEADS, d_heads=HEADS, mask_ratio=0.8)
+# the smallest family member at full depth: 3 blocks a side, 3/2 heads,
+# 100 patches, as deployed
+SMALLEST = ModelConfig(e_dim=24, d_dim=16, mask_ratio=0.8)
 
 
 def _perturbed(model, seed):
@@ -366,11 +367,11 @@ def _perturbed(model, seed):
 
 class TestModelGradcheck:
     def test_pretrain(self):
-        model = _perturbed(mae_model.build_model(TINY64, seed=0, dtype=np.float64), 1)
+        model = _perturbed(mae_model.build_model(SMALLEST, seed=0, dtype=np.float64), 1)
         rng = np.random.default_rng(2)
         images = rng.normal(size=(2, 100, 100))
         masked, visible = mae_model.sample_mask_batch(
-            TINY64.num_patches, TINY64.mask_ratio, 2, rng)
+            mae_model.NUM_PATCHES, SMALLEST.mask_ratio, 2, rng)
         _, cache = mae_model.pretrain_forward_batch(model, images, masked, visible)
         grads = mae_model.pretrain_backward(model, cache)
         assert set(grads) == set(model.params)
@@ -383,7 +384,7 @@ class TestModelGradcheck:
             _check(loss, arr, grads[name], _sample_indices(arr, pick, 12))
 
     def test_regress(self):
-        base = mae_model.build_model(TINY64, seed=0, dtype=np.float64)
+        base = mae_model.build_model(SMALLEST, seed=0, dtype=np.float64)
         model = _perturbed(mae_model.attach_regression_head(base, seed=1), 2)
         rng = np.random.default_rng(3)
         images = rng.normal(size=(3, 100, 100))
