@@ -244,11 +244,14 @@ def _rows(idx: np.ndarray) -> np.ndarray:
     return np.arange(idx.shape[0])[:, None]
 
 
-def _encode_batch(model: MaeModel, images: np.ndarray,
+def _patches(model: MaeModel, images: np.ndarray) -> np.ndarray:
+    return patchify(np.asarray(images), PATCH_SIZE).astype(model.dtype, copy=False)
+
+
+def _encode_batch(model: MaeModel, patches: np.ndarray,
                   visible_idx: Optional[np.ndarray], keep_cache: bool = True):
     cfg = model.config
     p = model.params
-    patches = patchify(np.asarray(images), PATCH_SIZE).astype(model.dtype, copy=False)
     if visible_idx is None:
         vis_patches = patches
         pos = model.enc_pos[None, :, :]
@@ -258,17 +261,16 @@ def _encode_batch(model: MaeModel, images: np.ndarray,
     tokens = nn_core.linear_fwd(vis_patches, p["patch_embed.w"], p["patch_embed.b"])
     tokens += pos
     latents, stack_cache = _stack(tokens, p, "enc", cfg.e_heads, keep_cache)
-    return latents, (patches, vis_patches, stack_cache)
+    return latents, (vis_patches, stack_cache)
 
 
 def _encode_backward(model: MaeModel, dlatents: np.ndarray, cache) -> dict:
     cfg = model.config
-    _, vis_patches, stack_cache = cache
+    vis_patches, stack_cache = cache
     dtokens, grads = nn_core.stack_bwd(dlatents, stack_cache, model.params,
                                        "enc", N_BLOCKS, cfg.e_heads)
-    _, dw, db = nn_core.linear_bwd(dtokens, vis_patches, model.params["patch_embed.w"])
-    grads["patch_embed.w"] = dw
-    grads["patch_embed.b"] = db
+    grads["patch_embed.w"], grads["patch_embed.b"] = nn_core.linear_param_grads(
+        dtokens, vis_patches)
     return grads
 
 
@@ -284,16 +286,21 @@ def _decode_batch(model: MaeModel, latents: np.ndarray, masked_idx: np.ndarray,
     tokens += model.dec_pos
     hidden, stack_cache = _stack(tokens, p, "dec", cfg.d_heads, keep_cache)
     pred_patches = nn_core.linear_fwd(hidden, p["recon_head.w"], p["recon_head.b"])
-    return pred_patches, (latents, z, hidden, stack_cache, masked_idx, visible_idx)
+    return pred_patches, (latents, hidden, stack_cache, masked_idx, visible_idx)
 
 
-def _decode_backward(model: MaeModel, dpred: np.ndarray, cache):
+def _decode_backward(model: MaeModel, dmasked: np.ndarray, cache):
+    """Backward from ``dmasked``, the loss gradient at each row's masked patches."""
     cfg = model.config
     p = model.params
-    latents, z, hidden, stack_cache, masked_idx, visible_idx = cache
+    latents, hidden, stack_cache, masked_idx, visible_idx = cache
     grads = {}
+    dpred = np.zeros(hidden.shape[:2] + (PATCH_DIM,), dtype=model.dtype)
+    dpred[_rows(masked_idx), masked_idx] = dmasked
+    del dmasked
     dhidden, grads["recon_head.w"], grads["recon_head.b"] = nn_core.linear_bwd(
         dpred, hidden, p["recon_head.w"])
+    del dpred
     dtokens, stack_grads = nn_core.stack_bwd(dhidden, stack_cache, p,
                                              "dec", N_BLOCKS, cfg.d_heads)
     grads.update(stack_grads)
@@ -313,25 +320,29 @@ def _masked_diff(pred_patches: np.ndarray, true_patches: np.ndarray,
         raise ConfigError("masked-patch error is undefined: the mask ratio "
                           "leaves no patch masked")
     rows = _rows(masked_idx)
-    return pred_patches[rows, masked_idx] - true_patches[rows, masked_idx]
+    diff = pred_patches[rows, masked_idx]
+    diff -= true_patches[rows, masked_idx]
+    return diff
 
 
 def pretrain_forward_batch(model: MaeModel, images: np.ndarray,
                            masked_idx: np.ndarray, visible_idx: np.ndarray):
     """Batched masked reconstruction; returns (loss, cache for backward)."""
-    latents, enc_cache = _encode_batch(model, images, visible_idx)
+    patches = _patches(model, images)
+    latents, enc_cache = _encode_batch(model, patches, visible_idx)
     pred_patches, dec_cache = _decode_batch(model, latents, masked_idx, visible_idx)
-    diff = _masked_diff(pred_patches, enc_cache[0], masked_idx)
-    loss = float(np.mean(diff.astype(np.float64) ** 2))
-    return loss, (enc_cache, dec_cache, diff, pred_patches.shape, masked_idx)
+    diff = _masked_diff(pred_patches, patches, masked_idx)
+    del patches, pred_patches   # not held while the loss is taken
+    d2 = diff.astype(np.float64)
+    d2 *= d2
+    loss = float(np.mean(d2))
+    return loss, (enc_cache, dec_cache, diff)
 
 
 def pretrain_backward(model: MaeModel, cache) -> dict:
-    enc_cache, dec_cache, diff, pred_shape, masked_idx = cache
-    dpred = np.zeros(pred_shape, dtype=model.dtype)
+    enc_cache, dec_cache, diff = cache
     scale = np.asarray(2.0 / diff.size, dtype=model.dtype)
-    dpred[_rows(masked_idx), masked_idx] = diff * scale
-    dlatents, grads = _decode_backward(model, dpred, dec_cache)
+    dlatents, grads = _decode_backward(model, diff * scale, dec_cache)
     grads.update(_encode_backward(model, dlatents, enc_cache))
     return grads
 
@@ -357,7 +368,7 @@ def _pooled_head(model: MaeModel, latents: np.ndarray):
 def regress_forward_batch(model: MaeModel, images: np.ndarray):
     """Predictions for a batch: linear head on mean-pooled full-image latents."""
     _require_reg_head(model)
-    latents, enc_cache = _encode_batch(model, np.asarray(images), None)
+    latents, enc_cache = _encode_batch(model, _patches(model, images), None)
     pooled, yhat = _pooled_head(model, latents)
     return yhat, (enc_cache, latents, pooled)
 
@@ -367,7 +378,7 @@ def regress_backward(model: MaeModel, cache, dyhat: np.ndarray) -> dict:
     dy = dyhat[:, None].astype(model.dtype)
     dpooled, dw, db = nn_core.linear_bwd(dy, pooled, model.params["reg_head.w"])
     dlatents = np.repeat(dpooled[:, None, :], latents.shape[1], axis=1) / latents.shape[1]
-    grads = _encode_backward(model, dlatents.astype(model.dtype), enc_cache)
+    grads = _encode_backward(model, dlatents.astype(model.dtype, copy=False), enc_cache)
     grads["reg_head.w"] = dw
     grads["reg_head.b"] = db
     return grads
@@ -385,7 +396,7 @@ def regress_predictions(model: MaeModel, images) -> np.ndarray:
     yhat = np.empty(len(images), dtype=model.dtype)
     for start in range(0, len(images), EVAL_BATCH):
         chunk = np.stack(images[start:start + EVAL_BATCH])
-        latents, _ = _encode_batch(model, chunk, None, keep_cache=False)
+        latents, _ = _encode_batch(model, _patches(model, chunk), None, keep_cache=False)
         yhat[start:start + EVAL_BATCH] = _pooled_head(model, latents)[1]
     return yhat
 
@@ -403,10 +414,11 @@ def _masked_errors(model: MaeModel, images: np.ndarray, seeds) -> np.ndarray:
     cfg = model.config
     masks = [sample_mask(NUM_PATCHES, cfg.mask_ratio, seed) for seed in seeds]
     masked_idx, visible_idx = (np.stack(idx) for idx in zip(*masks))
-    latents, enc_cache = _encode_batch(model, images, visible_idx, keep_cache=False)
+    patches = _patches(model, images)
+    latents, _ = _encode_batch(model, patches, visible_idx, keep_cache=False)
     pred_patches, _ = _decode_batch(model, latents, masked_idx, visible_idx,
                                     keep_cache=False)
-    d2 = _masked_diff(pred_patches, enc_cache[0], masked_idx).astype(np.float64)
+    d2 = _masked_diff(pred_patches, patches, masked_idx).astype(np.float64)
     d2 = d2.reshape(len(masks), -1)
     d2 *= d2
     errors = np.add.reduce(d2, axis=1)

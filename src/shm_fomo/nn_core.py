@@ -8,11 +8,25 @@ dtype-preserving (float32 for training, float64 for gradient checks).
 The elementwise steps run in place on arrays the function itself has just
 created, in the same operation order as the plain formulas, so results are
 bit-identical to them; no function writes into an array it was given or into
-one a cache holds. Means are a ``np.add.reduce`` divided in place by the
-row length: ``ndarray.mean`` divides a float32 sum by an integer count in
-float64 and rounds back, which gives the same correctly rounded quotient
+one a cache holds, so a cache can go through backward any number of times.
+Means are a ``np.add.reduce`` divided in place by the row length:
+``ndarray.mean`` divides a float32 sum by an integer count in float64 and
+rounds back, which gives the same correctly rounded quotient
 (53 >= 2 * 24 + 2 bits) without numpy's Python-level wrapper, whose cost
 dominates at the stream's batch-1 shapes.
+
+A cache holds only what its backward reads. What backward can rebuild bit
+for bit with two elementwise operations, it rebuilds instead:
+
+- layer norm: ``(xhat, inv)``, the normalized input and 1/std per row;
+- GELU: ``(x, c)``, the input and ``erf(x / sqrt 2)``;
+- attention: ``(x, q, k, v, attn, ctx, scale)``. Past SCORE_CHUNK
+  elements, the softmax runs in place on the fresh score array, and backward
+  holds one score-sized array of its own, into which the softmax backward is
+  written; both go SCORE_CHUNK elements at a time;
+- block: ``(ln1, attn, ln2, gelu)``, the caches of its four sublayers.
+  ``block_bwd`` rebuilds the MLP input from the LN2 cache and the GELU
+  output from the GELU cache, with the forward's own operations.
 """
 
 from __future__ import annotations
@@ -33,6 +47,10 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+# elements of a score array one softmax pass covers at a time; bounds the
+# temporaries of the row-wise passes, whose rows do not depend on it
+SCORE_CHUNK = 1 << 18
 
 
 def _pin_allocator() -> None:
@@ -73,13 +91,17 @@ def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def linear_bwd(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Returns (dx, dw, db); sums the parameter gradients over all leading axes."""
+def linear_param_grads(dy: np.ndarray, x: np.ndarray):
+    """Returns (dw, db) of ``linear_fwd``, summed over all leading axes."""
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
-    dw = x2.T @ dy2
-    db = dy2.sum(axis=0)
-    dx = (dy2 @ w.T).reshape(x.shape)
+    return x2.T @ dy2, dy2.sum(axis=0)
+
+
+def linear_bwd(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Returns (dx, dw, db); sums the parameter gradients over all leading axes."""
+    dw, db = linear_param_grads(dy, x)
+    dx = (dy.reshape(-1, dy.shape[-1]) @ w.T).reshape(x.shape)
     return dx, dw, db
 
 
@@ -95,9 +117,14 @@ def layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(xhat, g, out=y)
+    return _scale_shift(xhat, g, b, out=y), (xhat, inv)
+
+
+def _scale_shift(xhat: np.ndarray, g: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Layer norm's output from its cached ``xhat``."""
+    y = np.multiply(xhat, g, out=out)
     y += b
-    return y, (xhat, inv)
+    return y
 
 
 def layernorm_bwd(dy: np.ndarray, cache, g: np.ndarray):
@@ -123,9 +150,14 @@ def layernorm_bwd(dy: np.ndarray, cache, g: np.ndarray):
 def gelu_fwd(x: np.ndarray):
     c = x * _const(_INV_SQRT2, x.dtype)
     erf(c, out=c)
+    return _gelu_out(x, c), (x, c)
+
+
+def _gelu_out(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """GELU's output from its cache ``(x, c)``."""
     y = 0.5 * x
     y *= 1.0 + c
-    return y, (x, c)
+    return y
 
 
 def gelu_bwd(dy: np.ndarray, cache):
@@ -156,6 +188,21 @@ def softmax_bwd(dy: np.ndarray, a: np.ndarray) -> np.ndarray:
     return dx
 
 
+def _by_rows(fn, a: np.ndarray, *others: np.ndarray) -> np.ndarray:
+    """``fn(a, *others)`` for a ``fn`` that works row by row. An ``a`` of
+    more than SCORE_CHUNK elements, which must be an array the caller itself
+    created, is overwritten with the result, run by run of its leading index,
+    each run at most SCORE_CHUNK elements; the result does not depend on
+    the runs."""
+    if a.size <= SCORE_CHUNK:
+        return fn(a, *others)
+    step = max(1, SCORE_CHUNK // math.prod(a.shape[1:]))
+    for i in range(0, len(a), step):
+        s = slice(i, i + step)
+        a[s] = fn(a[s], *(o[s] for o in others))
+    return a
+
+
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     b, n, d = x.shape
     return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
@@ -174,7 +221,7 @@ def attention_fwd(x: np.ndarray, p: dict, prefix: str, n_heads: int):
     scale = _const(1.0 / math.sqrt(q.shape[-1]), x.dtype)
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= scale
-    attn = softmax_last(scores)
+    attn = _by_rows(softmax_last, scores)
     ctx = _merge_heads(attn @ v)
     out = linear_fwd(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     return out, (x, q, k, v, attn, ctx, scale)
@@ -186,12 +233,14 @@ def attention_bwd(dy: np.ndarray, cache, p: dict, prefix: str, n_heads: int):
     dctx, grads[f"{prefix}.wo"], grads[f"{prefix}.bo"] = linear_bwd(
         dy, ctx, p[f"{prefix}.wo"])
     dctx = _split_heads(dctx, n_heads)
-    dattn = dctx @ v.transpose(0, 1, 3, 2)
+    ds = dctx @ v.transpose(0, 1, 3, 2)   # d(attn), then d(scores)
     dv = attn.transpose(0, 1, 3, 2) @ dctx
-    ds = softmax_bwd(dattn, attn)
+    del dctx
+    ds = _by_rows(softmax_bwd, ds, attn)
     ds *= scale
     dq = ds @ k
     dk = ds.transpose(0, 1, 3, 2) @ q
+    del ds
     dx = None
     for name, dproj in (("q", dq), ("k", dk), ("v", dv)):
         dxi, dw, db = linear_bwd(_merge_heads(dproj), x, p[f"{prefix}.w{name}"])
@@ -212,17 +261,20 @@ def block_fwd(x: np.ndarray, p: dict, prefix: str, n_heads: int):
     act, c_gelu = gelu_fwd(m1)
     m2 = linear_fwd(act, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
     m2 += x2
-    return m2, (c_ln1, c_attn, h1, c_ln2, h2, c_gelu, act, x2)
+    return m2, (c_ln1, c_attn, c_ln2, c_gelu)
 
 
 def block_bwd(dy: np.ndarray, cache, p: dict, prefix: str, n_heads: int):
-    c_ln1, c_attn, h1, c_ln2, h2, c_gelu, act, x2 = cache
+    c_ln1, c_attn, c_ln2, c_gelu = cache
     grads = {}
     dact, grads[f"{prefix}.mlp.w2"], grads[f"{prefix}.mlp.b2"] = linear_bwd(
-        dy, act, p[f"{prefix}.mlp.w2"])
+        dy, _gelu_out(*c_gelu), p[f"{prefix}.mlp.w2"])
     dm1 = gelu_bwd(dact, c_gelu)
+    del dact
+    h2 = _scale_shift(c_ln2[0], p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     dh2, grads[f"{prefix}.mlp.w1"], grads[f"{prefix}.mlp.b1"] = linear_bwd(
         dm1, h2, p[f"{prefix}.mlp.w1"])
+    del dm1, h2
     dx2, grads[f"{prefix}.ln2.g"], grads[f"{prefix}.ln2.b"] = layernorm_bwd(
         dh2, c_ln2, p[f"{prefix}.ln2.g"])
     dx2 += dy

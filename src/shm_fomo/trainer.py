@@ -130,7 +130,11 @@ def lr_at(plan: TrainPlan, epoch: int) -> float:
 
 
 def clip_gradients(grads: dict) -> dict:
-    """Scale all gradients by CLIP_NORM/||g|| when the global L2 norm exceeds it."""
+    """Scale all gradients by CLIP_NORM/||g|| when the global L2 norm exceeds it.
+
+    Each gradient is scaled in float64 and rounded back to its own dtype, one
+    tensor at a time, so the scaled set takes no more memory than the input.
+    """
     sq = 0.0
     for g in grads.values():
         s = float(np.dot(g.reshape(-1), g.reshape(-1)))
@@ -141,7 +145,8 @@ def clip_gradients(grads: dict) -> dict:
     if norm <= CLIP_NORM:
         return grads
     scale = CLIP_NORM / norm
-    return {k: g * scale for k, g in grads.items()}
+    return {k: np.multiply(g, scale, dtype=np.float64).astype(g.dtype, copy=False)
+            for k, g in grads.items()}
 
 
 class AdamW:

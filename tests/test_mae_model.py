@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -13,8 +14,10 @@ from shm_fomo.signal_pipeline import SpectrogramWindow
 from shm_fomo.mae_model import (
     CHECKPOINT_MAGIC,
     EVAL_BATCH,
+    MLP_RATIO,
     N_BLOCKS,
     NUM_PATCHES,
+    PATCH_DIM,
     PATCH_SIZE,
     SIZE_FAMILY,
     ModelConfig,
@@ -31,6 +34,7 @@ from shm_fomo.mae_model import (
     pretrain_forward_batch,
     reconstruction_error,
     reconstruction_errors,
+    regress_backward,
     regress_forward_batch,
     regress_predictions,
     sample_mask,
@@ -60,9 +64,14 @@ def depatchify(patches, patch_size):
             .reshape(b, g * patch_size, g * patch_size))
 
 
+def patches_of(model, images):
+    """The encoder's input: the images' patches in the model's dtype."""
+    return patchify(images, PATCH_SIZE).astype(model.dtype)
+
+
 def reconstruct(model, image, masked, visible):
     """One image through the batched encoder and decoder, as an image."""
-    latents, _ = _encode_batch(model, image[None], visible[None])
+    latents, _ = _encode_batch(model, patches_of(model, image[None]), visible[None])
     pred, _ = _decode_batch(model, latents, masked[None], visible[None])
     return depatchify(pred, PATCH_SIZE)[0]
 
@@ -167,12 +176,13 @@ class TestMasking:
 
 class TestEncodeDecode:
     def test_encode_all_patches(self, tiny_model):
-        latents, _ = _encode_batch(tiny_model, rand_image()[None], None)
+        latents, _ = _encode_batch(tiny_model, patches_of(tiny_model, rand_image()[None]), None)
         assert latents.shape == (1, 100, TINY.e_dim)
 
     def test_encode_masked(self, tiny_model):
         _, visible = sample_mask(100, 0.8, 5)
-        latents, _ = _encode_batch(tiny_model, rand_image()[None], visible[None])
+        latents, _ = _encode_batch(tiny_model, patches_of(tiny_model, rand_image()[None]),
+                                   visible[None])
         assert latents.shape == (1, 20, TINY.e_dim)
 
     def test_permutation_equivariance_with_zero_pos(self):
@@ -350,6 +360,110 @@ class TestMaskedPathMatchesReference:
                    ref_reconstruction_errors(model, images, 0x5EED))
 
 
+# ---------------------------------------------------------------------------
+# what a training step holds
+
+
+def stack_cache_elements(b, n, d, heads):
+    """Elements of one stack's caches for a (b, n, d) input. Per block: the
+    two layer norms' normalized inputs, the attention input, q, k, v and
+    context (7 of width d), the GELU input and its erf (2 of width
+    MLP_RATIO * d), two per-row 1/std and the attention weights; then the
+    final norm's normalized output and 1/std."""
+    per_block = (7 + 2 * MLP_RATIO) * b * n * d + 2 * b * n + b * heads * n * n
+    return N_BLOCKS * per_block + b * n * d + b * n
+
+
+def step_budget_bytes(cfg, b, n_visible, pretrain):
+    """Bytes one forward+backward step may hold at its peak: the caches
+    backward reads, the gradients, and a working set of three MLP-wide
+    activations (rebuilt output, its gradient, GELU's derivative) and two
+    score arrays (the backward's own, and the one it reads)."""
+    e, d = cfg.e_dim, cfg.d_dim
+    held = stack_cache_elements(b, n_visible, e, cfg.e_heads) + b * n_visible * PATCH_DIM
+    widest, scores = b * n_visible * e, b * cfg.e_heads * n_visible ** 2
+    if pretrain:   # latents, decoder caches and output, and the masked-patch diff
+        n_masked = NUM_PATCHES - n_visible
+        held += (b * n_visible * e + stack_cache_elements(b, NUM_PATCHES, d, cfg.d_heads)
+                 + b * NUM_PATCHES * d + b * n_masked * PATCH_DIM)
+        widest = max(widest, b * NUM_PATCHES * d)
+        scores = max(scores, b * cfg.d_heads * NUM_PATCHES ** 2)
+    else:          # latents
+        held += b * n_visible * e
+    shapes = param_shapes(cfg, with_decoder=pretrain, with_reg_head=not pretrain)
+    grads = sum(int(np.prod(shape)) for shape in shapes.values())
+    return 4 * (held + grads + 3 * MLP_RATIO * widest + 2 * scores)
+
+
+def traced_peak(step) -> int:
+    """Peak bytes allocated during ``step()``, after one warm-up call."""
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepMemory:
+    """Budgets derived from the shapes. Caches that also hold each block's
+    residual sum, MLP input and GELU output, a second score-sized array in
+    attention backward and the full patch tensor in the pretrain cache go
+    over both, at 36.9 and 31.4 MiB."""
+
+    def test_pretrain_step_24_16_batch_32(self):
+        cfg = ModelConfig(e_dim=24, d_dim=16)
+        model = build_model(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(32, 100, 100)).astype(np.float32)
+        masked, visible = sample_mask_batch(NUM_PATCHES, cfg.mask_ratio, 32, rng)
+
+        def step():
+            _, cache = pretrain_forward_batch(model, images, masked, visible)
+            pretrain_backward(model, cache)
+
+        budget = step_budget_bytes(cfg, 32, visible.shape[1], pretrain=True)
+        assert traced_peak(step) <= budget   # 25.5 of 28.4 MiB
+
+    def test_regress_step_96_64_batch_8(self):
+        cfg = ModelConfig(e_dim=96, d_dim=64)
+        model = attach_regression_head(build_model(cfg, seed=0), seed=1)
+        images = np.random.default_rng(0).normal(size=(8, 100, 100)).astype(np.float32)
+
+        def step():
+            _, cache = regress_forward_batch(model, images)
+            regress_backward(model, cache, np.ones(8))
+
+        budget = step_budget_bytes(cfg, 8, NUM_PATCHES, pretrain=False)
+        assert traced_peak(step) <= budget   # 22.0 of 23.5 MiB
+
+
+class TestBackwardReadsItsCache:
+    """Backward reads its cache and consumes nothing: a second backward over
+    the same cache gives the same gradients."""
+
+    @staticmethod
+    def assert_same_grads(a, b):
+        assert set(a) == set(b)
+        for name in a:
+            assert np.array_equal(a[name], b[name])
+
+    def test_pretrain(self, tiny_model):
+        masked, visible = sample_mask_batch(NUM_PATCHES, 0.8, 3, np.random.default_rng(0))
+        images = np.stack([rand_image(s) for s in range(3)])
+        _, cache = pretrain_forward_batch(tiny_model, images, masked, visible)
+        self.assert_same_grads(pretrain_backward(tiny_model, cache),
+                               pretrain_backward(tiny_model, cache))
+
+    def test_regress(self, tiny_model):
+        model = attach_regression_head(tiny_model, seed=1)
+        _, cache = regress_forward_batch(model, np.stack([rand_image(s) for s in range(3)]))
+        dyhat = np.array([0.5, -1.0, 2.0])
+        self.assert_same_grads(regress_backward(model, cache, dyhat),
+                               regress_backward(model, cache, dyhat))
+
+
 class TestRegression:
     def test_zero_weights_give_bias(self, tiny_model):
         model = attach_regression_head(tiny_model, seed=1)
@@ -449,7 +563,7 @@ class TestRegressPredictions:
     def test_equal_to_mean_pooled_reference_bit_for_bit(self, dtype):
         model = attach_regression_head(build_model(TINY, seed=0, dtype=dtype), seed=1)
         images = np.stack([rand_image(s) for s in range(3)])
-        latents, _ = _encode_batch(model, images, None)
+        latents, _ = _encode_batch(model, patches_of(model, images), None)
         pooled = latents.mean(axis=1)
         want = (pooled[:, None, :] @ model.params["reg_head.w"]
                 + model.params["reg_head.b"])[:, 0, 0]

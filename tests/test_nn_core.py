@@ -135,11 +135,16 @@ def ref_block_fwd(x, p, prefix, n_heads):
     m1 = ref_linear_fwd(h2, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"])
     act, c_gelu = ref_gelu_fwd(m1)
     m2 = ref_linear_fwd(act, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
-    return x2 + m2, (c_ln1, c_attn, h1, c_ln2, h2, c_gelu, act, x2)
+    return x2 + m2, (c_ln1, c_attn, c_ln2, c_gelu)
 
 
 def ref_block_bwd(dy, cache, p, prefix, n_heads):
-    c_ln1, c_attn, h1, c_ln2, h2, c_gelu, act, x2 = cache
+    """The MLP's input and hidden activation are rebuilt from the LN2 and
+    GELU caches by the forward formulas."""
+    c_ln1, c_attn, c_ln2, c_gelu = cache
+    (xhat2, _), (m1, c) = c_ln2, c_gelu
+    h2 = xhat2 * p[f"{prefix}.ln2.g"] + p[f"{prefix}.ln2.b"]
+    act = 0.5 * m1 * (1.0 + c)
     grads = {}
     dact, grads[f"{prefix}.mlp.w2"], grads[f"{prefix}.mlp.b2"] = ref_linear_bwd(
         dy, act, p[f"{prefix}.mlp.w2"])
@@ -466,6 +471,16 @@ class TestMatchesReference:
     def test_attention(self, dtype):
         rng = np.random.default_rng(14)
         x = _arr(rng, (2, 5, DIM), dtype)
+        p = _attn_params(rng, "a", DIM, dtype)
+        _, cache = _same_as_reference(nn_core.attention_fwd, ref_attention_fwd, x, p, "a", HEADS)
+        _same_as_reference(nn_core.attention_bwd, ref_attention_bwd,
+                           _arr(rng, x.shape, dtype), cache, p, "a", HEADS)
+
+    def test_attention_in_score_chunks(self, dtype, monkeypatch):
+        # two windows' scores a chunk: the softmax passes run over 2, 2 and 1
+        monkeypatch.setattr(nn_core, "SCORE_CHUNK", 2 * HEADS * 5 * 5)
+        rng = np.random.default_rng(18)
+        x = _arr(rng, (5, 5, DIM), dtype)
         p = _attn_params(rng, "a", DIM, dtype)
         _, cache = _same_as_reference(nn_core.attention_fwd, ref_attention_fwd, x, p, "a", HEADS)
         _same_as_reference(nn_core.attention_bwd, ref_attention_bwd,

@@ -121,6 +121,20 @@ class TestClip:
         with pytest.raises(DivergenceError):
             clip_gradients({"a": np.array([np.nan, 1.0])})
 
+    def test_keeps_each_dtype(self):
+        # scaled in float64 and rounded once: a float64 copy of every
+        # float32 gradient would double the gradient memory
+        rng = np.random.default_rng(1)
+        grads = {"w": (rng.normal(size=(30, 20)) * 5).astype(np.float32),
+                 "b": (rng.normal(size=20) * 5).astype(np.float32),
+                 "d": rng.normal(size=7) * 5}
+        scale = CLIP_NORM / np.sqrt(sum(float(g.ravel() @ g.ravel())
+                                        for g in grads.values()))
+        clipped = clip_gradients(grads)
+        for k, g in grads.items():
+            assert clipped[k].dtype == g.dtype
+            assert np.array_equal(clipped[k], (g.astype(np.float64) * scale).astype(g.dtype))
+
 
 class TestAdamW:
     def test_single_step_matches_hand_oracle(self):
