@@ -30,10 +30,12 @@ subcommand does not read is ignored, so one file can serve several
 subcommands. A dataset is one file: ``preprocess`` writes
 ``<run>/dataset.shmd``, and the ``*dataset`` paths name such a file.
 
-Exit codes: 0 success, 2 usage error, 3 malformed config, 4 one ``input
-error:`` line for any ``OSError`` or ``FormatError``: an input file (checkpoint,
-dataset, manifest, recording) that is missing, a directory or malformed, and
-an ``OSError`` while writing the run directory. Inputs get no pre-checks.
+Exit codes: 0 success, 2 usage error, 3 a ``config error:`` for a config
+file that cannot be read, decoded as UTF-8 or parsed, or that holds a bad
+section, key or value, 4 one ``input error:`` line for any ``OSError`` or
+``FormatError``: an input file (checkpoint, dataset, manifest, recording) that
+is missing, a directory or malformed, and an ``OSError`` while writing the run
+directory. Neither the config nor the inputs get pre-checks.
 """
 
 from __future__ import annotations
@@ -83,19 +85,20 @@ def derive_seed(global_seed: int, module_name: str) -> int:
 # config handling
 
 
-def load_config(path) -> configparser.ConfigParser:
-    if not Path(path).is_file():
-        raise ConfigError(f"config file not found: {path}")
+def load_config(path) -> tuple[configparser.ConfigParser, str]:
+    """The parsed config and its text, read once as UTF-8; a file that cannot
+    be read, decoded or parsed is a ConfigError."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+        parser.read_string(text, source=str(path))
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     unknown = [name for name in parser.sections() if name not in SECTIONS]
     if unknown:
         raise ConfigError(f"unknown section(s) {unknown} in {path}; "
                           f"known: {', '.join(SECTIONS)}")
-    return parser
+    return parser, text
 
 
 def _coerce(raw: str, typ):
@@ -155,18 +158,23 @@ def paths_of(cfg: configparser.ConfigParser, *keys) -> list[Path]:
 
 
 def make_run_dir(root: Path, command: str, cfg_hash: str) -> Path:
+    """A new directory under ``root``, named for the command, the time and the
+    config hash, with a ``-k`` suffix when that name is taken. ``mkdir`` itself
+    claims the name, so two runs started in the same second never share it."""
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = root / f"{command}-{stamp}-{cfg_hash[:8]}"
-    run_dir = base
-    k = 1
-    while run_dir.exists():
-        run_dir = Path(f"{base}-{k}")
-        k += 1
-    run_dir.mkdir(parents=True)
-    return run_dir
+    root.mkdir(parents=True, exist_ok=True)
+    run_dir, k = base, 0
+    while True:
+        try:
+            run_dir.mkdir()
+            return run_dir
+        except FileExistsError:
+            k += 1
+            run_dir = Path(f"{base}-{k}")
 
 
-def write_run_info(run_dir: Path, command: str, cfg_path, cfg_sha: str,
+def write_run_info(run_dir: Path, command: str, cfg_path, cfg_text: str, cfg_sha: str,
                    seed: int) -> None:
     info = {
         "command": command,
@@ -176,7 +184,7 @@ def write_run_info(run_dir: Path, command: str, cfg_path, cfg_sha: str,
         "version": __version__,
     }
     (run_dir / "run.json").write_text(json.dumps(info, indent=2) + "\n")
-    (run_dir / "config.ini").write_text(Path(cfg_path).read_text())
+    (run_dir / "config.ini").write_text(cfg_text, encoding="utf-8")
 
 
 def _global_seed(args, cfg) -> int:
@@ -534,13 +542,13 @@ def run(argv) -> int:
     handler, needs_config = COMMANDS[args.command]
     if not needs_config:
         return handler(args)
-    cfg = load_config(args.config)
+    cfg, cfg_text = load_config(args.config)
     args.seed = _global_seed(args, cfg)
     cfg_sha = config_hash({s: dict(cfg[s]) for s in cfg.sections()})
     out_root = Path(args.out or os.environ.get(ENV_OUT, "runs"))
     run_dir = make_run_dir(out_root, args.command, cfg_sha)
     try:
-        write_run_info(run_dir, args.command, args.config, cfg_sha, args.seed)
+        write_run_info(run_dir, args.command, args.config, cfg_text, cfg_sha, args.seed)
         return handler(args, cfg, run_dir)
     except BaseException:
         shutil.rmtree(run_dir, ignore_errors=True)

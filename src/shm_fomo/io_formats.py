@@ -47,7 +47,19 @@ def save_recording_binary(rec: RawRecording, path) -> None:
     write_container(path, RECORDING_MAGIC, {"fs": int(rec.fs)}, tensors)
 
 
-def load_recording_binary(path) -> RawRecording:
+def load_recording(path) -> RawRecording:
+    """The recording in a ``.csv`` file or a binary container, the one way to
+    read one. Every bad file is a FormatError, whatever its format: a broken
+    layout, and contents that RawRecording rejects (``fs = 0``, a label of 3)."""
+    try:
+        if Path(path).suffix == ".csv":
+            return _load_recording_csv(path)
+        return _load_recording_binary(path)
+    except (ConfigError, DataError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _load_recording_binary(path) -> RawRecording:
     """The recording of a ``save_recording_binary`` file; a file that breaks
     that layout, or holds a label that is not a whole number, is a
     FormatError."""
@@ -69,18 +81,7 @@ def load_recording_binary(path) -> RawRecording:
     return RawRecording(samples=samples, fs=fs, labels=labels)
 
 
-def load_recording(path) -> RawRecording:
-    """The recording in a ``.csv`` file or a binary container; contents that
-    RawRecording rejects (``fs = 0``, a label of 3) are a FormatError."""
-    try:
-        if Path(path).suffix == ".csv":
-            return load_recording_csv(path)
-        return load_recording_binary(path)
-    except (ConfigError, DataError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
-def load_recording_csv(path) -> RawRecording:
+def _load_recording_csv(path) -> RawRecording:
     """Read the CSV format; the sampling rate comes from the timestamps."""
     times, samples, labels = [], [], []
     any_label = False

@@ -39,6 +39,9 @@ class BridgeConfig:
         for f in self.modal_freqs:
             if not 0 < f < FS / 2:
                 raise ConfigError(f"modal frequency {f} outside (0, {FS / 2})")
+        for a in self.modal_amps:
+            if not math.isfinite(a):
+                raise ConfigError(f"modal amplitude {a} must be finite")
         for d in self.damping:
             if not 0 < d < math.inf:
                 raise ConfigError(f"damping {d} must be positive and finite")

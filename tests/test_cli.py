@@ -1,4 +1,6 @@
+import builtins
 import configparser
+import io
 import struct
 import subprocess
 import sys
@@ -388,6 +390,7 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
     ("synth-gen", "[synth]\nduration_s = 10\namp_sigma = inf\n"),
     ("synth-gen", "[synth]\nduration_s = 10\nnoise_std = nan\n"),
     ("synth-gen", "[synth]\nduration_s = 10\ndamping = 0, 1.2, 1.6\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\nmodal_amps = nan, 0.7, 0.45\n"),
     ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\n"
                   "arrival_rate_light = nan\n"),
     ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\n"
@@ -401,6 +404,73 @@ def test_bad_section_exits_3(tmp_path, monkeypatch, command, text):
     code = main_exit_code([command, "--config", str(cfg), "--out", str(tmp_path / "runs")],
                           monkeypatch)
     assert code == 3
+
+
+def _non_utf8_config(cfg, monkeypatch):
+    cfg.write_bytes(b"[synth]\nduration_s = 10\n# Br\xfccke\n")
+
+
+def _directory_config(cfg, monkeypatch):
+    cfg.mkdir()
+
+
+def _refused_config(cfg, monkeypatch):
+    # root may open any file, so the refusal is made in-process
+    cfg.write_text("[synth]\nduration_s = 10\n")
+    real_open = io.open
+
+    def refusing_open(file, *args, **kwargs):
+        if str(file) == str(cfg):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(io, "open", refusing_open)
+    monkeypatch.setattr(builtins, "open", refusing_open)
+
+
+@pytest.mark.parametrize("spoil", [_non_utf8_config, _directory_config, _refused_config],
+                         ids=["non-utf8", "directory", "permission-denied"])
+def test_unreadable_config_is_one_config_error_line(tmp_path, monkeypatch, capsys, spoil):
+    cfg = tmp_path / "c.ini"
+    spoil(cfg, monkeypatch)
+    out = tmp_path / "runs"
+    code = main_exit_code(["synth-gen", "--config", str(cfg), "--out", str(out)], monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_run_dir_keeps_the_config_text_it_parsed(tmp_path, monkeypatch):
+    cfg = tmp_path / "c.ini"
+    text = "# Brücke, ten seconds\n[synth]\nduration_s = 10\n"
+    cfg.write_text(text, encoding="utf-8")
+    real_load_config = cli.load_config
+
+    def load_then_edit(path):
+        loaded = real_load_config(path)
+        cfg.write_text("[synth]\nduration_s = 20\n")   # edited after the run read it
+        return loaded
+    monkeypatch.setattr(cli, "load_config", load_then_edit)
+    assert run_cli(["synth-gen", "--config", str(cfg)], tmp_path / "runs") == 0
+    run_dir = only_run_dir(tmp_path / "runs", "synth-gen")
+    assert (run_dir / "config.ini").read_bytes() == text.encode("utf-8")
+
+
+def test_run_dir_name_is_claimed_by_mkdir(tmp_path, monkeypatch):
+    # ``exists`` answering False stands for a run that takes the name after the look
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    (tmp_path / "pretrain-20260101-000000-abcdef01").mkdir()
+    monkeypatch.setattr(cli.Path, "exists", lambda self: False)
+    run_dir = cli.make_run_dir(tmp_path, "pretrain", "abcdef0123")
+    assert run_dir == tmp_path / "pretrain-20260101-000000-abcdef01-1"
+    assert run_dir.is_dir()
+
+
+def test_run_dir_under_a_dangling_link_fails(tmp_path):
+    root = tmp_path / "runs"
+    root.symlink_to(tmp_path / "nowhere")
+    with pytest.raises(FileExistsError):
+        cli.make_run_dir(root, "pretrain", "abcdef0123")
 
 
 @pytest.mark.parametrize("ignored", ["[model]\ne_dim = 24\n", "[kd]\nalpha_kd = 0.5\n",

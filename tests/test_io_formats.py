@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from shm_fomo.errors import ConfigError, DataError, FormatError
+from shm_fomo.errors import DataError, FormatError
 from shm_fomo.io_formats import (
     DATASET_MAGIC,
     RECORDING_MAGIC,
@@ -16,8 +16,6 @@ from shm_fomo.io_formats import (
     load_dataset,
     load_manifest,
     load_recording,
-    load_recording_binary,
-    load_recording_csv,
     read_container,
     save_dataset,
     save_manifest,
@@ -44,7 +42,7 @@ def test_recording_binary_round_trip(tmp_path):
     rec = RawRecording(samples=samples, fs=100, labels=labels)
     path = tmp_path / "rec.bin"
     save_recording_binary(rec, path)
-    back = load_recording_binary(path)
+    back = load_recording(path)
     assert back.fs == 100
     assert np.array_equal(back.samples, samples)
     assert np.array_equal(back.labels, labels)
@@ -54,14 +52,14 @@ def test_recording_binary_without_labels(tmp_path):
     rec = RawRecording(samples=np.arange(10, dtype=np.float64))
     path = tmp_path / "rec.bin"
     save_recording_binary(rec, path)
-    assert load_recording_binary(path).labels is None
+    assert load_recording(path).labels is None
 
 
 def test_recording_binary_bad_magic(tmp_path):
     path = tmp_path / "rec.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(FormatError):
-        load_recording_binary(path)
+        load_recording(path)
 
 
 def test_recording_binary_truncated(tmp_path):
@@ -70,7 +68,7 @@ def test_recording_binary_truncated(tmp_path):
     save_recording_binary(rec, path)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(FormatError):
-        load_recording_binary(path)
+        load_recording(path)
 
 
 def test_recording_binary_layout(tmp_path):
@@ -96,7 +94,7 @@ def test_recording_binary_flipped_sample_byte(tmp_path):
     blob[-4 - 4 * 50] ^= 0x01   # a byte of sample 50
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="checksum"):
-        load_recording_binary(path)
+        load_recording(path)
 
 
 def shm1_recording_bytes(samples, fs=100) -> bytes:
@@ -110,7 +108,7 @@ def test_recording_binary_rejects_shm1_layout(tmp_path):
     path = tmp_path / "old.bin"
     path.write_bytes(shm1_recording_bytes(np.arange(100)))
     with pytest.raises(FormatError, match="bad magic"):
-        load_recording_binary(path)
+        load_recording(path)
 
 
 SAMPLES = np.arange(6, dtype=np.float32)
@@ -134,20 +132,7 @@ def test_recording_binary_rejects_malformed_contents(tmp_path, meta, tensors, ma
     path = tmp_path / "rec.bin"
     write_container(path, RECORDING_MAGIC, meta, tensors)
     with pytest.raises(FormatError, match=match):
-        load_recording_binary(path)
-
-
-@pytest.mark.parametrize("meta, tensors, error", [
-    ({"fs": 0}, {"samples": SAMPLES}, ConfigError),
-    ({"fs": 100}, {"samples": [0, 1, np.nan, 3, 4, 5]}, DataError),
-    ({"fs": 100}, {"samples": SAMPLES, "labels": [0, 1, 3, 2, 0, 0]}, DataError),
-    ({"fs": 100}, {"samples": SAMPLES, "labels": [0, 1, 2]}, DataError),
-])
-def test_recording_binary_keeps_recording_checks(tmp_path, meta, tensors, error):
-    path = tmp_path / "rec.bin"
-    write_container(path, RECORDING_MAGIC, meta, tensors)
-    with pytest.raises(error):
-        load_recording_binary(path)
+        load_recording(path)
 
 
 @pytest.mark.parametrize("meta, tensors, match", [
@@ -182,7 +167,7 @@ def test_recording_csv_round_trip(tmp_path):
                        labels=rng.integers(0, 3, size=50))
     path = tmp_path / "rec.csv"
     save_recording_csv(rec, path)
-    back = load_recording_csv(path)
+    back = load_recording(path)
     assert np.allclose(back.samples, rec.samples)
     assert np.array_equal(back.labels, rec.labels)
 
@@ -191,7 +176,7 @@ def test_recording_csv_without_labels(tmp_path):
     rec = RawRecording(samples=np.arange(5, dtype=np.float64))
     path = tmp_path / "rec.csv"
     save_recording_csv(rec, path)
-    assert load_recording_csv(path).labels is None
+    assert load_recording(path).labels is None
 
 
 @pytest.mark.parametrize("fs", [1, 50, 100, 1000])
@@ -199,7 +184,7 @@ def test_recording_csv_keeps_sampling_rate(tmp_path, fs):
     rec = RawRecording(samples=np.arange(120, dtype=np.float64), fs=fs)
     path = tmp_path / "rec.csv"
     save_recording_csv(rec, path)
-    assert load_recording_csv(path).fs == fs
+    assert load_recording(path).fs == fs
 
 
 @pytest.mark.parametrize("times", [
@@ -213,7 +198,7 @@ def test_recording_csv_needs_integer_rate(tmp_path, times):
     path.write_text("timestamp,accel_z,label\n"
                     + "".join(f"{t:.6f},1.0,\n" for t in times))
     with pytest.raises(FormatError):
-        load_recording_csv(path)
+        load_recording(path)
 
 
 def test_dataset_round_trip(tmp_path):
@@ -351,7 +336,7 @@ def test_recording_csv_non_numeric_cell(tmp_path, row):
     path = tmp_path / "r.csv"
     path.write_text(f"timestamp,accel_z,label\n0.00,0.1,\n{row}\n0.02,0.3,\n")
     with pytest.raises(FormatError, match="row 3"):
-        load_recording_csv(path)
+        load_recording(path)
 
 
 @pytest.mark.parametrize("text, row", [
@@ -362,14 +347,14 @@ def test_recording_csv_non_utf8_row(tmp_path, text, row):
     path = tmp_path / "r.csv"
     path.write_bytes(text)
     with pytest.raises(FormatError, match=f"row {row}: .*utf-8"):
-        load_recording_csv(path)
+        load_recording(path)
 
 
 def test_recording_csv_row_without_a_sample(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("timestamp,accel_z,label\n0.00,0.1,\n0.01\n0.02,0.3,\n")
     with pytest.raises(FormatError, match="row 3"):
-        load_recording_csv(path)
+        load_recording(path)
 
 
 def test_container_round_trip_bit_exact(tmp_path):

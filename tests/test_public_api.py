@@ -4,14 +4,16 @@ property and dataclass field of a library class; one that only tests call or
 read belongs in the tests."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import shm_fomo
 
 PACKAGE = Path(shm_fomo.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# the package's __init__ re-exports names, which is no use of them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 USERS = MODULES + sorted(p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))
 
 
@@ -111,3 +113,14 @@ def test_checker_flags_a_test_only_member():
     caller = ast.parse("r = lib.Report()\nr.helper = None\nprint(r.total(), r.shown)\n")
     assert unread_members({"lib.py": lib}, [lib, caller]) == {
         ("lib.py", "Report.test_only"): 3, ("lib.py", "Report.helper"): 10}
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    """``import shm_fomo`` binds ``__version__`` and nothing else: no module of
+    the package, no numpy, no scipy."""
+    code = ("import sys, shm_fomo; print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('shm_fomo', 'numpy', 'scipy'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["shm_fomo"]

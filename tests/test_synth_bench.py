@@ -85,6 +85,9 @@ class TestGenAmbient:
             BridgeConfig(modal_freqs=(60.0,), modal_amps=(1.0,), damping=(1.0,))
         with pytest.raises(ConfigError):
             BridgeConfig(anomaly_shift=0.0)
+        for amp in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="modal amplitude"):
+                BridgeConfig(modal_amps=(amp, 0.7, 0.45))
 
 
 class TestVehicleLabels:

@@ -373,7 +373,7 @@ def test_pretrain_plan_must_match_model_mask_ratio():
 
 def plan_from_file(path, plan_factory):
     """The plan ``cli`` builds from the ``[train]`` section of a config file."""
-    return cli._train_plan(cli.load_config(path), plan_factory, seed=0)
+    return cli._train_plan(cli.load_config(path)[0], plan_factory, seed=0)
 
 
 class TestPlanParsing:
