@@ -16,9 +16,6 @@ from .errors import ConfigError, DataError
 
 LINREG_RIDGE = 1e-8      # added to the Gram diagonal in linreg_fit
 
-FEATURE_NAMES = ("mean", "std", "min", "max", "skewness", "kurtosis",
-                 "rms_energy", "zero_crossings")
-
 
 @dataclass
 class PcaModel:
@@ -67,7 +64,8 @@ def pca_errors(model: PcaModel, windows: np.ndarray) -> np.ndarray:
 
 
 def extract_features(window: np.ndarray) -> np.ndarray:
-    """Eight per-window statistics (see FEATURE_NAMES).
+    """Eight per-window statistics, in this order: mean, std, min, max,
+    skewness, kurtosis, RMS energy and the number of zero crossings.
 
     Skewness and kurtosis are the standardized third/fourth central moments
     (kurtosis non-excess, i.e. 3 for a Gaussian); both are defined as 0 for

@@ -30,12 +30,15 @@ subcommand does not read is ignored, so one file can serve several
 subcommands. A dataset is one file: ``preprocess`` writes
 ``<run>/dataset.shmd``, and the ``*dataset`` paths name such a file.
 
-Exit codes: 0 success, 2 usage error, 3 a ``config error:`` for a config
-file that cannot be read, decoded as UTF-8 or parsed, or that holds a bad
-section, key or value, 4 one ``input error:`` line for any ``OSError`` or
-``FormatError``: an input file (checkpoint, dataset, manifest, recording) that
-is missing, a directory or malformed, and an ``OSError`` while writing the run
-directory. Neither the config nor the inputs get pre-checks.
+Exit codes: 0 success; 1 one ``error:`` line for a library error on readable
+files, such as a test set without targets or tags, a calibration that cannot
+reach its grid or a diverged run, and an ablation whose regime printed
+``FAILED`` (its other regimes still ran); 2 a usage error; 3 a ``config
+error:`` for a config file that cannot be read, decoded as UTF-8 or parsed, or
+that holds a bad section, key or value; 4 one ``input error:`` line for any
+``OSError`` or ``FormatError``: an input file (checkpoint, dataset, manifest,
+recording) that is missing, a directory or malformed, and an ``OSError`` while
+writing the run directory. Neither the config nor the inputs get pre-checks.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .io_formats import (config_hash, load_dataset, load_manifest, load_recordin
                          save_dataset, save_manifest, save_recording_binary)
 from .mae_model import ModelConfig
 from .signal_pipeline import (TAG_ANOMALY, TAG_NORMAL, PipelineConfig,
-                              build_dataset, kept_windows, normalize)
+                              build_dataset, kept_windows, normalize, targets_of)
 from .synth_bench import BridgeConfig, TrafficConfig
 from .trainer import KDConfig, TrainPlan
 
@@ -353,6 +356,9 @@ def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
     calib_err = mae_model.reconstruction_errors(model, _load_dataset(calib_path),
                                                 base_seed=eval_seed)
     test_windows = _load_dataset(test_path)
+    for i, w in enumerate(test_windows):
+        if w.tag is None:
+            raise DataError(f"{test_path}: test window {i} has no {TAG_NORMAL}/{TAG_ANOMALY} tag")
     test_err = mae_model.reconstruction_errors(model, test_windows, base_seed=eval_seed)
     truth = np.array([w.tag == TAG_ANOMALY for w in test_windows])
     threshold = _detection_report(run_dir, thr_cfg, "mae", train_err, calib_err, test_err,
@@ -382,7 +388,7 @@ def cmd_eval_tle(args, cfg, run_dir: Path) -> int:
     (test_path, ckpt) = paths_of(cfg, "test_dataset", "checkpoint")
     model = mae_model.load_model(ckpt)
     windows = _load_dataset(test_path)
-    y_true = np.array([w.target for w in windows], dtype=np.float64)
+    y_true = targets_of(windows)
     y_pred = mae_model.regress_predictions(model, [w.image for w in windows])
     _regression_report(run_dir, "mae", y_true, y_pred)
     return 0
@@ -398,25 +404,39 @@ def _regression_report(run_dir: Path, model_id: str, y_true, y_pred) -> None:
 
 
 def cmd_ablation(args, cfg, run_dir: Path) -> int:
+    """Fine-tune under one plan and seeds after no pretraining, pretraining on
+    the task's pool, and pretraining on the combined pool."""
     (all_path, task_path, ft_path, test_path) = paths_of(
         cfg, "pretrain_all_dataset", "task_dataset", "finetune_dataset", "test_dataset")
     model_cfg = build_from_section(ModelConfig, section(cfg, "model"))
     pre_plan = _train_plan(cfg, trainer.pretrain_plan, args.seed,
                           mask_ratio=model_cfg.mask_ratio)
     ft_plan = _train_plan(cfg, trainer.finetune_tle_plan, args.seed, name="finetune")
-    results = evaluation.ablation_protocol(
-        model_cfg, _load_dataset(all_path), _load_dataset(task_path),
-        _load_dataset(ft_path), _load_dataset(test_path),
-        pre_plan, ft_plan, seed=derive_seed(args.seed, "ablation"))
+    all_windows, task_windows, ft_windows, test_windows = [
+        _load_dataset(path) for path in (all_path, task_path, ft_path, test_path)]
+    y_true = targets_of(test_windows)
+    test_images = [w.image for w in test_windows]
+    seed = derive_seed(args.seed, "ablation")
+    regimes = (("no_pretrain", None), ("pretrain_uc", task_windows),
+               ("pretrain_all", all_windows))
     reports = []
-    for regime, res in results.items():
-        if res.error:
-            print(f"{regime}: FAILED ({res.error})")
-        else:
-            reports.append(res.report)
-            print(f"{regime}: MAE% {res.report.mae_pct:.2f}  R2 {res.report.r2:.3f}")
+    for regime, pool in regimes:
+        try:
+            model = mae_model.build_model(model_cfg, seed=seed)
+            if pool is not None:
+                trainer.pretrain(model, pool, pre_plan)
+            student = mae_model.attach_regression_head(model, seed=seed + 1)
+            trainer.finetune_tle(student, ft_windows, ft_plan)
+            report = evaluation.regression_metrics(
+                mae_model.regress_predictions(student, test_images), y_true)
+        except Exception as exc:  # a failed regime must not sink the others
+            print(f"{regime}: FAILED ({type(exc).__name__}: {exc})")
+            continue
+        report.task_id, report.model_id = "tle_synth", regime
+        reports.append(report)
+        print(f"{regime}: MAE% {report.mae_pct:.2f}  R2 {report.r2:.3f}")
     evaluation.write_report_csv(run_dir / "report.csv", reports)
-    return 0 if len(reports) == len(results) else 1
+    return 0 if len(reports) == len(regimes) else 1
 
 
 def _feature_targets(manifest_path: Path, pipe: PipelineConfig):

@@ -1,19 +1,16 @@
-"""Regression metrics, report assembly, and the pretraining ablation protocol."""
+"""Measurement and reporting only: regression and detection metrics from
+predictions, errors and truth that the caller computed, and the files and
+tables that report them. Nothing here trains or runs a model."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import mae_model, trainer
 from .anomaly_head import FILTER_LENGTHS, AdMetrics, ad_metrics, classify, median_smooth
 from .errors import DataError, EmptyInputError
-from .mae_model import ModelConfig
-from .trainer import TrainPlan
-
-ABLATION_REGIMES = ("no_pretrain", "pretrain_uc", "pretrain_all")
 
 
 @dataclass
@@ -102,48 +99,3 @@ def format_report_table(reports: Sequence[MetricsReport]) -> str:
                      f"{r.mse:>10.4f}{r.mae:>10.4f}{r.r2:>8.3f}"
                      f"{r.mse_pct:>10.2f}{r.mae_pct:>10.2f}")
     return "\n".join(lines)
-
-
-@dataclass
-class AblationResult:
-    report: MetricsReport
-    error: Optional[str] = None
-
-
-def ablation_protocol(model_cfg: ModelConfig, pretrain_all_windows,
-                      task_train_windows, task_finetune_windows,
-                      task_test_windows, pretrain_plan: TrainPlan,
-                      finetune_plan: TrainPlan, seed: int,
-                      ) -> dict[str, AblationResult]:
-    """Compare fine-tuning after no / task-only / combined pretraining.
-
-    Each of ABLATION_REGIMES uses the identical fine-tune plan and seeds; they
-    differ only in what (if anything) the encoder saw during self-supervised
-    pretraining.
-    ``task_finetune_windows`` is the labeled fine-tune split (possibly shrunk),
-    ``task_train_windows`` the task's own unlabeled training pool. A failing
-    regime is recorded and the others still run.
-    """
-    results: dict[str, AblationResult] = {}
-    y_true = np.array([w.target for w in task_test_windows], dtype=np.float64)
-    test_images = [w.image for w in task_test_windows]
-
-    for regime in ABLATION_REGIMES:
-        try:
-            model = mae_model.build_model(model_cfg, seed=seed)
-            if regime == "pretrain_uc":
-                trainer.pretrain(model, task_train_windows, pretrain_plan)
-            elif regime == "pretrain_all":
-                trainer.pretrain(model, pretrain_all_windows, pretrain_plan)
-            student = mae_model.attach_regression_head(model, seed=seed + 1)
-            trainer.finetune_tle(student, task_finetune_windows, finetune_plan)
-            y_pred = mae_model.regress_predictions(student, test_images)
-            report = regression_metrics(y_pred, y_true)
-            report.task_id = "tle_synth"
-            report.model_id = regime
-            results[regime] = AblationResult(report=report)
-        except Exception as exc:  # a failed regime must not sink the others
-            results[regime] = AblationResult(
-                report=MetricsReport(model_id=regime),
-                error=f"{type(exc).__name__}: {exc}")
-    return results

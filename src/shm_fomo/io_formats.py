@@ -13,6 +13,8 @@ returned.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -280,22 +282,7 @@ def load_manifest(path) -> list[dict]:
 
 
 def config_hash(obj) -> str:
-    """Stable short hash of a config-like object (dataclass, dict, or scalar tree)."""
-    import dataclasses
-    import hashlib
-
-    def normalize(x):
-        if dataclasses.is_dataclass(x) and not isinstance(x, type):
-            return {f.name: normalize(getattr(x, f.name)) for f in dataclasses.fields(x)}
-        if isinstance(x, dict):
-            return {str(k): normalize(v) for k, v in sorted(x.items())}
-        if isinstance(x, (list, tuple)):
-            return [normalize(v) for v in x]
-        if isinstance(x, (np.floating, np.integer)):
-            return x.item()
-        if isinstance(x, Path):
-            return str(x)
-        return x
-
-    blob = json.dumps(normalize(obj), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """Stable short hash of a config-like object: a dataclass, or a JSON tree
+    whose leaves may be dataclasses."""
+    blob = json.dumps(obj, sort_keys=True, default=dataclasses.asdict)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

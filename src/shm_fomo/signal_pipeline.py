@@ -263,13 +263,18 @@ def build_dataset(
     """Window, energy-filter, normalize, and spectrogram a set of recordings;
     each image is rounded to float32.
 
-    ``tags`` optionally assigns one "normal"/"anomaly" tag per recording to all
-    of its windows. Temporal order is preserved within each recording; the
-    returned result also counts the candidate windows, so the energy filter
-    dropped ``n_candidates - len(windows)``.
+    ``tags`` optionally assigns one tag per recording to all of its windows:
+    None, TAG_NORMAL or TAG_ANOMALY, any other being a DataError. Temporal
+    order is preserved within each recording; the returned result also counts
+    the candidate windows, so the energy filter dropped
+    ``n_candidates - len(windows)``.
     """
     if tags is not None and len(tags) != len(recs):
         raise DataError("tags must align one-to-one with recordings")
+    for tag in tags or ():
+        if tag not in (None, TAG_NORMAL, TAG_ANOMALY):
+            raise DataError(f"unknown tag {tag!r}; known: None, {TAG_NORMAL!r}, "
+                            f"{TAG_ANOMALY!r}")
     fs = {rec.fs for rec in recs}
     if len(fs) > 1:
         raise DataError(f"recordings mix sampling rates {sorted(fs)}")
@@ -287,6 +292,15 @@ def build_dataset(
     if result.n_candidates and not result.windows:
         logger.warning("energy filter dropped all %d candidate windows", result.n_candidates)
     return result
+
+
+def targets_of(windows) -> np.ndarray:
+    """The regression targets of ``windows`` as float64; a window without one
+    is a DataError, not a NaN that a metric would average in."""
+    missing = [i for i, w in enumerate(windows) if w.target is None]
+    if missing:
+        raise DataError(f"window {missing[0]} has no regression target")
+    return np.array([w.target for w in windows], dtype=np.float64)
 
 
 def chronological_split(items: Sequence, train_frac: float) -> tuple[list, list]:

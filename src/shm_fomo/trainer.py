@@ -19,7 +19,7 @@ import numpy as np
 from . import mae_model
 from .errors import ConfigError, DataError, DivergenceError, EmptyInputError
 from .mae_model import MaeModel
-from .signal_pipeline import TAG_ANOMALY
+from .signal_pipeline import TAG_ANOMALY, targets_of
 
 logger = logging.getLogger(__name__)
 
@@ -247,32 +247,22 @@ def finetune_ad(model: MaeModel, normal_windows: Sequence, plan: TrainPlan) -> T
     return pretrain(model, normal_windows, plan)
 
 
-def _targets_of(windows) -> np.ndarray:
-    targets = []
-    for i, w in enumerate(windows):
-        if w.target is None:
-            raise DataError(f"window {i} has no regression target")
-        targets.append(w.target)
-    return np.asarray(targets, dtype=np.float64)
-
-
 def _regression_loop(model: MaeModel, windows, plan: TrainPlan,
-                     make_loss: Callable) -> TrainLog:
+                     loss: Callable) -> TrainLog:
     """Regression fine-tuning on the stacked images of ``windows``.
 
-    ``make_loss(images, targets)`` returns the step loss ``loss(yhat, idx)``,
-    which gives (loss, dloss/dyhat) for the batch of window indices ``idx``.
+    ``loss(yhat, idx)`` gives (loss, dloss/dyhat) for the predictions of the
+    batch of window indices ``idx``.
     """
     if not model.has_reg_head:
         raise ConfigError("attach_regression_head before regression fine-tuning")
     images = _stack_images(windows, model.dtype)
-    loss_fn = make_loss(images, _targets_of(windows))
 
     def step(idx, rng):
         yhat, cache = mae_model.regress_forward_batch(model, images[idx])
-        loss, dyhat = loss_fn(yhat.astype(np.float64), idx)
+        value, dyhat = loss(yhat.astype(np.float64), idx)
         grads = mae_model.regress_backward(model, cache, dyhat)
-        return loss, grads
+        return value, grads
 
     return _run_loop(model, len(windows), plan, step)
 
@@ -284,10 +274,9 @@ def mse_loss(yhat: np.ndarray, y: np.ndarray):
 
 def finetune_tle(model: MaeModel, labeled_windows: Sequence, plan: TrainPlan) -> TrainLog:
     """Supervised regression fine-tuning with squared-error loss."""
-    def make_loss(images, y):
-        return lambda yhat, idx: mse_loss(yhat, y[idx])
-
-    return _regression_loop(model, labeled_windows, plan, make_loss)
+    y = targets_of(labeled_windows)
+    return _regression_loop(model, labeled_windows, plan,
+                            lambda yhat, idx: mse_loss(yhat, y[idx]))
 
 
 def kd_loss(y_s: np.ndarray, y_t: np.ndarray, y_true: np.ndarray, kd: KDConfig):
@@ -316,12 +305,11 @@ def finetune_kd(student: MaeModel, teacher: MaeModel, labeled_windows,
     """
     if kd.alpha_kd != 0.0 and not teacher.has_reg_head:
         raise ConfigError("teacher has no regression head")
-
-    def make_loss(images, y):
-        if kd.alpha_kd != 0.0:
-            y_t = mae_model.regress_predictions(teacher, images).astype(np.float64)
-        else:
-            y_t = np.zeros(len(y))
-        return lambda yhat, idx: kd_loss(yhat, y_t[idx], y[idx], kd)
-
-    return _regression_loop(student, labeled_windows, plan, make_loss)
+    y = targets_of(labeled_windows)
+    if kd.alpha_kd != 0.0:
+        y_t = mae_model.regress_predictions(
+            teacher, [w.image for w in labeled_windows]).astype(np.float64)
+    else:
+        y_t = np.zeros(len(y))
+    return _regression_loop(student, labeled_windows, plan,
+                            lambda yhat, idx: kd_loss(yhat, y_t[idx], y[idx], kd))

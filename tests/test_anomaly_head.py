@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,6 +38,27 @@ def grid_steps(threshold, train_errors, calibration_day_errors, step_fraction=0.
     """k of a threshold init + k * step, as perfbench's observer derives it."""
     init = float(np.mean(train_errors) + np.std(calibration_day_errors))
     return round((threshold - init) / (init * step_fraction))
+
+
+def assert_matches_loop(threshold, train, calib, step_fraction):
+    """``threshold`` is the loop's, or, where the loop's running sum drifted
+    across the maximum calibration error, the least grid value above it."""
+    expected, loop_k = loop_threshold(train, calib, step_fraction, max_steps=50_000)
+    k = grid_steps(threshold, train, calib, step_fraction)
+    if k == loop_k:
+        assert threshold == pytest.approx(expected, rel=1e-12, abs=0.0)
+        return
+    # The loop's running sum drifts by a rounding per step, so where the
+    # maximum calibration error sits on a grid point to within that
+    # drift, the loop may cross it one step late or early. The closed
+    # form is then still the least grid value at or above the maximum.
+    init = float(np.mean(train) + np.std(calib))
+    step = init * step_fraction
+    top = max(calib)
+    assert abs(k - loop_k) == 1
+    drift = 4 * np.finfo(np.float64).eps * (loop_k + 1) * top
+    assert abs(init + min(k, loop_k) * step - top) <= drift
+    assert init + (k - 1) * step < top <= threshold == init + k * step
 
 
 def oracle_median_smooth(errors, L):
@@ -99,22 +122,19 @@ class TestCalibrateThreshold:
     @example(train=[0.1], calib=[2.0], step_fraction=0.25)   # a tie the loop misses
     def test_closed_form_matches_loop(self, train, calib, step_fraction):
         thr = calibrate_threshold(train, calib, ThresholdConfig(step_fraction=step_fraction))
-        expected, loop_k = loop_threshold(train, calib, step_fraction, max_steps=50_000)
+        assert_matches_loop(thr, train, calib, step_fraction)
+
+    @pytest.mark.parametrize("init, step_fraction, top, correction", [
+        (1.02519890467239, 0.01, 12.27163088892851, 1),
+        (1.7966663797279918, 0.001, 3.6544194163667356, -1),
+    ], ids=["ceiling-one-short", "ceiling-one-past"])
+    def test_rounded_quotient_is_corrected(self, init, step_fraction, top, correction):
+        # (top - init) / step is rounded, so its ceiling misses the least k by one
+        train, calib = [init], [top, top]
+        thr = calibrate_threshold(train, calib, ThresholdConfig(step_fraction=step_fraction))
         k = grid_steps(thr, train, calib, step_fraction)
-        if k == loop_k:
-            assert thr == pytest.approx(expected, rel=1e-12, abs=0.0)
-            return
-        # The loop's running sum drifts by a rounding per step, so where the
-        # maximum calibration error sits on a grid point to within that
-        # drift, the loop may cross it one step late or early. The closed
-        # form is then still the least grid value at or above the maximum.
-        init = float(np.mean(train) + np.std(calib))
-        step = init * step_fraction
-        top = max(calib)
-        assert abs(k - loop_k) == 1
-        drift = 4 * np.finfo(np.float64).eps * (loop_k + 1) * top
-        assert abs(init + min(k, loop_k) * step - top) <= drift
-        assert init + (k - 1) * step < top <= thr == init + k * step
+        assert k == math.ceil((top - init) / (init * step_fraction)) + correction
+        assert_matches_loop(thr, train, calib, step_fraction)
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyInputError):

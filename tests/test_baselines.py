@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from shm_fomo.baselines import (
-    FEATURE_NAMES,
     LinregModel,
     extract_features,
     knn_predict,
@@ -12,6 +11,10 @@ from shm_fomo.baselines import (
     pca_fit,
 )
 from shm_fomo.errors import DataError
+
+# the order of extract_features' values
+FEATURE_NAMES = ("mean", "std", "min", "max", "skewness", "kurtosis",
+                 "rms_energy", "zero_crossings")
 
 
 def pca_error(model, window):

@@ -12,10 +12,10 @@ import pytest
 from shm_fomo import baselines, cli, mae_model, trainer
 from shm_fomo.anomaly_head import FILTER_LENGTHS
 from shm_fomo.errors import ConfigError, DataError
-from shm_fomo.io_formats import (RECORDING_MAGIC, load_dataset, load_manifest, read_container,
-                                 save_dataset, save_manifest, save_recording_binary,
-                                 write_container)
-from shm_fomo.mae_model import ModelConfig, build_model, save_model
+from shm_fomo.io_formats import (RECORDING_MAGIC, config_hash, load_dataset, load_manifest,
+                                 load_recording, read_container, save_dataset, save_manifest,
+                                 save_recording_binary, write_container)
+from shm_fomo.mae_model import ModelConfig, attach_regression_head, build_model, save_model
 from shm_fomo.signal_pipeline import PipelineConfig, build_dataset
 from shm_fomo.synth_bench import BridgeConfig, TrafficConfig, gen_ambient, gen_traffic
 
@@ -189,6 +189,37 @@ train_manifest = {gen_dir}/manifest.json
 test_manifest = {gen_dir}/manifest.json
 """)
     assert run_cli(["baseline", "--config", str(cfg_base)], out) == 0
+
+
+def test_synth_damaged_takes_a_boolean_word(tmp_path):
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text("[synth]\nduration_s = 10\ndamaged = yes\n")
+    out = tmp_path / "runs"
+    assert run_cli(["synth-gen", "--config", str(cfg)], out) == 0
+    gen_dir = only_run_dir(out, "synth-gen")
+    (entry,) = load_manifest(gen_dir / "manifest.json")
+    assert (entry["state"], entry["file"]) == ("damaged", "rec_damaged_000.bin")
+    want = gen_ambient(BridgeConfig(), 10.0, damaged=True, seed=entry["seed"])
+    assert np.array_equal(load_recording(gen_dir / entry["file"]).samples,
+                          want.samples.astype(np.float32))
+
+
+def test_preprocess_of_one_recording_file(tmp_path):
+    rec = gen_ambient(BridgeConfig(), 30, seed=3)
+    path = tmp_path / "r.bin"
+    save_recording_binary(rec, path)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AD_PIPELINE + f"[paths]\ninput = {path}\n")
+    out = tmp_path / "runs"
+    assert run_cli(["preprocess", "--config", str(cfg)], out) == 0
+    windows = load_dataset(only_run_dir(out, "preprocess") / "dataset.shmd")
+    want = build_dataset([load_recording(path)],
+                         PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)).windows
+    assert len(windows) == len(want) == (3000 - 500) // 200 + 1
+    for got, w in zip(windows, want):
+        assert got.tag is None and got.target is None
+        assert got.start_index == w.start_index
+        assert np.array_equal(got.image, w.image)
 
 
 def test_describe(tmp_path, capsys):
@@ -397,6 +428,9 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
                   "pulse_amp_heavy = nan\n"),
     ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\n"
                   "pulse_dur_s = inf\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\ndamaged = maybe\n"),
+    ("pretrain", "[model]\ne_dim = 24\nd_dim = 16\n[paths]\ndatset = x\n"),
+    ("baseline", "[baseline]\nmode = svm-tle\n" + PCA_PATHS),
 ])
 def test_bad_section_exits_3(tmp_path, monkeypatch, command, text):
     cfg = tmp_path / "c.ini"
@@ -569,10 +603,29 @@ def _binary_recording(meta, labels=None):
     return argv
 
 
+def _version_2_checkpoint(tmp_path):
+    """A checkpoint with a valid CRC whose container version is 2."""
+    path = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), path)
+    blob = path.read_bytes()
+    body = struct.pack("<I", 2) + blob[8:-4]
+    path.write_bytes(blob[:4] + body + struct.pack("<I", zlib.crc32(body)))
+    return ["describe", str(path)]
+
+
+def _empty_dataset(tmp_path):
+    save_dataset([], tmp_path / "d.shmd")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[model]\ne_dim = 24\nd_dim = 16\n[paths]\ndataset = {tmp_path / 'd.shmd'}\n")
+    return ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "runs")]
+
+
 @pytest.mark.parametrize("bad_input", [
     _manifest_directory, _non_utf8_csv, _binary_recording({"fs": 0}),
     _binary_recording({"fs": 100}, labels=3), _huge_shape_checkpoint,
-], ids=["directory-manifest", "non-utf8-csv", "fs-0", "label-3", "huge-shape-checkpoint"])
+    _version_2_checkpoint, _empty_dataset,
+], ids=["directory-manifest", "non-utf8-csv", "fs-0", "label-3", "huge-shape-checkpoint",
+        "version-2-checkpoint", "empty-dataset"])
 def test_bad_input_file_is_one_input_error_line(tmp_path, monkeypatch, capsys, bad_input):
     code = main_exit_code(bad_input(tmp_path), monkeypatch)
     err = capsys.readouterr().err
@@ -720,15 +773,25 @@ def test_pretrain_masks_at_model_ratio(tmp_path, monkeypatch):
     assert mae_model.load_model(ckpt).config.mask_ratio == 0.5
 
 
-def _ablation_config(tmp_path, dataset, finetune_dataset=None):
+def _ablation_config(tmp_path, dataset, **paths):
+    """An ablation config whose four datasets are ``dataset``, except those
+    that ``paths`` names."""
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\ne_dim = 24\nd_dim = 16\n"
                    "[train]\nepochs = 1\nwarmup_epochs = 0\nbatch_size = 8\n"
                    "[finetune]\nepochs = 1\nbatch_size = 8\n[paths]\n"
-                   + "".join(f"{key} = {dataset}\n" for key in (
-                       "pretrain_all_dataset", "task_dataset", "test_dataset"))
-                   + f"finetune_dataset = {finetune_dataset or dataset}\n")
+                   + "".join(f"{key} = {paths.get(key, dataset)}\n" for key in (
+                       "pretrain_all_dataset", "task_dataset", "finetune_dataset",
+                       "test_dataset")))
     return cfg
+
+
+def _ambient_dataset(tmp_path):
+    """A dataset of unlabelled, untagged ambient windows."""
+    path = tmp_path / "ambient.shmd"
+    pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
+    save_dataset(build_dataset([gen_ambient(BridgeConfig(), 30, seed=1)], pipe).windows, path)
+    return path
 
 
 def test_ablation(tmp_path, traffic_data):
@@ -743,12 +806,8 @@ def test_ablation(tmp_path, traffic_data):
 
 def test_ablation_exits_1_when_regimes_fail(tmp_path, traffic_data, monkeypatch, capsys):
     # a fine-tune split without targets fails every regime
-    _, dataset = traffic_data
-    no_targets = tmp_path / "ambient.shmd"
-    pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
-    save_dataset(build_dataset([gen_ambient(BridgeConfig(), 30, seed=1)], pipe).windows,
-                 no_targets)
-    cfg = _ablation_config(tmp_path, dataset, finetune_dataset=no_targets)
+    cfg = _ablation_config(tmp_path, traffic_data[1],
+                           finetune_dataset=_ambient_dataset(tmp_path))
     assert main_exit_code(["ablation", "--config", str(cfg), "--out", str(tmp_path / "runs")],
                           monkeypatch) == 1
     assert capsys.readouterr().out.count("FAILED") == 3
@@ -767,6 +826,79 @@ def test_ablation_reports_the_regimes_that_succeed(tmp_path, traffic_data, monke
                    out) == 1
     rows = _report_rows(only_run_dir(out, "ablation"))
     assert [r[:3] for r in rows] == [["tle_synth", "no_pretrain", "25"]]
+
+
+def test_ablation_regimes_differ_only_in_their_pretraining_pool(tmp_path, traffic_data,
+                                                                monkeypatch):
+    # every split has its own size, so each pretraining call shows its pool
+    windows = load_dataset(traffic_data[1])
+    splits = {}
+    for key, n in (("pretrain_all_dataset", 17), ("task_dataset", 9),
+                   ("finetune_dataset", 12), ("test_dataset", 6)):
+        splits[key] = tmp_path / f"{key}.shmd"
+        save_dataset(windows[:n], splits[key])
+    cfg = _ablation_config(tmp_path, None, **splits)
+    calls = []
+    real_pretrain, real_finetune = trainer.pretrain, trainer.finetune_tle
+
+    def pretrain_spy(model, pool, plan):
+        calls.append(("pretrain", len(pool)))
+        return real_pretrain(model, pool, plan)
+
+    def finetune_spy(model, labeled, plan):
+        calls.append(("finetune", len(labeled), config_hash(plan)))
+        return real_finetune(model, labeled, plan)
+
+    monkeypatch.setattr(trainer, "pretrain", pretrain_spy)
+    monkeypatch.setattr(trainer, "finetune_tle", finetune_spy)
+    out = tmp_path / "runs"
+    assert run_cli(["ablation", "--config", str(cfg)], out) == 0
+    plan = cli._train_plan(cli.load_config(cfg)[0], trainer.finetune_tle_plan, 0,
+                           name="finetune")
+    finetune = ("finetune", 12, config_hash(plan))
+    assert calls == [finetune, ("pretrain", 9), finetune, ("pretrain", 17), finetune]
+    rows = _report_rows(only_run_dir(out, "ablation"))
+    assert [r[:3] for r in rows] == [["tle_synth", regime, "6"] for regime in
+                                     ("no_pretrain", "pretrain_uc", "pretrain_all")]
+
+
+def _eval_tle_without_targets(tmp_path, dataset):
+    ckpt = tmp_path / "m.ckpt"
+    save_model(attach_regression_head(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0),
+                                      seed=1), ckpt)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[paths]\ntest_dataset = {_ambient_dataset(tmp_path)}\n"
+                   f"checkpoint = {ckpt}\n")
+    return ["eval-tle", "--config", str(cfg)], "window 0 has no regression target"
+
+
+def _eval_ad_without_tags(tmp_path, dataset):
+    ckpt = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[paths]\ntrain_dataset = {dataset}\ncalibration_dataset = {dataset}\n"
+                   f"test_dataset = {dataset}\ncheckpoint = {ckpt}\n")
+    return ["eval-ad", "--config", str(cfg)], "test window 0 has no normal/anomaly tag"
+
+
+def _ablation_without_targets(tmp_path, dataset):
+    cfg = _ablation_config(tmp_path, dataset, test_dataset=_ambient_dataset(tmp_path))
+    return ["ablation", "--config", str(cfg)], "window 0 has no regression target"
+
+
+@pytest.mark.parametrize("command", [_eval_tle_without_targets, _eval_ad_without_tags,
+                                     _ablation_without_targets],
+                         ids=["eval-tle", "eval-ad", "ablation"])
+def test_test_set_without_labels_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                   traffic_data, command):
+    # scored as NaN metrics, or every window as normal, these exited 0
+    argv, message = command(tmp_path, traffic_data[1])
+    out = tmp_path / "runs"
+    assert main_exit_code(argv + ["--out", str(out)], monkeypatch) == 1
+    stdout, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and message in err
+    assert "FAILED" not in stdout
+    assert list(out.iterdir()) == []
 
 
 def test_baseline_knn_tle(tmp_path, traffic_data):

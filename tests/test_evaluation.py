@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
-from shm_fomo import trainer
 from shm_fomo.errors import DataError, EmptyInputError
 from shm_fomo.evaluation import (
     MetricsReport,
-    ablation_protocol,
     evaluate_anomaly_detection,
     format_report_table,
     regression_metrics,
     write_predictions_csv,
     write_report_csv,
 )
-from shm_fomo.io_formats import config_hash
-from shm_fomo.mae_model import ModelConfig
-from shm_fomo.signal_pipeline import SpectrogramWindow
-from shm_fomo.trainer import TrainPlan, pretrain_plan
 
 
 def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -129,51 +123,3 @@ class TestReports:
         write_report_csv(tmp_path / "ad.csv", [report])
         lines = (tmp_path / "ad.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per filter length
-
-
-def tiny_windows(n, seed, with_targets=True):
-    rng = np.random.default_rng(seed)
-    return [SpectrogramWindow(image=rng.normal(size=(100, 100)),
-                              target=float(rng.uniform(0, 3)) if with_targets else None)
-            for _ in range(n)]
-
-
-class TestAblation:
-    def test_three_regimes_and_identical_finetune_hash(self, monkeypatch):
-        cfg = ModelConfig(e_dim=24, d_dim=16)
-        pre = pretrain_plan(epochs=1, warmup_epochs=0, batch_size=8, seed=0)
-        ft = TrainPlan(base_lr=1e-4, epochs=1,
-                       warmup_epochs=0, batch_size=4, seed=0)
-        finetune_tle = trainer.finetune_tle
-        plans = []
-
-        def recording_finetune(model, windows, plan):
-            plans.append(plan)
-            return finetune_tle(model, windows, plan)
-
-        monkeypatch.setattr(trainer, "finetune_tle", recording_finetune)
-        results = ablation_protocol(
-            cfg, tiny_windows(8, 0), tiny_windows(8, 1), tiny_windows(8, 2),
-            tiny_windows(6, 3), pre, ft, seed=5)
-        assert set(results) == {"no_pretrain", "pretrain_uc", "pretrain_all"}
-        assert len(plans) == 3
-        hashes = {config_hash(plan) for plan in plans}
-        assert len(hashes) == 1
-        assert hashes == {config_hash(ft)}
-        for r in results.values():
-            assert r.error is None
-            assert r.report.n_samples == 6
-
-    def test_regime_failure_is_contained(self):
-        cfg = ModelConfig(e_dim=24, d_dim=16)
-        pre = pretrain_plan(epochs=1, warmup_epochs=0, batch_size=8, seed=0)
-        ft = TrainPlan(base_lr=1e-4, epochs=1,
-                       warmup_epochs=0, batch_size=4, seed=0)
-        # fine-tune windows without targets break every regime's fine-tune,
-        # but pretraining-only regimes still record the failure and continue
-        results = ablation_protocol(
-            cfg, tiny_windows(8, 0), tiny_windows(8, 1),
-            tiny_windows(8, 2, with_targets=False), tiny_windows(6, 3),
-            pre, ft, seed=5)
-        assert all(r.error is not None for r in results.values())
-        assert set(results) == {"no_pretrain", "pretrain_uc", "pretrain_all"}

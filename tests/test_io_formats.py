@@ -535,3 +535,16 @@ def test_config_hash_stable_and_sensitive():
     c = TrainPlan(epochs=11, warmup_epochs=5)
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
+
+
+def test_config_hash_pinned():
+    # run directory names, manifests and checkpoint provenance carry these hashes
+    from shm_fomo.synth_bench import BridgeConfig
+    from shm_fomo.trainer import TrainPlan, finetune_tle_plan
+
+    sections = {"train": {"epochs": "2", "base_lr": "1e-3"},
+                "model": {"e_dim": "24", "d_dim": "16"}}
+    assert config_hash(BridgeConfig()) == "16bfba2880f7a15d"
+    assert config_hash(TrainPlan()) == "b0252adb456ce9ea"
+    assert config_hash({"plan": finetune_tle_plan(), "note": "x"}) == "71dd67b818b09b8f"
+    assert config_hash(sections) == "b57bf02dc3e3ee6a"

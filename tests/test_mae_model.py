@@ -695,6 +695,25 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=match):
             load_model(path)
 
+    @pytest.mark.parametrize("spoil, match", [
+        (lambda meta, t: t.pop("patch_embed.w"), r"tensor set mismatch near \['patch_embed.w'\]"),
+        (lambda meta, t: t.update(extra=np.zeros(3)), r"tensor set mismatch near \['extra'\]"),
+        (lambda meta, t: meta.update(has_reg_head=True), "tensor set mismatch near"),
+        (lambda meta, t: t.update({"patch_embed.b": np.zeros(25)}),
+         r"tensor patch_embed.b has shape \(25,\), expected \(24,\)"),
+        (lambda meta, t: t.update({"patch_embed.w": t["patch_embed.w"].T}),
+         "tensor patch_embed.w has shape"),
+    ], ids=["missing", "extra", "head-without-tensors", "length", "transposed"])
+    def test_bad_tensors_rejected(self, tmp_path, tiny_model, spoil, match):
+        # written with a valid CRC, so only the tensor check can refuse it
+        path = tmp_path / "model.ckpt"
+        save_model(tiny_model, path)
+        meta, tensors = read_container(path, CHECKPOINT_MAGIC)
+        spoil(meta, tensors)
+        write_container(path, CHECKPOINT_MAGIC, meta, tensors)
+        with pytest.raises(FormatError, match=match):
+            load_model(path)
+
     def test_header_spells_out_the_architecture(self, tmp_path, tiny_model):
         path = tmp_path / "model.ckpt"
         save_model(tiny_model, path, provenance="abc123")

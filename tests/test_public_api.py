@@ -1,7 +1,7 @@
-"""Every public top-level function and class of a library module is used by
-the library itself or by the benchmark, and so is every public method,
-property and dataclass field of a library class; one that only tests call or
-read belongs in the tests."""
+"""Every public top-level function, class and assigned name of a library
+module is used by the library itself or by the benchmark, and so is every
+public method, property and dataclass field of a library class; one that only
+tests call or read belongs in the tests."""
 
 import ast
 import os
@@ -18,17 +18,24 @@ USERS = MODULES + sorted(p for p in PERFBENCH.glob("*.py") if not p.name.startsw
 
 
 def public_definitions(tree: ast.Module) -> dict[str, int]:
-    """Public top-level functions and classes, with their lines."""
-    return {node.name: node.lineno for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+    """Public top-level functions, classes and assigned names, with their lines."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((name.id, node.lineno) for target in targets
+                           for name in ast.walk(target) if isinstance(name, ast.Name))
+    return {name: line for name, line in defined.items() if not name.startswith("_")}
 
 
 def used_names(tree: ast.Module) -> set[str]:
-    """Names loaded anywhere, bare (``f``) or as an attribute (``mod.f``)."""
+    """Names loaded anywhere, bare (``f``) or as an attribute (``mod.f``); a
+    name that is only assigned is not used."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -86,9 +93,13 @@ def test_checker_flags_a_test_only_function():
     lib = ast.parse("def used():\n    return 1\n"
                     "def test_only():\n    return 2\n"
                     "class Kept:\n    pass\n"
-                    "def _private():\n    return used()\n")
+                    "def _private():\n    return used()\n"
+                    "READ, UNREAD = 1, 2\n"
+                    "ORDER: tuple = ('a',)\n"
+                    "_HIDDEN = READ\n")
     caller = ast.parse("import lib\nx: 'ignored' = lib.Kept()\n")
-    assert unused_public({"lib.py": lib}, [lib, caller]) == {("lib.py", "test_only"): 3}
+    assert unused_public({"lib.py": lib}, [lib, caller]) == {
+        ("lib.py", "test_only"): 3, ("lib.py", "UNREAD"): 9, ("lib.py", "ORDER"): 10}
 
 
 def test_every_public_member_is_read():

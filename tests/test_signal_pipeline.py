@@ -21,6 +21,7 @@ from shm_fomo.signal_pipeline import (
     make_windows,
     normalize,
     spectrogram,
+    targets_of,
     window_energy,
 )
 
@@ -407,3 +408,28 @@ class TestBuildDataset:
     def test_mixed_sampling_rates_rejected(self):
         with pytest.raises(DataError):
             build_dataset([rec_of(900, fs=100), rec_of(900, fs=50)], UC1_PIPELINE)
+
+    def test_misaligned_tags_rejected(self):
+        with pytest.raises(DataError, match="one-to-one"):
+            build_dataset([rec_of(900), rec_of(900, seed=1)], UC1_PIPELINE, tags=["normal"])
+
+    @pytest.mark.parametrize("tag", ["damaged", "Normal", "traffic", 1])
+    def test_unknown_tag_rejected(self, tag):
+        # "damaged" is the manifest's state, not a window tag: saving a
+        # dataset of such windows failed with a bare KeyError
+        with pytest.raises(DataError, match="unknown tag"):
+            build_dataset([rec_of(900), rec_of(900, seed=1)], UC1_PIPELINE,
+                          tags=[None, tag])
+
+
+def test_targets_of():
+    labels = np.zeros(900, dtype=int)
+    labels[200:260] = 1
+    rec = RawRecording(samples=np.random.default_rng(8).normal(size=900), labels=labels)
+    cfg = PipelineConfig(window_s=5, stride_s=2, energy_threshold=0.0)
+    windows = build_dataset([rec], cfg).windows
+    y = targets_of(windows)
+    assert y.dtype == np.float64 and y.tolist() == [6.0, 6.0, 0.0]
+    unlabelled = build_dataset([rec_of(900)], cfg).windows
+    with pytest.raises(DataError, match="window 1 has no regression target"):
+        targets_of(windows[:1] + unlabelled)

@@ -300,8 +300,9 @@ class TestPhases:
         unused_teacher = build_model(TINY, seed=11)   # no head: alpha_kd = 0 never runs it
         log_a = finetune_kd(student_a, unused_teacher, windows, plan, KDConfig(alpha_kd=0.0))
         student_b = attach_regression_head(build_model(TINY, seed=9), seed=10)
+        y = np.array([w.target for w in windows])
         log_b = _regression_loop(student_b, windows, plan,
-                                 lambda images, y: lambda yhat, idx: mae_loss(yhat, y[idx]))
+                                 lambda yhat, idx: mae_loss(yhat, y[idx]))
         assert log_a.step_losses == log_b.step_losses
         for k in student_a.params:
             assert np.array_equal(student_a.params[k], student_b.params[k])
