@@ -814,6 +814,31 @@ def test_ablation_exits_1_when_regimes_fail(tmp_path, traffic_data, monkeypatch,
     assert _report_rows(only_run_dir(tmp_path / "runs", "ablation")) == []
 
 
+def test_ablation_regime_failure_is_contained(tmp_path, traffic_data, monkeypatch, capsys):
+    # a fine-tune split without targets fails each regime's fine-tune; the
+    # regimes after a failed one still pretrain on their own pools
+    windows = load_dataset(traffic_data[1])
+    splits = {}
+    for key, n in (("pretrain_all_dataset", 17), ("task_dataset", 9)):
+        splits[key] = tmp_path / f"{key}.shmd"
+        save_dataset(windows[:n], splits[key])
+    cfg = _ablation_config(tmp_path, traffic_data[1],
+                           finetune_dataset=_ambient_dataset(tmp_path), **splits)
+    pools = []
+    real_pretrain = trainer.pretrain
+
+    def pretrain_spy(model, pool, plan):
+        pools.append(len(pool))
+        return real_pretrain(model, pool, plan)
+
+    monkeypatch.setattr(trainer, "pretrain", pretrain_spy)
+    assert run_cli(["ablation", "--config", str(cfg)], tmp_path / "runs") == 1
+    assert pools == [9, 17]
+    failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if "FAILED" in line]
+    assert failed == ["no_pretrain", "pretrain_uc", "pretrain_all"]
+
+
 def test_ablation_reports_the_regimes_that_succeed(tmp_path, traffic_data, monkeypatch):
     _, dataset = traffic_data
 
