@@ -444,7 +444,8 @@ def _feature_targets(manifest_path: Path, pipe: PipelineConfig):
     feats, targets = [], []
     for entry, rec in _manifest_recordings(manifest_path):
         if rec.labels is None:
-            raise ConfigError(f"{entry['file']} has no labels; cannot build targets")
+            raise DataError(f"{manifest_path}: {entry['file']} has no labels; "
+                            "cannot build targets")
         _, kept, rec_targets = kept_windows(rec, pipe)
         feats.extend(baselines.extract_features(w.values) for w in kept)
         targets.extend(rec_targets)

@@ -31,9 +31,12 @@ class MetricsReport:
 def regression_metrics(y_pred: Sequence[float], y_true: Sequence[float]) -> MetricsReport:
     """MSE, MAE, R^2, and the percentage variants.
 
-    Percentage metrics divide by the mean predicted value. Undefined
-    quantities (constant truth for R^2, zero mean for percentages) come back
-    as NaN.
+    MSE% and MAE% are 100 * MSE and 100 * MAE over the mean true target.
+    The paper reports both without defining them (PAPER.md holds only its
+    abstract); measured against the truth, they stay relative to the
+    quantity being estimated, and a head that predicts near zero cannot
+    inflate them without bound. Undefined quantities (constant truth for
+    R^2, zero mean target for percentages) come back as NaN.
     """
     y_pred = np.asarray(y_pred, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.float64)
@@ -46,7 +49,7 @@ def regression_metrics(y_pred: Sequence[float], y_true: Sequence[float]) -> Metr
     mae = float(np.mean(np.abs(err)))
     ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
     r2 = 1.0 - float(np.sum(err ** 2)) / ss_tot if ss_tot > 0 else float("nan")
-    denom = float(y_pred.mean())
+    denom = float(y_true.mean())
     if denom != 0.0:
         mse_pct = 100.0 * mse / denom
         mae_pct = 100.0 * mae / denom

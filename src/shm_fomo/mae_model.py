@@ -319,9 +319,9 @@ def _masked_diff(pred_patches: np.ndarray, true_patches: np.ndarray,
     if masked_idx.shape[1] == 0:
         raise ConfigError("masked-patch error is undefined: the mask ratio "
                           "leaves no patch masked")
-    rows = _rows(masked_idx)
-    diff = pred_patches[rows, masked_idx]
-    diff -= true_patches[rows, masked_idx]
+    diff = pred_patches[_rows(masked_idx), masked_idx]
+    for d, true, idx in zip(diff, true_patches, masked_idx):   # no batch-sized gather
+        d -= true[idx]
     return diff
 
 

@@ -19,11 +19,15 @@ A cache holds only what its backward reads. What backward can rebuild bit
 for bit with two elementwise operations, it rebuilds instead:
 
 - layer norm: ``(xhat, inv)``, the normalized input and 1/std per row;
-- GELU: ``(x, c)``, the input and ``erf(x / sqrt 2)``;
-- attention: ``(x, q, k, v, attn, ctx, scale)``. Past SCORE_CHUNK
-  elements, the softmax runs in place on the fresh score array, and backward
-  holds one score-sized array of its own, into which the softmax backward is
-  written; both go SCORE_CHUNK elements at a time;
+- GELU: ``(x, c)``, the input and ``1 + erf(x / sqrt 2)``, which both the
+  output and the derivative read;
+- attention: ``(x, q, k, v, attn, ctx, scale)``. The score work (q·kᵀ,
+  scale, softmax, ·v, and their backward) goes over runs of the leading
+  window axis, each at most SCORE_CHUNK score elements or one window.
+  When all scores fit one run, ``attn`` holds the probabilities. Otherwise
+  it is None, and backward recomputes each run's probabilities with the
+  forward's own calls just before it reads them, so no score array of the
+  whole batch exists in forward or backward;
 - block: ``(ln1, attn, ln2, gelu)``, the caches of its four sublayers.
   ``block_bwd`` rebuilds the MLP input from the LN2 cache and the GELU
   output from the GELU cache, with the forward's own operations.
@@ -48,8 +52,8 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
-# elements of a score array one softmax pass covers at a time; bounds the
-# temporaries of the row-wise passes, whose rows do not depend on it
+# attention score elements one run of windows covers; bounds the score-sized
+# arrays of forward and backward, whose values do not depend on it
 SCORE_CHUNK = 1 << 18
 
 
@@ -150,13 +154,14 @@ def layernorm_bwd(dy: np.ndarray, cache, g: np.ndarray):
 def gelu_fwd(x: np.ndarray):
     c = x * _const(_INV_SQRT2, x.dtype)
     erf(c, out=c)
+    c += 1.0
     return _gelu_out(x, c), (x, c)
 
 
 def _gelu_out(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """GELU's output from its cache ``(x, c)``."""
     y = 0.5 * x
-    y *= 1.0 + c
+    y *= c
     return y
 
 
@@ -167,8 +172,7 @@ def gelu_bwd(dy: np.ndarray, cache):
     np.exp(xpdf, out=xpdf)
     xpdf *= _const(_INV_SQRT2PI, x.dtype)
     xpdf *= x
-    dx = 1.0 + c
-    dx *= 0.5
+    dx = 0.5 * c
     dx += xpdf
     dx *= dy
     return dx
@@ -188,29 +192,24 @@ def softmax_bwd(dy: np.ndarray, a: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _by_rows(fn, a: np.ndarray, *others: np.ndarray) -> np.ndarray:
-    """``fn(a, *others)`` for a ``fn`` that works row by row. An ``a`` of
-    more than SCORE_CHUNK elements, which must be an array the caller itself
-    created, is overwritten with the result, run by run of its leading index,
-    each run at most SCORE_CHUNK elements; the result does not depend on
-    the runs."""
-    if a.size <= SCORE_CHUNK:
-        return fn(a, *others)
-    step = max(1, SCORE_CHUNK // math.prod(a.shape[1:]))
-    for i in range(0, len(a), step):
-        s = slice(i, i + step)
-        a[s] = fn(a[s], *(o[s] for o in others))
-    return a
-
-
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     b, n, d = x.shape
     return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, n, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
+def _runs(q: np.ndarray) -> list[slice]:
+    """Runs of the window axis of q (window, head, token, width) whose
+    scores hold at most SCORE_CHUNK elements, or one window each."""
+    b, h, n, _ = q.shape
+    step = max(1, SCORE_CHUNK // (h * n * n))
+    return [slice(i, i + step) for i in range(0, b, step)]
+
+
+def _probs(q: np.ndarray, k: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Attention probabilities of one run of windows."""
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= scale
+    return softmax_last(scores)
 
 
 def attention_fwd(x: np.ndarray, p: dict, prefix: str, n_heads: int):
@@ -219,10 +218,14 @@ def attention_fwd(x: np.ndarray, p: dict, prefix: str, n_heads: int):
     k = _split_heads(linear_fwd(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), n_heads)
     v = _split_heads(linear_fwd(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), n_heads)
     scale = _const(1.0 / math.sqrt(q.shape[-1]), x.dtype)
-    scores = q @ k.transpose(0, 1, 3, 2)
-    scores *= scale
-    attn = _by_rows(softmax_last, scores)
-    ctx = _merge_heads(attn @ v)
+    ctx = np.empty(x.shape[:-1] + (p[f"{prefix}.wo"].shape[0],), x.dtype)
+    ctx4 = _split_heads(ctx, n_heads)
+    runs = _runs(q)
+    for s in runs:
+        attn = _probs(q[s], k[s], scale)
+        ctx4[s] = attn @ v[s]
+    if len(runs) != 1:   # backward recomputes them
+        attn = None
     out = linear_fwd(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     return out, (x, q, k, v, attn, ctx, scale)
 
@@ -230,20 +233,25 @@ def attention_fwd(x: np.ndarray, p: dict, prefix: str, n_heads: int):
 def attention_bwd(dy: np.ndarray, cache, p: dict, prefix: str, n_heads: int):
     x, q, k, v, attn, ctx, scale = cache
     grads = {}
-    dctx, grads[f"{prefix}.wo"], grads[f"{prefix}.bo"] = linear_bwd(
+    # dctx's buffer becomes dq: each run's dq goes over the dctx it has read
+    dq, grads[f"{prefix}.wo"], grads[f"{prefix}.bo"] = linear_bwd(
         dy, ctx, p[f"{prefix}.wo"])
-    dctx = _split_heads(dctx, n_heads)
-    ds = dctx @ v.transpose(0, 1, 3, 2)   # d(attn), then d(scores)
-    dv = attn.transpose(0, 1, 3, 2) @ dctx
-    del dctx
-    ds = _by_rows(softmax_bwd, ds, attn)
-    ds *= scale
-    dq = ds @ k
-    dk = ds.transpose(0, 1, 3, 2) @ q
-    del ds
+    dk, dv = np.empty_like(dq), np.empty_like(dq)
+    dctx = dq4 = _split_heads(dq, n_heads)
+    dk4, dv4 = _split_heads(dk, n_heads), _split_heads(dv, n_heads)
+    for s in _runs(q):
+        a = _probs(q[s], k[s], scale) if attn is None else attn
+        ds = dctx[s] @ v[s].transpose(0, 1, 3, 2)   # d(attn), then d(scores)
+        dv4[s] = a.transpose(0, 1, 3, 2) @ dctx[s]
+        ds = softmax_bwd(ds, a)
+        del a
+        ds *= scale
+        dq4[s] = ds @ k[s]
+        dk4[s] = ds.transpose(0, 1, 3, 2) @ q[s]
+        del ds
     dx = None
     for name, dproj in (("q", dq), ("k", dk), ("v", dv)):
-        dxi, dw, db = linear_bwd(_merge_heads(dproj), x, p[f"{prefix}.w{name}"])
+        dxi, dw, db = linear_bwd(dproj, x, p[f"{prefix}.w{name}"])
         grads[f"{prefix}.w{name}"] = dw
         grads[f"{prefix}.b{name}"] = db
         dx = dxi if dx is None else np.add(dx, dxi, out=dx)

@@ -887,7 +887,7 @@ def test_ablation_regimes_differ_only_in_their_pretraining_pool(tmp_path, traffi
                                      ("no_pretrain", "pretrain_uc", "pretrain_all")]
 
 
-def _eval_tle_without_targets(tmp_path, dataset):
+def _eval_tle_without_targets(tmp_path, data):
     ckpt = tmp_path / "m.ckpt"
     save_model(attach_regression_head(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0),
                                       seed=1), ckpt)
@@ -897,7 +897,8 @@ def _eval_tle_without_targets(tmp_path, dataset):
     return ["eval-tle", "--config", str(cfg)], "window 0 has no regression target"
 
 
-def _eval_ad_without_tags(tmp_path, dataset):
+def _eval_ad_without_tags(tmp_path, data):
+    _, dataset = data
     ckpt = tmp_path / "m.ckpt"
     save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
     cfg = tmp_path / "c.ini"
@@ -906,18 +907,30 @@ def _eval_ad_without_tags(tmp_path, dataset):
     return ["eval-ad", "--config", str(cfg)], "test window 0 has no normal/anomaly tag"
 
 
-def _ablation_without_targets(tmp_path, dataset):
+def _ablation_without_targets(tmp_path, data):
+    _, dataset = data
     cfg = _ablation_config(tmp_path, dataset, test_dataset=_ambient_dataset(tmp_path))
     return ["ablation", "--config", str(cfg)], "window 0 has no regression target"
 
 
+def _knn_tle_on_ambient(tmp_path, data):
+    manifest, _ = data
+    test = _write_recordings(tmp_path / "ambient", {
+        "a": ("normal", gen_ambient(BridgeConfig(), 30, seed=1))})
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[baseline]\nmode = knn-tle\n" + TLE_PIPELINE
+                   + f"[paths]\ntrain_manifest = {manifest}\ntest_manifest = {test}\n")
+    return ["baseline", "--config", str(cfg)], f"{test}: a.bin has no labels"
+
+
 @pytest.mark.parametrize("command", [_eval_tle_without_targets, _eval_ad_without_tags,
-                                     _ablation_without_targets],
-                         ids=["eval-tle", "eval-ad", "ablation"])
+                                     _ablation_without_targets, _knn_tle_on_ambient],
+                         ids=["eval-tle", "eval-ad", "ablation", "knn-tle"])
 def test_test_set_without_labels_is_one_error_line(tmp_path, monkeypatch, capsys,
                                                    traffic_data, command):
-    # scored as NaN metrics, or every window as normal, these exited 0
-    argv, message = command(tmp_path, traffic_data[1])
+    # scored as NaN metrics, or every window as normal, these exited 0;
+    # knn-tle exited 3, as if the config were at fault
+    argv, message = command(tmp_path, traffic_data)
     out = tmp_path / "runs"
     assert main_exit_code(argv + ["--out", str(out)], monkeypatch) == 1
     stdout, err = capsys.readouterr()

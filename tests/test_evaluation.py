@@ -32,8 +32,7 @@ def brute_force_metrics(y_pred, y_true):
     ss_tot = sum((t - mean_t) ** 2 for t in y_true)
     ss_res = sum((p - t) ** 2 for p, t in zip(y_pred, y_true))
     r2 = 1 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-    mean_p = sum(y_pred) / n
-    return mse, mae, r2, 100 * mse / mean_p, 100 * mae / mean_p
+    return mse, mae, r2, 100 * mse / mean_t, 100 * mae / mean_t
 
 
 class TestRegressionMetrics:
@@ -52,8 +51,8 @@ class TestRegressionMetrics:
         r = regression_metrics([1.0, 2.0, 3.0], [1.0, 1.0, 3.0])
         assert r.mse == pytest.approx(1 / 3, rel=1e-12)
         assert r.mae == pytest.approx(1 / 3, rel=1e-12)
-        assert r.mse_pct == pytest.approx(100 * (1 / 3) / 2, rel=1e-12)
-        assert r.mae_pct == pytest.approx(100 * (1 / 3) / 2, rel=1e-12)
+        assert r.mse_pct == pytest.approx(100 * (1 / 3) / (5 / 3), rel=1e-12)
+        assert r.mae_pct == pytest.approx(100 * (1 / 3) / (5 / 3), rel=1e-12)
         assert r.r2 == pytest.approx(0.625, rel=1e-12)
 
     def test_matches_brute_force_oracle(self):
@@ -70,9 +69,19 @@ class TestRegressionMetrics:
             assert r.mse_pct == pytest.approx(mse_pct, rel=1e-10)
             assert r.mae_pct == pytest.approx(mae_pct, rel=1e-10)
 
-    def test_zero_mean_prediction_flags_percentages(self):
-        r = regression_metrics([-1.0, 1.0], [0.5, 0.5])
+    def test_zero_mean_truth_flags_percentages(self):
+        r = regression_metrics([0.5, 0.5], [-1.0, 1.0])
         assert np.isnan(r.mse_pct) and np.isnan(r.mae_pct)
+
+    @pytest.mark.parametrize("y_pred", [[0.01, -0.008, 0.002], [-1.0, -2.0, -0.5]],
+                             ids=["near-zero", "negative"])
+    def test_percentages_are_relative_to_the_mean_target(self, y_pred):
+        # over the mean prediction, MAE% reads 299,900 and -443
+        y_true = [3.0, 4.0, 5.0]
+        r = regression_metrics(y_pred, y_true)
+        assert r.mse_pct == pytest.approx(100 * r.mse / 4.0, rel=1e-12)
+        assert r.mae_pct == pytest.approx(100 * r.mae / 4.0, rel=1e-12)
+        assert 0 < r.mae_pct < 200
 
     def test_constant_truth_flags_r2(self):
         r = regression_metrics([1.0, 2.0], [3.0, 3.0])

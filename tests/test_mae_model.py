@@ -364,35 +364,53 @@ class TestMaskedPathMatchesReference:
 # what a training step holds
 
 
+def score_run(b, n, heads):
+    """Elements of one run of attention scores over (b, heads, n, n), and
+    whether there is just one run, in which case the cache keeps the
+    probabilities."""
+    per_window = heads * n * n
+    step = max(1, nn_core.SCORE_CHUNK // per_window)
+    return min(b, step) * per_window, b <= step
+
+
 def stack_cache_elements(b, n, d, heads):
     """Elements of one stack's caches for a (b, n, d) input. Per block: the
     two layer norms' normalized inputs, the attention input, q, k, v and
-    context (7 of width d), the GELU input and its erf (2 of width
-    MLP_RATIO * d), two per-row 1/std and the attention weights; then the
-    final norm's normalized output and 1/std."""
-    per_block = (7 + 2 * MLP_RATIO) * b * n * d + 2 * b * n + b * heads * n * n
+    context (7 of width d), the GELU input and 1 + its erf (2 of width
+    MLP_RATIO * d), two per-row 1/std and, when they fit one run, the
+    attention probabilities; then the final norm's normalized output and
+    1/std."""
+    run, kept = score_run(b, n, heads)
+    per_block = (7 + 2 * MLP_RATIO) * b * n * d + 2 * b * n + (run if kept else 0)
     return N_BLOCKS * per_block + b * n * d + b * n
 
 
 def step_budget_bytes(cfg, b, n_visible, pretrain):
     """Bytes one forward+backward step may hold at its peak: the caches
     backward reads, the gradients, and a working set of three MLP-wide
-    activations (rebuilt output, its gradient, GELU's derivative) and two
-    score arrays (the backward's own, and the one it reads)."""
+    activations (rebuilt output, its gradient, GELU's derivative) and the
+    score-sized arrays of attention backward: two (d(attn) and the softmax
+    backward's output) beside cached probabilities, three (with the
+    recomputed probabilities) otherwise, each of one run."""
     e, d = cfg.e_dim, cfg.d_dim
+
+    def scores(n, heads):
+        run, kept = score_run(b, n, heads)
+        return (2 if kept else 3) * run
+
     held = stack_cache_elements(b, n_visible, e, cfg.e_heads) + b * n_visible * PATCH_DIM
-    widest, scores = b * n_visible * e, b * cfg.e_heads * n_visible ** 2
+    widest, working = b * n_visible * e, scores(n_visible, cfg.e_heads)
     if pretrain:   # latents, decoder caches and output, and the masked-patch diff
         n_masked = NUM_PATCHES - n_visible
         held += (b * n_visible * e + stack_cache_elements(b, NUM_PATCHES, d, cfg.d_heads)
                  + b * NUM_PATCHES * d + b * n_masked * PATCH_DIM)
         widest = max(widest, b * NUM_PATCHES * d)
-        scores = max(scores, b * cfg.d_heads * NUM_PATCHES ** 2)
+        working = max(working, scores(NUM_PATCHES, cfg.d_heads))
     else:          # latents
         held += b * n_visible * e
     shapes = param_shapes(cfg, with_decoder=pretrain, with_reg_head=not pretrain)
     grads = sum(int(np.prod(shape)) for shape in shapes.values())
-    return 4 * (held + grads + 3 * MLP_RATIO * widest + 2 * scores)
+    return 4 * (held + grads + 3 * MLP_RATIO * widest + working)
 
 
 def traced_peak(step) -> int:
@@ -406,25 +424,38 @@ def traced_peak(step) -> int:
         tracemalloc.stop()
 
 
+def pretrain_step_peak(cfg, b):
+    """``traced_peak`` of one batch-``b`` pretrain step, and its budget."""
+    model = build_model(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    images = rng.normal(size=(b, 100, 100)).astype(np.float32)
+    masked, visible = sample_mask_batch(NUM_PATCHES, cfg.mask_ratio, b, rng)
+
+    def step():
+        _, cache = pretrain_forward_batch(model, images, masked, visible)
+        pretrain_backward(model, cache)
+
+    return traced_peak(step), step_budget_bytes(cfg, b, visible.shape[1], pretrain=True)
+
+
 class TestStepMemory:
     """Budgets derived from the shapes. Caches that also hold each block's
     residual sum, MLP input and GELU output, a second score-sized array in
     attention backward and the full patch tensor in the pretrain cache go
-    over both, at 36.9 and 31.4 MiB."""
+    over the batch-32 and regress budgets, at 36.9 and 31.4 MiB; attention
+    that caches every block's probabilities goes over both pretrain
+    budgets, at 25.5 and 99.4 MiB."""
 
     def test_pretrain_step_24_16_batch_32(self):
+        peak, budget = pretrain_step_peak(ModelConfig(e_dim=24, d_dim=16), 32)
+        assert peak <= budget   # 18.1 of 19.2 MiB
+
+    def test_pretrain_step_24_16_batch_128(self):
+        # the paper's batch: the decoder's scores span 10 runs of up to 13 windows
         cfg = ModelConfig(e_dim=24, d_dim=16)
-        model = build_model(cfg, seed=0)
-        rng = np.random.default_rng(0)
-        images = rng.normal(size=(32, 100, 100)).astype(np.float32)
-        masked, visible = sample_mask_batch(NUM_PATCHES, cfg.mask_ratio, 32, rng)
-
-        def step():
-            _, cache = pretrain_forward_batch(model, images, masked, visible)
-            pretrain_backward(model, cache)
-
-        budget = step_budget_bytes(cfg, 32, visible.shape[1], pretrain=True)
-        assert traced_peak(step) <= budget   # 25.5 of 28.4 MiB
+        assert score_run(128, NUM_PATCHES, cfg.d_heads) == (13 * 2 * NUM_PATCHES ** 2, False)
+        peak, budget = pretrain_step_peak(cfg, 128)
+        assert peak <= budget   # 65.8 of 67.3 MiB
 
     def test_regress_step_96_64_batch_8(self):
         cfg = ModelConfig(e_dim=96, d_dim=64)
@@ -462,6 +493,19 @@ class TestBackwardReadsItsCache:
         dyhat = np.array([0.5, -1.0, 2.0])
         self.assert_same_grads(regress_backward(model, cache, dyhat),
                                regress_backward(model, cache, dyhat))
+
+    def test_pretrain_recomputing_probabilities(self, tiny_model, monkeypatch):
+        # one window a run: no cache holds probabilities, and each backward
+        # recomputes the ones it reads, to the bit of the cached ones
+        masked, visible = sample_mask_batch(NUM_PATCHES, 0.8, 3, np.random.default_rng(0))
+        images = np.stack([rand_image(s) for s in range(3)])
+        _, cache = pretrain_forward_batch(tiny_model, images, masked, visible)
+        kept = pretrain_backward(tiny_model, cache)
+        monkeypatch.setattr(nn_core, "SCORE_CHUNK", 1)
+        _, cache = pretrain_forward_batch(tiny_model, images, masked, visible)
+        recomputed = pretrain_backward(tiny_model, cache)
+        self.assert_same_grads(recomputed, pretrain_backward(tiny_model, cache))
+        self.assert_same_grads(recomputed, kept)
 
 
 class TestRegression:

@@ -66,14 +66,14 @@ def ref_layernorm_bwd(dy, cache, g):
 
 
 def ref_gelu_fwd(x):
-    c = erf(x * np.asarray(1.0 / np.sqrt(2.0), dtype=x.dtype))
-    return 0.5 * x * (1.0 + c), (x, c)
+    c = 1.0 + erf(x * np.asarray(1.0 / np.sqrt(2.0), dtype=x.dtype))
+    return 0.5 * x * c, (x, c)
 
 
 def ref_gelu_bwd(dy, cache):
     x, c = cache
     pdf = np.exp(-0.5 * x * x) * np.asarray(1.0 / np.sqrt(2.0 * np.pi), dtype=x.dtype)
-    return dy * (0.5 * (1.0 + c) + x * pdf)
+    return dy * (0.5 * c + x * pdf)
 
 
 def ref_softmax_last(x):
@@ -144,7 +144,7 @@ def ref_block_bwd(dy, cache, p, prefix, n_heads):
     c_ln1, c_attn, c_ln2, c_gelu = cache
     (xhat2, _), (m1, c) = c_ln2, c_gelu
     h2 = xhat2 * p[f"{prefix}.ln2.g"] + p[f"{prefix}.ln2.b"]
-    act = 0.5 * m1 * (1.0 + c)
+    act = 0.5 * m1 * c
     grads = {}
     dact, grads[f"{prefix}.mlp.w2"], grads[f"{prefix}.mlp.b2"] = ref_linear_bwd(
         dy, act, p[f"{prefix}.mlp.w2"])
@@ -477,13 +477,22 @@ class TestMatchesReference:
                            _arr(rng, x.shape, dtype), cache, p, "a", HEADS)
 
     def test_attention_in_score_chunks(self, dtype, monkeypatch):
-        # two windows' scores a chunk: the softmax passes run over 2, 2 and 1
+        # two windows' scores a run: the score work goes over 2, 2 and 1
+        # windows, the cache holds no probabilities, and backward recomputes them
         monkeypatch.setattr(nn_core, "SCORE_CHUNK", 2 * HEADS * 5 * 5)
         rng = np.random.default_rng(18)
         x = _arr(rng, (5, 5, DIM), dtype)
         p = _attn_params(rng, "a", DIM, dtype)
-        _, cache = _same_as_reference(nn_core.attention_fwd, ref_attention_fwd, x, p, "a", HEADS)
-        _same_as_reference(nn_core.attention_bwd, ref_attention_bwd,
+        before = copy.deepcopy((x, p))
+        out, cache = nn_core.attention_fwd(x, p, "a", HEADS)
+        _assert_same((x, p), before)
+        want_out, want_cache = ref_attention_fwd(x, p, "a", HEADS)
+        _assert_same(out, want_out)
+        probs = want_cache[4]
+        assert not any(isinstance(a, np.ndarray) and a.shape == probs.shape for a in cache)
+        _assert_same(cache[:4] + cache[5:], want_cache[:4] + want_cache[5:])
+        _same_as_reference(nn_core.attention_bwd,
+                           lambda dy, _, *rest: ref_attention_bwd(dy, want_cache, *rest),
                            _arr(rng, x.shape, dtype), cache, p, "a", HEADS)
 
     def test_block(self, dtype):
