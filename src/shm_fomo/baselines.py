@@ -59,8 +59,13 @@ def pca_errors(model: PcaModel, windows: np.ndarray) -> np.ndarray:
         raise DataError(f"windows of shape {x.shape} do not match model length "
                         f"{model.mean.shape[0]}")
     x = x - model.mean
-    recon = (x @ model.components) @ model.components.T
-    return np.mean((x - recon) ** 2, axis=1)
+    # the residual is built and squared in the reconstruction's buffer, so at
+    # most two residual-sized arrays exist beside the input; np.square gives
+    # the bits of ``** 2``
+    resid = (x @ model.components) @ model.components.T
+    np.subtract(x, resid, out=resid)
+    np.square(resid, out=resid)
+    return np.mean(resid, axis=1)
 
 
 def extract_features(window: np.ndarray) -> np.ndarray:

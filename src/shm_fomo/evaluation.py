@@ -94,11 +94,13 @@ def write_report_csv(path, reports: Sequence[MetricsReport]) -> None:
 
 
 def format_report_table(reports: Sequence[MetricsReport]) -> str:
-    """Human-readable fixed-width table of regression metrics."""
-    lines = [f"{'task':<14}{'model':<18}{'n':>6}{'MSE':>10}{'MAE':>10}"
-             f"{'R2':>8}{'MSE%':>10}{'MAE%':>10}"]
+    """Human-readable table of regression metrics in fixed-width columns,
+    one space apart, so a value wider than its column still stands apart
+    from its neighbours."""
+    lines = [f"{'task':<14} {'model':<18} {'n':>6} {'MSE':>10} {'MAE':>10} "
+             f"{'R2':>8} {'MSE%':>10} {'MAE%':>10}"]
     for r in reports:
-        lines.append(f"{r.task_id:<14}{r.model_id:<18}{r.n_samples:>6}"
-                     f"{r.mse:>10.4f}{r.mae:>10.4f}{r.r2:>8.3f}"
-                     f"{r.mse_pct:>10.2f}{r.mae_pct:>10.2f}")
+        lines.append(f"{r.task_id:<14} {r.model_id:<18} {r.n_samples:>6} "
+                     f"{r.mse:>10.4f} {r.mae:>10.4f} {r.r2:>8.3f} "
+                     f"{r.mse_pct:>10.2f} {r.mae_pct:>10.2f}")
     return "\n".join(lines)

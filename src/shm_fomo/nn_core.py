@@ -16,7 +16,8 @@ rounds back, which gives the same correctly rounded quotient
 dominates at the stream's batch-1 shapes.
 
 A cache holds only what its backward reads. What backward can rebuild bit
-for bit with two elementwise operations, it rebuilds instead:
+for bit with the forward's own operations, at the cost of two elementwise
+operations or, for the GELU input, one product, it rebuilds instead:
 
 - layer norm: ``(xhat, inv)``, the normalized input and 1/std per row;
 - GELU: ``(x, c)``, the input and ``1 + erf(x / sqrt 2)``, which both the
@@ -28,9 +29,12 @@ for bit with two elementwise operations, it rebuilds instead:
   it is None, and backward recomputes each run's probabilities with the
   forward's own calls just before it reads them, so no score array of the
   whole batch exists in forward or backward;
-- block: ``(ln1, attn, ln2, gelu)``, the caches of its four sublayers.
-  ``block_bwd`` rebuilds the MLP input from the LN2 cache and the GELU
-  output from the GELU cache, with the forward's own operations.
+- block: ``(ln1, attn, ln2, c)``: the two layer-norm caches, the attention
+  cache without its input, and GELU's ``c``. ``block_bwd`` rebuilds the
+  attention input from the LN1 cache and the MLP input from the LN2 cache
+  (two elementwise operations each), the GELU input from the MLP input
+  (the fc1 product, one more GEMM per block) and the GELU output from the
+  GELU input and ``c``.
 """
 
 from __future__ import annotations
@@ -266,27 +270,30 @@ def block_fwd(x: np.ndarray, p: dict, prefix: str, n_heads: int):
     x2 += x
     h2, c_ln2 = layernorm_fwd(x2, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     m1 = linear_fwd(h2, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"])
-    act, c_gelu = gelu_fwd(m1)
+    act, (_, c) = gelu_fwd(m1)
     m2 = linear_fwd(act, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
     m2 += x2
-    return m2, (c_ln1, c_attn, c_ln2, c_gelu)
+    return m2, (c_ln1, c_attn[1:], c_ln2, c)
 
 
 def block_bwd(dy: np.ndarray, cache, p: dict, prefix: str, n_heads: int):
-    c_ln1, c_attn, c_ln2, c_gelu = cache
+    c_ln1, c_attn, c_ln2, c = cache
     grads = {}
-    dact, grads[f"{prefix}.mlp.w2"], grads[f"{prefix}.mlp.b2"] = linear_bwd(
-        dy, _gelu_out(*c_gelu), p[f"{prefix}.mlp.w2"])
-    dm1 = gelu_bwd(dact, c_gelu)
-    del dact
     h2 = _scale_shift(c_ln2[0], p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
+    m1 = linear_fwd(h2, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"])
+    dact, grads[f"{prefix}.mlp.w2"], grads[f"{prefix}.mlp.b2"] = linear_bwd(
+        dy, _gelu_out(m1, c), p[f"{prefix}.mlp.w2"])
+    dm1 = gelu_bwd(dact, (m1, c))
+    del dact, m1
     dh2, grads[f"{prefix}.mlp.w1"], grads[f"{prefix}.mlp.b1"] = linear_bwd(
         dm1, h2, p[f"{prefix}.mlp.w1"])
     del dm1, h2
     dx2, grads[f"{prefix}.ln2.g"], grads[f"{prefix}.ln2.b"] = layernorm_bwd(
         dh2, c_ln2, p[f"{prefix}.ln2.g"])
     dx2 += dy
-    dh1, attn_grads = attention_bwd(dx2, c_attn, p, f"{prefix}.attn", n_heads)
+    h1 = _scale_shift(c_ln1[0], p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
+    dh1, attn_grads = attention_bwd(dx2, (h1,) + c_attn, p, f"{prefix}.attn", n_heads)
+    del h1
     grads.update(attn_grads)
     dx, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = layernorm_bwd(
         dh1, c_ln1, p[f"{prefix}.ln1.g"])

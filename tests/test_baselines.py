@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,32 @@ class TestPca:
         batch = pca_errors(model, queries)
         singles = [pca_error(model, q) for q in queries]
         assert np.allclose(batch, singles, rtol=1e-12)
+
+    def test_errors_equal_the_plain_formula_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        model = pca_fit(rng.normal(size=(200, 256)), cf=32)
+        windows = rng.normal(size=(300, 256))
+        before = windows.copy()
+        got = pca_errors(model, windows)
+        assert np.array_equal(windows, before)
+        xc = windows - model.mean
+        want = np.mean((xc - (xc @ model.components) @ model.components.T) ** 2, axis=1)
+        assert np.array_equal(got, want)
+
+    def test_errors_hold_two_residual_sized_arrays(self):
+        # the centered windows and the residual; a separate difference, or
+        # a square beside it, would make three
+        rng = np.random.default_rng(13)
+        model = pca_fit(rng.normal(size=(200, 256)), cf=32)
+        windows = rng.normal(size=(4000, 256))
+        pca_errors(model, windows)
+        tracemalloc.start()
+        try:
+            pca_errors(model, windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * windows.nbytes   # 2.03 residuals
 
     def test_window_length_mismatch(self):
         model = pca_fit(np.random.default_rng(11).normal(size=(30, 50)), cf=10)

@@ -121,6 +121,15 @@ class TestReports:
         table = format_report_table([r])
         assert "tle" in table and "mae" in table
 
+    def test_table_values_never_touch(self):
+        # 123456.0 is 11 characters at .4f in a 10-wide column
+        r = MetricsReport(task_id="tle", model_id="mae", n_samples=120,
+                          mse=123456.0, mae=300.0, r2=-9.194,
+                          mse_pct=-1192923.99, mae_pct=-40283.0)
+        header, row = format_report_table([r]).splitlines()
+        assert len(header.split()) == len(row.split()) == 8
+        assert row.split()[3:6] == ["123456.0000", "300.0000", "-9.194"]
+
     def test_ad_report_rows_per_filter(self, tmp_path):
         errors = np.array([0.1, 0.2, 0.9, 1.5])
         truth = np.array([False, False, True, True])

@@ -135,26 +135,29 @@ def ref_block_fwd(x, p, prefix, n_heads):
     m1 = ref_linear_fwd(h2, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"])
     act, c_gelu = ref_gelu_fwd(m1)
     m2 = ref_linear_fwd(act, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
-    return x2 + m2, (c_ln1, c_attn, c_ln2, c_gelu)
+    return x2 + m2, (c_ln1, c_attn[1:], c_ln2, c_gelu[1])
 
 
 def ref_block_bwd(dy, cache, p, prefix, n_heads):
-    """The MLP's input and hidden activation are rebuilt from the LN2 and
-    GELU caches by the forward formulas."""
-    c_ln1, c_attn, c_ln2, c_gelu = cache
-    (xhat2, _), (m1, c) = c_ln2, c_gelu
+    """The attention and MLP inputs are rebuilt from the layer-norm caches,
+    the GELU input by the fc1 product and the GELU output from ``c``, all by
+    the forward formulas."""
+    c_ln1, c_attn, c_ln2, c = cache
+    (xhat1, _), (xhat2, _) = c_ln1, c_ln2
+    h1 = xhat1 * p[f"{prefix}.ln1.g"] + p[f"{prefix}.ln1.b"]
     h2 = xhat2 * p[f"{prefix}.ln2.g"] + p[f"{prefix}.ln2.b"]
+    m1 = ref_linear_fwd(h2, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"])
     act = 0.5 * m1 * c
     grads = {}
     dact, grads[f"{prefix}.mlp.w2"], grads[f"{prefix}.mlp.b2"] = ref_linear_bwd(
         dy, act, p[f"{prefix}.mlp.w2"])
-    dm1 = ref_gelu_bwd(dact, c_gelu)
+    dm1 = ref_gelu_bwd(dact, (m1, c))
     dh2, grads[f"{prefix}.mlp.w1"], grads[f"{prefix}.mlp.b1"] = ref_linear_bwd(
         dm1, h2, p[f"{prefix}.mlp.w1"])
     dx2, grads[f"{prefix}.ln2.g"], grads[f"{prefix}.ln2.b"] = ref_layernorm_bwd(
         dh2, c_ln2, p[f"{prefix}.ln2.g"])
     dx2 = dx2 + dy
-    dh1, attn_grads = ref_attention_bwd(dx2, c_attn, p, f"{prefix}.attn", n_heads)
+    dh1, attn_grads = ref_attention_bwd(dx2, (h1,) + c_attn, p, f"{prefix}.attn", n_heads)
     grads.update(attn_grads)
     dx, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = ref_layernorm_bwd(
         dh1, c_ln1, p[f"{prefix}.ln1.g"])
