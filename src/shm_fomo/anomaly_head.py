@@ -2,11 +2,13 @@
 
 Covers threshold calibration against a normal-only calibration day, causal
 median smoothing over consecutive window errors, strict-threshold
-classification, and the detection metrics.
+classification, and the detection metrics. Calibration and smoothing reject
+a NaN error with a library error; smoothing ranks +-inf like any other value.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,10 +18,6 @@ import numpy as np
 from .errors import CalibrationError, ConfigError, DataError, EmptyInputError
 
 FILTER_LENGTHS = (1, 15, 30, 60, 120, 240)
-
-# values median_smooth sorts at once; bounds its scratch copy whatever the
-# length of the series
-SMOOTH_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,28 +71,27 @@ def median_smooth(errors: Sequence[float], L: int) -> np.ndarray:
     """Causal median over the trailing L entries; prefixes use partial windows.
 
     Even-length windows take the lower of the two middle values, so the output
-    is always one of the input values. Output aligns 1:1 with the input.
+    is always one of the input values. Output aligns 1:1 with the input. The
+    trailing window is kept sorted, where a NaN has no place: it raises DataError.
     """
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise EmptyInputError("cannot smooth an empty series")
     if L < 1:
         raise ConfigError(f"filter length must be >= 1, got {L}")
-    n = errors.size
-    width = min(L, n)   # no window holds more than n values
-    # row i holds the width values ending at errors[i], NaN before the series
-    # starts; NaN sorts last, so the lower median of a row with i + 1 < L
-    # values sits at index i // 2
-    padded = np.concatenate((np.full(width - 1, np.nan), errors))
-    span = np.arange(width)
-    out = np.empty(n)
-    step = max(1, SMOOTH_BLOCK // width)
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        windows = padded[rows[:, None] + span]
-        windows.sort(axis=1)
-        out[rows] = windows[rows - start, np.minimum(rows, L - 1) // 2]
-    return out
+    nan = np.isnan(errors)
+    if nan.any():
+        raise DataError(f"cannot smooth NaN errors, at {np.flatnonzero(nan)[:5]}")
+    values = errors.tolist()
+    window, out = [], []
+    for value in values[:L]:   # the window grows to L values
+        bisect.insort(window, value)
+        out.append(window[(len(window) - 1) // 2])
+    for oldest, value in zip(values, values[L:]):   # then slides
+        del window[bisect.bisect_left(window, oldest)]
+        bisect.insort(window, value)
+        out.append(window[(L - 1) // 2])
+    return np.array(out, dtype=np.float64)
 
 
 def classify(smoothed: Sequence[float], threshold: float) -> np.ndarray:

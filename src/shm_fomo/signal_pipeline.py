@@ -144,6 +144,9 @@ def make_windows(rec: RawRecording, cfg: PipelineConfig) -> list[TimeWindow]:
         raise EmptyInputError("cannot window an empty recording")
     win = int(round(rec.fs * cfg.window_s))
     hop = int(round(rec.fs * cfg.stride_s))
+    if hop < 1:   # win >= hop, since window_s >= stride_s
+        raise ConfigError(f"stride_s {cfg.stride_s} rounds to 0 samples at "
+                          f"{rec.fs} Hz")
     if n < win:
         return []
     count = (n - win) // hop + 1

@@ -57,11 +57,8 @@ class TrainPlan:
 
 
 def pretrain_plan(**overrides) -> TrainPlan:
-    """Pretraining defaults: lr 2.5e-4, 200 epochs, batch 128, 100 warmup."""
-    base = dict(base_lr=2.5e-4, weight_decay=0.0,
-                epochs=200, batch_size=128, warmup_epochs=100)
-    base.update(overrides)
-    return TrainPlan(**base)
+    """Pretraining defaults, which are TrainPlan's own."""
+    return TrainPlan(**overrides)
 
 
 def finetune_ad_plan(**overrides) -> TrainPlan:

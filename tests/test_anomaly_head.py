@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shm_fomo.anomaly_head import (
+    FILTER_LENGTHS,
     AdMetrics,
     ThresholdConfig,
     ad_metrics,
@@ -209,6 +210,31 @@ class TestMedianSmooth:
     def test_bad_filter_length_rejected(self):
         with pytest.raises(ConfigError):
             median_smooth([1.0, 2.0], 0)
+
+    @pytest.mark.parametrize("L", FILTER_LENGTHS + (2, 10**6))
+    def test_matches_sort_oracle_at_library_sizes(self, L):
+        # a monitoring-span series on a coarse grid, so windows hold ties
+        series = np.round(np.random.default_rng(8).gamma(2.0, size=3000), 1)
+        assert np.array_equal(median_smooth(series, L),
+                              oracle_median_smooth(series.tolist(), L))
+
+    @pytest.mark.parametrize("at", [0, 7, 2999])
+    def test_nan_rejected(self, at):
+        series = np.random.default_rng(9).normal(size=3000)
+        series[at] = np.nan
+        for L in (1, 15):
+            with pytest.raises(DataError, match="NaN"):
+                median_smooth(series, L)
+
+    def test_infinities_match_oracle(self):
+        rng = np.random.default_rng(10)
+        # mixed values, then runs long enough that every L has infinite medians
+        series = np.concatenate((rng.choice([-np.inf, np.inf, 0.0, 1.0, 2.0], size=500),
+                                 np.full(100, np.inf), np.full(100, -np.inf)))
+        for L in (1, 2, 15, 60):
+            smoothed = median_smooth(series, L)
+            assert np.array_equal(smoothed, oracle_median_smooth(series.tolist(), L))
+            assert np.isposinf(smoothed).any() and np.isneginf(smoothed).any()
 
 
 class TestClassify:

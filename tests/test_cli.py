@@ -538,6 +538,20 @@ def test_non_numeric_csv_cell_exits_4(tmp_path, monkeypatch, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+def test_stride_under_one_sample_exits_3(tmp_path, monkeypatch, capsys):
+    rec = tmp_path / "r.bin"
+    save_recording_binary(gen_ambient(BridgeConfig(), 10, seed=1), rec)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[pipeline]\nwindow_s = 5\nstride_s = 0.004\n[paths]\ninput = {rec}\n")
+    out = tmp_path / "runs"
+    code = main_exit_code(["preprocess", "--config", str(cfg), "--out", str(out)],
+                          monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert list(out.iterdir()) == []
+
+
 def _flip_a_sample_byte(path):
     blob = bytearray(path.read_bytes())
     blob[-100] ^= 0x01   # inside the last tensor, the samples of an unlabelled file

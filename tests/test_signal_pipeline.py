@@ -102,6 +102,11 @@ class TestMakeWindows:
         windows = make_windows(rec_of(999), PipelineConfig(window_s=5, stride_s=2))
         assert len(windows) == 3
 
+    def test_stride_under_one_sample_rejected(self):
+        # PipelineConfig accepts 0.004 s, but at 100 Hz it rounds to no samples
+        with pytest.raises(ConfigError, match=r"stride_s 0\.004 .* 100 Hz"):
+            make_windows(rec_of(900), PipelineConfig(window_s=5, stride_s=0.004))
+
 
 class TestEnergy:
     def test_all_zero_window(self):
