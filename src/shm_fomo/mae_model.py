@@ -56,8 +56,11 @@ class ModelConfig:
         if (self.e_dim, self.d_dim) not in SIZE_FAMILY:
             raise ConfigError(f"(e_dim, d_dim) = ({self.e_dim}, {self.d_dim}) is no "
                               f"family member; pick one of {list(SIZE_FAMILY)}")
-        if not 0.0 <= self.mask_ratio < 1.0:
-            raise ConfigError(f"mask_ratio must be in [0,1), got {self.mask_ratio}")
+        # sample_mask's count: at least one patch masked and one left visible
+        if not (0.0 <= self.mask_ratio < 1.0
+                and 1 <= int(round(self.mask_ratio * NUM_PATCHES)) < NUM_PATCHES):
+            raise ConfigError(f"mask_ratio must mask at least one of the {NUM_PATCHES} "
+                              f"patches and leave one visible, got {self.mask_ratio}")
 
     @property
     def e_heads(self) -> int:
@@ -316,9 +319,6 @@ def _decode_backward(model: MaeModel, dmasked: np.ndarray, cache):
 def _masked_diff(pred_patches: np.ndarray, true_patches: np.ndarray,
                  masked_idx: np.ndarray) -> np.ndarray:
     """Predicted minus true patches at each row's masked positions."""
-    if masked_idx.shape[1] == 0:
-        raise ConfigError("masked-patch error is undefined: the mask ratio "
-                          "leaves no patch masked")
     diff = pred_patches[_rows(masked_idx), masked_idx]
     for d, true, idx in zip(diff, true_patches, masked_idx):   # no batch-sized gather
         d -= true[idx]

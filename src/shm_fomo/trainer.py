@@ -3,7 +3,8 @@ fine-tuning, and distillation from a frozen teacher.
 
 All phases share one AdamW loop with linear-warmup half-cosine scheduling,
 global-norm gradient clipping at 1.0, and per-epoch shuffling seeded from
-(plan.seed, epoch) so runs are bit-reproducible.
+(plan.seed, epoch) so runs are bit-reproducible. Each batch is stacked from
+its windows' images as it is drawn, so training holds no copy of the dataset.
 """
 
 from __future__ import annotations
@@ -177,25 +178,22 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng([seed, epoch])
 
 
-def _stack_images(windows, dtype) -> np.ndarray:
+def _run_loop(model: MaeModel, windows: Sequence, plan: TrainPlan,
+              step_fn: Callable[[np.ndarray, np.ndarray, np.random.Generator],
+                                tuple[float, dict]]) -> TrainLog:
     if len(windows) == 0:
         raise EmptyInputError("no training windows")
-    return np.stack([w.image for w in windows]).astype(dtype, copy=False)
-
-
-def _run_loop(model: MaeModel, n: int, plan: TrainPlan,
-              step_fn: Callable[[np.ndarray, np.random.Generator], float]) -> TrainLog:
     opt = AdamW(model.params, plan.weight_decay)
     log = TrainLog()
     for epoch in range(plan.epochs):
         t0 = time.perf_counter()
         rng = _epoch_rng(plan.seed, epoch)
-        order = rng.permutation(n)
+        order = rng.permutation(len(windows))
         lr = lr_at(plan, epoch)
         losses = []
-        for start in range(0, n, plan.batch_size):
+        for start in range(0, len(windows), plan.batch_size):
             idx = order[start:start + plan.batch_size]
-            loss, grads = step_fn(idx, rng)
+            loss, grads = step_fn(np.stack([windows[i].image for i in idx]), idx, rng)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {len(losses)}")
@@ -224,15 +222,15 @@ def pretrain(model: MaeModel, windows: Sequence, plan: TrainPlan) -> TrainLog:
     if plan.mask_ratio != model.config.mask_ratio:
         raise ConfigError(f"plan mask_ratio {plan.mask_ratio} differs from the "
                           f"model's {model.config.mask_ratio}")
-    images = _stack_images(windows, model.dtype)
 
-    def step(idx, rng):
+    def step(images, idx, rng):
         masked, visible = mae_model.sample_mask_batch(
             mae_model.NUM_PATCHES, plan.mask_ratio, len(idx), rng)
-        loss, cache = mae_model.pretrain_forward_batch(model, images[idx], masked, visible)
+        loss, cache = mae_model.pretrain_forward_batch(model, images, masked, visible)
+        del images   # not held through backward
         return loss, mae_model.pretrain_backward(model, cache)
 
-    return _run_loop(model, len(windows), plan, step)
+    return _run_loop(model, windows, plan, step)
 
 
 def finetune_ad(model: MaeModel, normal_windows: Sequence, plan: TrainPlan) -> TrainLog:
@@ -246,22 +244,21 @@ def finetune_ad(model: MaeModel, normal_windows: Sequence, plan: TrainPlan) -> T
 
 def _regression_loop(model: MaeModel, windows, plan: TrainPlan,
                      loss: Callable) -> TrainLog:
-    """Regression fine-tuning on the stacked images of ``windows``.
+    """Regression fine-tuning on the images of ``windows``.
 
     ``loss(yhat, idx)`` gives (loss, dloss/dyhat) for the predictions of the
     batch of window indices ``idx``.
     """
     if not model.has_reg_head:
         raise ConfigError("attach_regression_head before regression fine-tuning")
-    images = _stack_images(windows, model.dtype)
 
-    def step(idx, rng):
-        yhat, cache = mae_model.regress_forward_batch(model, images[idx])
+    def step(images, idx, rng):
+        yhat, cache = mae_model.regress_forward_batch(model, images)
+        del images   # not held through backward
         value, dyhat = loss(yhat.astype(np.float64), idx)
-        grads = mae_model.regress_backward(model, cache, dyhat)
-        return value, grads
+        return value, mae_model.regress_backward(model, cache, dyhat)
 
-    return _run_loop(model, len(windows), plan, step)
+    return _run_loop(model, windows, plan, step)
 
 
 def mse_loss(yhat: np.ndarray, y: np.ndarray):

@@ -787,6 +787,24 @@ def test_pretrain_masks_at_model_ratio(tmp_path, monkeypatch):
     assert mae_model.load_model(ckpt).config.mask_ratio == 0.5
 
 
+def test_mask_ratio_leaving_no_visible_patch_exits_3(tmp_path, monkeypatch, capsys):
+    # 0.996 rounds to all 100 patches masked, which left the encoder no token
+    rec = gen_ambient(BridgeConfig(), 30, seed=1)
+    pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
+    save_dataset(build_dataset([rec], pipe).windows, tmp_path / "dataset.shmd")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\ne_dim = 24\nd_dim = 16\nmask_ratio = 0.996\n"
+                   "[train]\nepochs = 1\nwarmup_epochs = 0\nbatch_size = 8\n"
+                   f"[paths]\ndataset = {tmp_path / 'dataset.shmd'}\n")
+    out = tmp_path / "runs"
+    code = main_exit_code(["pretrain", "--config", str(cfg), "--out", str(out)],
+                          monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert list(out.iterdir()) == []
+
+
 def _ablation_config(tmp_path, dataset, **paths):
     """An ablation config whose four datasets are ``dataset``, except those
     that ``paths`` names."""

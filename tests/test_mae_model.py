@@ -41,7 +41,6 @@ from shm_fomo.mae_model import (
     sample_mask_batch,
     save_model,
 )
-from shm_fomo.trainer import pretrain, pretrain_plan
 
 TINY = ModelConfig(e_dim=24, d_dim=16)
 DIVISORS_OF_100 = [1, 2, 4, 5, 10, 20, 25, 50, 100]
@@ -236,18 +235,13 @@ class TestPretrainLoss:
         assert masked_mse(perturbed, img, masked) == base
 
     def test_empty_masked_set_rejected(self):
-        # a ratio that rounds to no masked patch leaves the loss undefined
-        windows = [SpectrogramWindow(image=rand_image(s)) for s in range(2)]
-        for ratio in (0.0, 0.004):
-            model = build_model(ModelConfig(e_dim=24, d_dim=16, mask_ratio=ratio), seed=0)
-            with pytest.raises(ConfigError):
-                reconstruction_error(model, windows[0].image, eval_seed=0)
-            with pytest.raises(ConfigError):
-                reconstruction_errors(model, windows)
-            plan = pretrain_plan(epochs=1, warmup_epochs=0, batch_size=2,
-                                 mask_ratio=ratio)
-            with pytest.raises(ConfigError):
-                pretrain(model, windows, plan)
+        # a ratio that rounds to no masked patch leaves the loss undefined, and
+        # one that rounds to every patch leaves the encoder no token
+        for ratio in (0.0, 0.004, 0.995, 0.996):
+            with pytest.raises(ConfigError, match="mask_ratio"):
+                ModelConfig(e_dim=24, d_dim=16, mask_ratio=ratio)
+        for ratio in (0.006, 0.994):
+            assert ModelConfig(e_dim=24, d_dim=16, mask_ratio=ratio).mask_ratio == ratio
 
     def test_batch_loss_matches_single(self, tiny_model):
         img = rand_image(5)

@@ -1,11 +1,12 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from shm_fomo import cli
-from shm_fomo.errors import ConfigError, DataError, DivergenceError
+from shm_fomo.errors import ConfigError, DataError, DivergenceError, EmptyInputError
 from shm_fomo.mae_model import ModelConfig, attach_regression_head, build_model
 from shm_fomo.signal_pipeline import SpectrogramWindow
 from shm_fomo.trainer import (
@@ -334,12 +335,53 @@ class TestPhases:
         model = build_model(TINY, seed=0)
         plan = pretrain_plan(epochs=1, warmup_epochs=0, batch_size=4)
 
-        def bad_step(idx, rng):
+        def bad_step(images, idx, rng):
             return float("nan"), {k: np.zeros_like(v)
                                   for k, v in model.params.items()}
 
         with pytest.raises(DivergenceError):
-            _run_loop(model, 4, plan, bad_step)
+            _run_loop(model, synth_windows(4), plan, bad_step)
+
+    def test_empty_training_set_rejected(self):
+        plan = TrainPlan(base_lr=1e-4, epochs=1, warmup_epochs=0, batch_size=4, seed=0)
+        model = build_model(TINY, seed=0)
+        student = attach_regression_head(build_model(TINY, seed=1), seed=2)
+        teacher = attach_regression_head(build_model(TINY, seed=3), seed=4)
+        for train in (lambda: pretrain(model, [], plan),
+                      lambda: finetune_ad(model, [], plan),
+                      lambda: finetune_tle(student, [], plan),
+                      lambda: finetune_kd(student, teacher, [], plan, KDConfig())):
+            with pytest.raises(EmptyInputError):
+                train()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [pretrain, finetune_tle],
+                             ids=["pretrain", "finetune_tle"])
+    def test_peak_memory_does_not_grow_with_the_dataset(self, train, dtype):
+        """Batches are stacked as they are drawn, so the traced peak does not
+        grow with the dataset. A whole-set copy of the float32 images, like
+        ``load_dataset`` gives them, cast to the model's dtype, grows it by
+        7 MiB for float32 and 14 MiB for float64 models from 64 to 256 windows."""
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(256, 100, 100)).astype(np.float32)
+        windows = [SpectrogramWindow(image=image, target=float(i % 5))
+                   for i, image in enumerate(images)]
+        plan = TrainPlan(base_lr=1e-4, epochs=1, warmup_epochs=0, batch_size=16, seed=0)
+
+        def peak(train_windows):
+            model = build_model(TINY, seed=0, dtype=dtype)
+            if train is finetune_tle:
+                model = attach_regression_head(model, seed=1)
+            tracemalloc.start()
+            try:
+                train(model, train_windows, plan)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(windows[:16])   # warm-up
+        growth = peak(windows) - peak(windows[:64])
+        assert growth < 2 ** 20, growth / 2 ** 20
 
     def test_loss_decreases_over_spans(self):
         # epoch-mean loss after 50 more epochs never increases (tiny corpus)
