@@ -31,7 +31,8 @@ subcommands. A dataset is one file: ``preprocess`` writes
 ``<run>/dataset.shmd``, and the ``*dataset`` paths name such a file.
 
 Exit codes: 0 success; 1 one ``error:`` line for a library error on readable
-files, such as a test set without targets or tags, a calibration that cannot
+files, such as a test set without targets or tags, an eval-ad training or
+calibration set holding a window tagged anomalous, a calibration that cannot
 reach its grid or a diverged run, and an ablation whose regime printed
 ``FAILED`` (its other regimes still ran); 2 a usage error; 3 a ``config
 error:`` for a config file that cannot be read, decoded as UTF-8 or parsed, or
@@ -62,8 +63,8 @@ from .errors import ConfigError, DataError, FormatError, ShmFomoError
 from .io_formats import (config_hash, load_dataset, load_manifest, load_recording,
                          save_dataset, save_manifest, save_recording_binary)
 from .mae_model import ModelConfig
-from .signal_pipeline import (TAG_ANOMALY, TAG_NORMAL, PipelineConfig,
-                              build_dataset, kept_windows, normalize, targets_of)
+from .signal_pipeline import (TAG_ANOMALY, TAG_NORMAL, PipelineConfig, build_dataset,
+                              kept_windows, normalize, require_normal, targets_of)
 from .synth_bench import BridgeConfig, TrafficConfig
 from .trainer import KDConfig, TrainPlan
 
@@ -351,10 +352,12 @@ def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
     thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
     model = mae_model.load_model(ckpt)
     eval_seed = derive_seed(args.seed, "eval_ad")
-    train_err = mae_model.reconstruction_errors(model, _load_dataset(train_path),
-                                                base_seed=eval_seed)
-    calib_err = mae_model.reconstruction_errors(model, _load_dataset(calib_path),
-                                                base_seed=eval_seed)
+    train_windows, calib_windows = (_load_dataset(path) for path in (train_path, calib_path))
+    require_normal(train_windows, f"threshold calibration on {train_path}")
+    require_normal(calib_windows, f"threshold calibration on {calib_path}")
+    train_err = mae_model.reconstruction_errors(model, train_windows, base_seed=eval_seed)
+    calib_err = mae_model.reconstruction_errors(model, calib_windows, base_seed=eval_seed)
+    del train_windows, calib_windows   # not held while the test set is scored
     test_windows = _load_dataset(test_path)
     for i, w in enumerate(test_windows):
         if w.tag is None:

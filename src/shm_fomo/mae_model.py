@@ -121,21 +121,20 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
 
 @dataclass
 class MaeModel:
-    """Parameter set plus fixed positional tables for one configuration;
-    ``provenance`` is that of the checkpoint it was loaded from."""
+    """Parameter set for one configuration, plus the fixed positional tables
+    that configuration gives in the parameters' dtype (no ``dec_pos`` without
+    a decoder); ``provenance`` is that of the checkpoint it was loaded from."""
 
     config: ModelConfig
     params: dict[str, np.ndarray]
-    enc_pos: np.ndarray = field(repr=False, default=None)
-    dec_pos: np.ndarray = field(repr=False, default=None)
     provenance: str = ""
+    enc_pos: np.ndarray = field(init=False, repr=False)
+    dec_pos: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        dtype = self.dtype
-        if self.enc_pos is None:
-            self.enc_pos = nn_core.sincos_table_2d(GRID, self.config.e_dim).astype(dtype)
-        if self.dec_pos is None and self.has_decoder:
-            self.dec_pos = nn_core.sincos_table_2d(GRID, self.config.d_dim).astype(dtype)
+        self.enc_pos = nn_core.sincos_table_2d(GRID, self.config.e_dim).astype(self.dtype)
+        self.dec_pos = (nn_core.sincos_table_2d(GRID, self.config.d_dim).astype(self.dtype)
+                        if self.has_decoder else None)
 
     @property
     def dtype(self):
@@ -154,8 +153,7 @@ class MaeModel:
 
     def copy(self) -> "MaeModel":
         return MaeModel(config=self.config,
-                        params={k: v.copy() for k, v in self.params.items()},
-                        enc_pos=self.enc_pos, dec_pos=self.dec_pos)
+                        params={k: v.copy() for k, v in self.params.items()})
 
     def astype(self, dtype) -> "MaeModel":
         return MaeModel(config=self.config,
@@ -384,26 +382,33 @@ def regress_backward(model: MaeModel, cache, dyhat: np.ndarray) -> dict:
     return grads
 
 
+def _predictions(model: MaeModel, images: np.ndarray) -> np.ndarray:
+    """Predictions of a (b, h, w) stack of images, all in one forward pass
+    without backward caches."""
+    latents, _ = _encode_batch(model, _patches(model, images), None, keep_cache=False)
+    return _pooled_head(model, latents)[1]
+
+
 def regress_predictions(model: MaeModel, images) -> np.ndarray:
     """Predictions for a sequence of images, of the model's dtype and shape (n,).
 
     EVAL_BATCH images at a time are stacked and go through the model without
-    backward caches, so memory is bounded by one chunk whatever the number of
-    images. Each prediction is bit-identical to ``forward_regress`` of its
-    image alone.
+    backward caches, and nothing of one chunk is held while the next is
+    scored, so memory is bounded by one chunk whatever the number of images.
+    Each prediction is bit-identical to ``forward_regress`` of its image alone.
     """
     _require_reg_head(model)
     yhat = np.empty(len(images), dtype=model.dtype)
     for start in range(0, len(images), EVAL_BATCH):
-        chunk = np.stack(images[start:start + EVAL_BATCH])
-        latents, _ = _encode_batch(model, _patches(model, chunk), None, keep_cache=False)
-        yhat[start:start + EVAL_BATCH] = _pooled_head(model, latents)[1]
+        yhat[start:start + EVAL_BATCH] = _predictions(
+            model, np.stack(images[start:start + EVAL_BATCH]))
     return yhat
 
 
 def forward_regress(model: MaeModel, image: np.ndarray) -> float:
     """Scalar traffic prediction for one spectrogram."""
-    return float(regress_predictions(model, image[None])[0])
+    _require_reg_head(model)
+    return float(_predictions(model, image[None])[0])
 
 
 def _masked_errors(model: MaeModel, images: np.ndarray, seeds) -> np.ndarray:

@@ -98,17 +98,16 @@ class PipelineConfig:
 
 
 # Built-in defaults for the two window lengths (5 s and 60 s).
-UC1_PIPELINE = PipelineConfig(window_s=5.0, stride_s=2.0, energy_threshold=3.125e-5)
+UC1_PIPELINE = PipelineConfig()
 UC2_PIPELINE = PipelineConfig(window_s=60.0, stride_s=2.0, energy_threshold=1.25e-6)
 
 
 @dataclass
 class TimeWindow:
-    """One fixed-length slice of a recording plus its pre-normalization energy."""
+    """One fixed-length slice of a recording and the sample it starts at."""
 
     values: np.ndarray
     start_index: int
-    raw_energy: float
 
 
 @dataclass
@@ -147,21 +146,14 @@ def make_windows(rec: RawRecording, cfg: PipelineConfig) -> list[TimeWindow]:
     if hop < 1:   # win >= hop, since window_s >= stride_s
         raise ConfigError(f"stride_s {cfg.stride_s} rounds to 0 samples at "
                           f"{rec.fs} Hz")
-    if n < win:
-        return []
-    count = (n - win) // hop + 1
-    out = []
-    for i in range(count):
-        start = i * hop
-        values = rec.samples[start:start + win]
-        out.append(TimeWindow(values=values, start_index=start,
-                              raw_energy=window_energy(values)))
-    return out
+    return [TimeWindow(values=rec.samples[start:start + win], start_index=start)
+            for start in range(0, n - win + 1, hop)]
 
 
 def energy_keep(w: TimeWindow, th: float) -> bool:
-    """True iff the window's pre-normalization energy reaches the threshold."""
-    return w.raw_energy >= th
+    """True iff the energy of the window's values reaches the threshold; the
+    filter runs on windows as ``make_windows`` cuts them, before ``normalize``."""
+    return window_energy(w.values) >= th
 
 
 def normalize(w: TimeWindow) -> TimeWindow:
@@ -172,7 +164,7 @@ def normalize(w: TimeWindow) -> TimeWindow:
     """
     x = np.asarray(w.values)
     values = _standardize(x.astype(np.result_type(x, 1.0)))
-    return TimeWindow(values=values, start_index=w.start_index, raw_energy=w.raw_energy)
+    return TimeWindow(values=values, start_index=w.start_index)
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -304,6 +296,14 @@ def targets_of(windows) -> np.ndarray:
     if missing:
         raise DataError(f"window {missing[0]} has no regression target")
     return np.array([w.target for w in windows], dtype=np.float64)
+
+
+def require_normal(windows, use: str) -> None:
+    """A DataError naming ``use`` for the first window tagged anomalous;
+    untagged windows pass."""
+    for i, w in enumerate(windows):
+        if w.tag == TAG_ANOMALY:
+            raise DataError(f"window {i} is tagged anomalous; {use} uses normal data only")
 
 
 def chronological_split(items: Sequence, train_frac: float) -> tuple[list, list]:

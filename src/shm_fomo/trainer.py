@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mae_model
-from .errors import ConfigError, DataError, DivergenceError, EmptyInputError
+from .errors import ConfigError, DivergenceError, EmptyInputError
 from .mae_model import MaeModel
-from .signal_pipeline import TAG_ANOMALY, targets_of
+from .signal_pipeline import require_normal, targets_of
 
 logger = logging.getLogger(__name__)
 
@@ -190,18 +190,17 @@ def _run_loop(model: MaeModel, windows: Sequence, plan: TrainPlan,
         rng = _epoch_rng(plan.seed, epoch)
         order = rng.permutation(len(windows))
         lr = lr_at(plan, epoch)
-        losses = []
+        first = len(log.step_losses)
         for start in range(0, len(windows), plan.batch_size):
             idx = order[start:start + plan.batch_size]
             loss, grads = step_fn(np.stack([windows[i].image for i in idx]), idx, rng)
             if not np.isfinite(loss):
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, step {len(losses)}")
+                    f"non-finite loss at epoch {epoch}, step {len(log.step_losses) - first}")
             grads = clip_gradients(grads)
             opt.step(model.params, grads, lr)
-            losses.append(loss)
             log.step_losses.append(loss)
-        rec = EpochRecord(epoch=epoch, lr=lr, loss=float(np.mean(losses)),
+        rec = EpochRecord(epoch=epoch, lr=lr, loss=float(np.mean(log.step_losses[first:])),
                           seconds=time.perf_counter() - t0)
         log.records.append(rec)
         if epoch % LOG_EVERY == 0 or epoch == plan.epochs - 1:
@@ -235,10 +234,7 @@ def pretrain(model: MaeModel, windows: Sequence, plan: TrainPlan) -> TrainLog:
 
 def finetune_ad(model: MaeModel, normal_windows: Sequence, plan: TrainPlan) -> TrainLog:
     """Continue masked-reconstruction training on normal-state data only."""
-    for i, w in enumerate(normal_windows):
-        if w.tag == TAG_ANOMALY:
-            raise DataError(f"window {i} is tagged anomalous; detection "
-                            "fine-tuning uses normal data only")
+    require_normal(normal_windows, "detection fine-tuning")
     return pretrain(model, normal_windows, plan)
 
 

@@ -718,12 +718,13 @@ def test_eval_ad_decisions_carry_start_index(tmp_path):
     recs = [gen_ambient(BridgeConfig(), 30, seed=5),
             gen_ambient(BridgeConfig(), 20, damaged=True, seed=6)]
     windows = build_dataset(recs, pipe, tags=["normal", "anomaly"]).windows
-    dataset = tmp_path / "test.shmd"
+    dataset, normal = tmp_path / "test.shmd", tmp_path / "normal.shmd"
     save_dataset(windows, dataset)
+    save_dataset([w for w in windows if w.tag == "normal"], normal)
     ckpt = tmp_path / "m.ckpt"
     save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
     cfg = tmp_path / "c.ini"
-    cfg.write_text(f"[paths]\ntrain_dataset = {dataset}\ncalibration_dataset = {dataset}\n"
+    cfg.write_text(f"[paths]\ntrain_dataset = {normal}\ncalibration_dataset = {normal}\n"
                    f"test_dataset = {dataset}\ncheckpoint = {ckpt}\n")
     out = tmp_path / "runs"
     assert run_cli(["eval-ad", "--config", str(cfg)], out) == 0
@@ -733,6 +734,33 @@ def test_eval_ad_decisions_carry_start_index(tmp_path):
     starts = [int(line.split(",")[col]) for line in lines[1:]]
     assert starts == [w.start_index for w in windows]
     assert starts[:3] == [0, 200, 400] and starts.count(0) == 2   # two recordings
+
+
+@pytest.mark.parametrize("role", ["train_dataset", "calibration_dataset"])
+def test_eval_ad_rejects_anomalous_calibration_windows(tmp_path, monkeypatch, capsys, role):
+    # a threshold set from damaged windows let eval-ad exit 0
+    pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
+    recs = [gen_ambient(BridgeConfig(), 20, seed=5),
+            gen_ambient(BridgeConfig(), 20, damaged=True, seed=6)]
+    windows = build_dataset(recs, pipe, tags=["normal", "anomaly"]).windows
+    mixed, normal = tmp_path / "mixed.shmd", tmp_path / "normal.shmd"
+    save_dataset(windows, mixed)
+    save_dataset([w for w in windows if w.tag == "normal"], normal)
+    ckpt = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
+    paths = {"train_dataset": normal, "calibration_dataset": normal,
+             "test_dataset": mixed, "checkpoint": ckpt, role: mixed}
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[paths]\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()))
+    monkeypatch.setattr(mae_model, "reconstruction_errors", _never_called)
+    out = tmp_path / "runs"
+    assert main_exit_code(["eval-ad", "--config", str(cfg), "--out", str(out)],
+                          monkeypatch) == 1
+    err = capsys.readouterr().err
+    first = (2000 - 500) // 200 + 1
+    assert err.splitlines() == [f"error: window {first} is tagged anomalous; threshold "
+                                f"calibration on {mixed} uses normal data only"]
+    assert list(out.iterdir()) == []
 
 
 def _write_recordings(directory, recs):
@@ -1157,12 +1185,14 @@ def test_baseline_pca_ad_truth_in_manifest_order(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_detection_report", spy)
     out = tmp_path / "runs"
     assert run_cli(["baseline", "--config", str(_pca_config(tmp_path, test))], out) == 0
-    dataset = tmp_path / "test.shmd"
-    save_dataset(_preprocessed(tmp_path, test, AD_PIPELINE), dataset)
+    dataset, normal = tmp_path / "test.shmd", tmp_path / "normal.shmd"
+    windows = _preprocessed(tmp_path, test, AD_PIPELINE)
+    save_dataset(windows, dataset)
+    save_dataset([w for w in windows if w.tag == "normal"], normal)
     ckpt = tmp_path / "m.ckpt"
     save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
     cfg = tmp_path / "ad.ini"
-    cfg.write_text(f"[paths]\ntrain_dataset = {dataset}\ncalibration_dataset = {dataset}\n"
+    cfg.write_text(f"[paths]\ntrain_dataset = {normal}\ncalibration_dataset = {normal}\n"
                    f"test_dataset = {dataset}\ncheckpoint = {ckpt}\n")
     assert run_cli(["eval-ad", "--config", str(cfg)], out) == 0
     lines = (only_run_dir(out, "eval-ad") / "decisions.csv").read_text().splitlines()

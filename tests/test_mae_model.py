@@ -626,6 +626,37 @@ class TestRegressPredictions:
     def test_missing_head_rejected(self, tiny_model):
         with pytest.raises(ConfigError):
             regress_predictions(tiny_model, rand_image()[None])
+        with pytest.raises(ConfigError):
+            regress_predictions(tiny_model, np.empty((0, 100, 100)))
+        with pytest.raises(ConfigError):
+            forward_regress(tiny_model, rand_image())
+
+
+class TestScoringMemory:
+    """Scoring takes EVAL_BATCH windows at a time, holds nothing of one chunk
+    while it scores the next, and frees each block's activations as the next
+    block starts. At 96/64 one chunk peaks at 14.9 MiB for reconstruction
+    errors and 21.2 MiB for predictions. Stacks that keep their caches peak
+    at 22.7 and 27.1 MiB, and predictions that hold the previous chunk's
+    images and latents grow by 1.2 MiB from one chunk to four."""
+
+    @pytest.mark.parametrize("scoring, one_chunk_mib", [("errors", 18), ("predictions", 24)])
+    def test_peak_bounded_by_one_chunk(self, scoring, one_chunk_mib):
+        model = build_model(ModelConfig(e_dim=96, d_dim=64), seed=0)
+        windows = TestReconstructionErrors.windows(4 * EVAL_BATCH)
+        if scoring == "errors":
+            def score(n):
+                reconstruction_errors(model, windows[:n])
+        else:
+            model = attach_regression_head(model, seed=1)
+            images = [w.image for w in windows]
+
+            def score(n):
+                regress_predictions(model, images[:n])
+        one = traced_peak(lambda: score(EVAL_BATCH))
+        four = traced_peak(lambda: score(4 * EVAL_BATCH))
+        assert four - one < 2 ** 18
+        assert one < one_chunk_mib * 2 ** 20
 
 
 class TestParamCount:

@@ -110,14 +110,14 @@ class TestMakeWindows:
 
 class TestEnergy:
     def test_all_zero_window(self):
-        w = TimeWindow(values=np.zeros(500), start_index=0, raw_energy=0.0)
+        w = TimeWindow(values=np.zeros(500), start_index=0)
         assert not energy_keep(w, 1e-9)
 
     def test_alternating_window_closed_form(self):
         a = 0.02
         values = np.tile([a, -a], 250)
         assert window_energy(values) == pytest.approx(a * a, rel=1e-12)
-        w = TimeWindow(values=values, start_index=0, raw_energy=window_energy(values))
+        w = TimeWindow(values=values, start_index=0)
         assert energy_keep(w, a * a)          # boundary inclusive
         assert not energy_keep(w, a * a * 1.0001)
 
@@ -126,14 +126,17 @@ class TestEnergy:
         assert UC2_PIPELINE.energy_threshold == pytest.approx(1.25e-6)
 
     def test_energy_is_pre_normalization(self):
-        rec = rec_of(900, seed=1)
+        # a faint window is dropped, though normalize would lift its energy to ~1
+        rec = RawRecording(samples=1e-4 * np.random.default_rng(1).normal(size=900))
         (w, *_) = make_windows(rec, UC1_PIPELINE)
-        assert w.raw_energy == pytest.approx(window_energy(w.values))
-        assert normalize(w).raw_energy == w.raw_energy
+        assert not energy_keep(w, UC1_PIPELINE.energy_threshold)
+        assert energy_keep(normalize(w), UC1_PIPELINE.energy_threshold)
+        n_candidates, kept, _ = kept_windows(rec, UC1_PIPELINE)
+        assert n_candidates == 3 and kept == []
 
     def test_filter_commutes_with_indexing(self):
         windows = make_windows(rec_of(5000, seed=5), UC1_PIPELINE)
-        th = np.median([w.raw_energy for w in windows])
+        th = np.median([window_energy(w.values) for w in windows])
         filtered_then_indexed = [w for w in windows if energy_keep(w, th)][3:6]
         keep = [energy_keep(w, th) for w in windows]
         indexed_then_filtered = [w for w, k in zip(windows, keep) if k][3:6]
@@ -154,11 +157,11 @@ class TestNormalize:
         assert np.allclose(once.values, twice.values, atol=1e-6)
 
     def test_constant_window_maps_to_zero(self):
-        w = TimeWindow(values=np.full(500, 7.0), start_index=0, raw_energy=0.0)
+        w = TimeWindow(values=np.full(500, 7.0), start_index=0)
         assert np.array_equal(normalize(w).values, np.zeros(500))
 
     def test_two_level_window_closed_form(self):
-        w = TimeWindow(values=np.tile([1.0, 3.0], 250), start_index=0, raw_energy=1.0)
+        w = TimeWindow(values=np.tile([1.0, 3.0], 250), start_index=0)
         out = normalize(w).values
         assert np.allclose(out, np.tile([-1.0, 1.0], 250), atol=1e-7)
 
@@ -176,12 +179,12 @@ class TestSpectrogram:
     @pytest.mark.parametrize("t_len", [500, 6000])
     def test_shape_100x100(self, t_len):
         w = TimeWindow(values=np.random.default_rng(0).normal(size=t_len),
-                       start_index=0, raw_energy=1.0)
+                       start_index=0)
         assert spectrogram(w).shape == (100, 100)
 
     def test_standardized(self):
         w = TimeWindow(values=np.random.default_rng(1).normal(size=500),
-                       start_index=0, raw_energy=1.0)
+                       start_index=0)
         img = spectrogram(w)
         assert abs(img.mean()) < 1e-9
         assert abs(img.std() - 1.0) < 1e-6
@@ -189,7 +192,7 @@ class TestSpectrogram:
 
     def test_deterministic_bit_identical(self):
         w = TimeWindow(values=np.random.default_rng(2).normal(size=500),
-                       start_index=0, raw_energy=1.0)
+                       start_index=0)
         assert np.array_equal(spectrogram(w), spectrogram(w))
 
     @pytest.mark.parametrize("f0", [5.0, 10.0, 23.0])
@@ -197,7 +200,7 @@ class TestSpectrogram:
         fs = 100
         t = np.arange(500) / fs
         w = normalize(TimeWindow(values=np.sin(2 * np.pi * f0 * t),
-                                 start_index=0, raw_energy=0.5))
+                                 start_index=0))
         img = spectrogram(w)
         peak_bins = img.argmax(axis=1)
         assert (peak_bins == peak_bins[0]).all()
@@ -210,7 +213,7 @@ class TestSpectrogram:
         # no frequency column may hold >10% of total pre-log power
         for seed in range(100):
             values = np.random.default_rng(seed).normal(size=500)
-            w = normalize(TimeWindow(values=values, start_index=0, raw_energy=1.0))
+            w = normalize(TimeWindow(values=values, start_index=0))
             frames = np.lib.stride_tricks.sliding_window_view(w.values, 198)[::3][:100]
             power = np.abs(np.fft.rfft(frames * get_window("hann", 198), axis=1)) ** 2
             shares = power.sum(axis=0) / power.sum()
@@ -224,7 +227,7 @@ class TestSpectrogram:
             HANN_TAPER[0] = 1.0
 
     def test_too_short_raises(self):
-        w = TimeWindow(values=np.zeros(250), start_index=0, raw_energy=0.0)
+        w = TimeWindow(values=np.zeros(250), start_index=0)
         with pytest.raises(ConfigError):
             spectrogram(w)
 
@@ -238,7 +241,7 @@ class TestSpectrogram:
         mag = np.abs(np.fft.rfft(frames * get_window("hann", 198), axis=1))
         img = np.log1p(mag)
         expected = (img - img.mean()) / (img.std() + 1e-8)
-        w = TimeWindow(values=values, start_index=0, raw_energy=1.0)
+        w = TimeWindow(values=values, start_index=0)
         for _ in range(2):
             assert np.array_equal(spectrogram(w), expected)
 
@@ -261,7 +264,7 @@ class TestStandardizeMatchesStdFormulas:
     @staticmethod
     def check(values):
         before = values.copy()
-        w = TimeWindow(values=values, start_index=3, raw_energy=0.5)
+        w = TimeWindow(values=values, start_index=3)
         normed = normalize(w)
         assert normed.values.dtype == values.dtype
         assert np.array_equal(normed.values, ref_normalize(values))
@@ -338,7 +341,6 @@ class TestKeptWindows:
         assert 0 < len(kept) == len(want) < n_candidates
         for w, tw in zip(kept, want):
             assert w.start_index == tw.start_index
-            assert w.raw_energy == tw.raw_energy
             assert np.array_equal(w.values, tw.values)
         assert targets is None
 

@@ -157,7 +157,7 @@ class TestGenTraffic:
             veh, amb = [], []
             for w in make_windows(rec, pipe):
                 sl = rec.labels[w.start_index:w.start_index + 500]
-                (veh if sl.any() else amb).append(w.raw_energy)
+                (veh if sl.any() else amb).append(window_energy(w.values))
             if veh and amb and np.mean(veh) > np.mean(amb):
                 wins += 1
         # one-sided binomial: P(wins >= 65 | p=0.5) < 0.01
