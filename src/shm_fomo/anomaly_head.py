@@ -82,6 +82,8 @@ def median_smooth(errors: Sequence[float], L: int) -> np.ndarray:
     nan = np.isnan(errors)
     if nan.any():
         raise DataError(f"cannot smooth NaN errors, at {np.flatnonzero(nan)[:5]}")
+    if L == 1:   # each window is its own value
+        return errors.copy()
     values = errors.tolist()
     window, out = [], []
     for value in values[:L]:   # the window grows to L values

@@ -153,11 +153,13 @@ class MaeModel:
 
     def copy(self) -> "MaeModel":
         return MaeModel(config=self.config,
-                        params={k: v.copy() for k, v in self.params.items()})
+                        params={k: v.copy() for k, v in self.params.items()},
+                        provenance=self.provenance)
 
     def astype(self, dtype) -> "MaeModel":
         return MaeModel(config=self.config,
-                        params={k: v.astype(dtype) for k, v in self.params.items()})
+                        params={k: v.astype(dtype) for k, v in self.params.items()},
+                        provenance=self.provenance)
 
 
 def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> MaeModel:

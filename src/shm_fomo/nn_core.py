@@ -35,16 +35,23 @@ operations or, for the GELU input, one product, it rebuilds instead:
   (two elementwise operations each), the GELU input from the MLP input
   (the fc1 product, one more GEMM per block) and the GELU output from the
   GELU input and ``c``.
+
+GELU's ``erf`` is scipy's own ufunc, loaded from the one compiled module of
+``scipy.special`` that defines it: importing the whole package cost every
+process about 20 MB and 0.2-0.3 s of start-up for this one ufunc.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.special import erf
 
 LN_EPS = 1e-6
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -71,18 +78,65 @@ def _pin_allocator() -> None:
     would still be mapped and unmapped per pass. 32 MiB is the ceiling of
     glibc's own dynamic mmap threshold, and glibc keeps the trim threshold at
     twice it. A C library without ``mallopt`` is left as it is.
+
+    It also leaves 16 free blocks of each size to 1 KiB, 16 bytes apart as
+    glibc's small bins are, below any activation, kept apart by blocks that
+    are never freed. A small request that finds no free block of its size is
+    split off a large free run, which during a pass is a freed activation,
+    and numpy keeps freed data blocks under 1 KiB for reuse. A run split that
+    way may no longer fit a later pass's array, and the heap then grows into
+    fresh pages.
     """
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt, malloc, free = libc.mallopt, libc.malloc, libc.free
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    malloc.argtypes = [ctypes.c_size_t]
+    malloc.restype = ctypes.c_void_p
+    free.argtypes = [ctypes.c_void_p]
+    free.restype = None
+    blocks = [malloc(m) for n in range(16, 1025, 16) for _ in range(16) for m in (n, 16)]
+    for block in blocks[::2]:
+        free(block)
 
 
 _pin_allocator()
+
+
+def _load_erf(special_dir: str) -> np.ufunc:
+    """scipy's ``erf`` ufunc, from ``special_dir``'s ``_special_ufuncs``
+    extension when it is there, not yet loaded and defines it, else from
+    ``scipy.special``.
+
+    It is the very object ``scipy.special.erf`` binds, so the same compiled
+    loops run. The module's ``sys.modules`` entry is dropped once ``erf`` is
+    bound: a later ``import scipy.special`` must import the module itself,
+    which also binds it as the package attribute ``errstate`` and ``seterr``
+    read.
+    """
+    name = "scipy.special._special_ufuncs"
+    finder = importlib.machinery.FileFinder(
+        special_dir,
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is not None and name not in sys.modules:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(name, None)
+        erf = getattr(module, "erf", None)
+        if isinstance(erf, np.ufunc):
+            return erf
+    from scipy.special import erf
+    return erf
+
+
+erf = _load_erf(os.path.join(
+    importlib.util.find_spec("scipy").submodule_search_locations[0], "special"))
 
 
 @functools.lru_cache(maxsize=64)

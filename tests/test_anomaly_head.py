@@ -175,7 +175,10 @@ class TestMedianSmooth:
 
     def test_length_one_identity(self):
         series = np.random.default_rng(2).normal(size=40)
-        assert np.array_equal(median_smooth(series, 1), series)
+        smoothed = median_smooth(series, 1)
+        assert np.array_equal(smoothed, series)
+        # a new array: writing to the result leaves the caller's errors alone
+        assert not np.shares_memory(smoothed, series)
 
     def test_spike_suppressed(self):
         assert np.array_equal(median_smooth([0, 0, 9, 0, 0], 3), np.zeros(5))

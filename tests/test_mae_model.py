@@ -724,6 +724,13 @@ class TestCheckpoint:
         for name, tensor in tiny_model.params.items():
             assert np.array_equal(back.params[name], tensor), name
 
+    def test_copies_keep_provenance(self, tmp_path, tiny_model):
+        path = tmp_path / "model.ckpt"
+        save_model(tiny_model, path, provenance="abc123")
+        back = load_model(path)
+        assert back.copy().provenance == "abc123"
+        assert back.astype(np.float64).provenance == "abc123"
+
     def test_round_trip_with_reg_head(self, tmp_path, tiny_model):
         model = attach_regression_head(tiny_model, seed=2)
         path = tmp_path / "reg.ckpt"

@@ -582,6 +582,63 @@ def test_linear_fwd_batch_invariant(dtype, k, n):
 
 
 # ---------------------------------------------------------------------------
+# erf
+
+# signed zeros, infinities, NaN, subnormals and both sides of |x| = 1
+ERF_SCRIPT = """
+import sys
+import numpy as np
+from shm_fomo import nn_core
+
+assert "scipy.special" not in sys.modules
+import scipy.special
+
+assert nn_core.erf is scipy.special.erf
+for dtype in (np.float32, np.float64):
+    info = np.finfo(dtype)
+    one = dtype(1.0)
+    x = np.array([0.0, info.smallest_subnormal, info.smallest_normal / 2,
+                  info.smallest_normal, np.nextafter(one, dtype(0.0)), one,
+                  np.nextafter(one, dtype(2.0)), 0.5, 3.0, 10.0, info.max,
+                  np.inf, np.nan], dtype=dtype)
+    x = np.concatenate((x, -x))
+    bits = np.dtype(f"u{x.itemsize}")
+    assert np.array_equal(nn_core.erf(x).view(bits), scipy.special.erf(x).view(bits))
+
+# scipy's error policy reaches nn_core's erf: erf(inf) underflows its erfc
+def raises():
+    try:
+        nn_core.erf(np.inf)
+    except scipy.special.SpecialFunctionError:
+        return True
+    return False
+
+with scipy.special.errstate(all="raise"):
+    assert raises(), "errstate did not reach nn_core.erf"
+previous = scipy.special.seterr(underflow="raise")
+assert raises(), "seterr did not reach nn_core.erf"
+scipy.special.seterr(**previous)
+assert not raises()
+"""
+
+
+def test_erf_is_scipys_without_importing_scipy_special():
+    proc = subprocess.run([sys.executable, "-c", ERF_SCRIPT],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_erf_loader_falls_back_to_scipy_special(tmp_path):
+    code = ("import sys; from shm_fomo import nn_core; "
+            "assert 'scipy.special' not in sys.modules; "
+            f"erf = nn_core._load_erf({str(tmp_path)!r}); "
+            "import scipy.special; assert erf is scipy.special.erf")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
 # allocator
 
 
