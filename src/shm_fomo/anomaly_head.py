@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigError, DataError, EmptyInputError
+from .errors import ConfigError, DataError
 
 FILTER_LENGTHS = (1, 15, 30, 60, 120, 240)
 
@@ -42,12 +42,12 @@ def calibrate_threshold(train_errors: Sequence[float],
     errors) + std(calibration-day errors) and step = init * step_fraction;
     the threshold is its least value at or above every calibration error.
     A grid that never gets there (step <= 0, NaN errors, or a step count
-    past float range) raises CalibrationError.
+    past float range) raises DataError.
     """
     train_errors = np.asarray(train_errors, dtype=np.float64)
     calib = np.asarray(calibration_day_errors, dtype=np.float64)
     if train_errors.size == 0 or calib.size == 0:
-        raise EmptyInputError("calibration needs non-empty error sets")
+        raise DataError("calibration needs non-empty error sets")
     init = float(train_errors.mean() + calib.std())
     top = float(calib.max())
     if top <= init:
@@ -55,7 +55,7 @@ def calibrate_threshold(train_errors: Sequence[float],
     step = init * cfg.step_fraction
     span = (top - init) / step if step > 0 else math.inf
     if not math.isfinite(span):
-        raise CalibrationError(
+        raise DataError(
             f"no 100%-specificity threshold on the grid (init {init:.4g}, "
             f"step {step:.4g}, max calibration error {top:.4g})")
     # the quotient is rounded, so its ceiling may miss the least k by one
@@ -76,7 +76,7 @@ def median_smooth(errors: Sequence[float], L: int) -> np.ndarray:
     """
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
-        raise EmptyInputError("cannot smooth an empty series")
+        raise DataError("cannot smooth an empty series")
     if L < 1:
         raise ConfigError(f"filter length must be >= 1, got {L}")
     nan = np.isnan(errors)
@@ -120,7 +120,7 @@ def ad_metrics(verdicts: Sequence[bool], truth: Sequence[bool]) -> AdMetrics:
     if verdicts.shape != truth.shape:
         raise DataError(f"length mismatch {verdicts.shape} vs {truth.shape}")
     if verdicts.size == 0:
-        raise EmptyInputError("no verdicts to score")
+        raise DataError("no verdicts to score")
     tp = int(np.count_nonzero(verdicts & truth))
     tn = int(np.count_nonzero(~verdicts & ~truth))
     fp = int(np.count_nonzero(verdicts & ~truth))

@@ -31,15 +31,18 @@ subcommands. A dataset is one file: ``preprocess`` writes
 ``<run>/dataset.shmd``, and the ``*dataset`` paths name such a file.
 
 Exit codes: 0 success; 1 one ``error:`` line for a library error on readable
-files, such as a test set without targets or tags, an eval-ad training or
-calibration set holding a window tagged anomalous, a calibration that cannot
-reach its grid or a diverged run, and an ablation whose regime printed
-``FAILED`` (its other regimes still ran); 2 a usage error; 3 a ``config
-error:`` for a config file that cannot be read, decoded as UTF-8 or parsed, or
-that holds a bad section, key or value; 4 one ``input error:`` line for any
-``OSError`` or ``FormatError``: an input file (checkpoint, dataset, manifest,
-recording) that is missing, a directory or malformed, and an ``OSError`` while
-writing the run directory. Neither the config nor the inputs get pre-checks.
+files, such as a test set without targets or tags, a detection test set (of
+eval-ad or pca-ad) that lacks normal or anomalous windows, a training or
+calibration set of either holding a window tagged anomalous (a ``damaged``
+manifest entry, for pca-ad), a calibration that cannot reach its grid or a
+diverged run, and an ablation whose regime printed ``FAILED`` (its other
+regimes still ran); 2 a usage error; 3 a ``config error:`` for a config file
+that cannot be read, decoded as UTF-8 or parsed, or that holds a bad section,
+key or value, such as ``[synth] damaged = true`` with ``kind = traffic``; 4
+one ``input error:`` line for any ``OSError`` or ``FormatError``: an input
+file (checkpoint, dataset, manifest, recording) that is missing, a directory
+or malformed, and an ``OSError`` while writing the run directory. Neither the
+config nor the inputs get pre-checks.
 """
 
 from __future__ import annotations
@@ -196,11 +199,10 @@ def _global_seed(args, cfg) -> int:
     return exp["seed"] if args.seed is None else args.seed
 
 
-def _manifest_recordings(manifest_path: Path, states=None):
-    """(entry, recording) per manifest entry; with ``states``, others go unread."""
+def _manifest_recordings(manifest_path: Path):
+    """(entry, recording) per manifest entry, in manifest order."""
     for entry in load_manifest(manifest_path):
-        if states is None or entry.get("state") in states:
-            yield entry, load_recording(manifest_path.parent / entry["file"])
+        yield entry, load_recording(manifest_path.parent / entry["file"])
 
 
 def _load_dataset(path: Path):
@@ -225,6 +227,9 @@ def cmd_synth_gen(args, cfg, run_dir: Path) -> int:
         raise ConfigError(f"unknown synth kind {kind!r}")
     if count < 1:
         raise ConfigError(f"[synth] count must be >= 1, got {count}")
+    if damaged and kind == "traffic":
+        raise ConfigError("[synth] damaged = true needs kind = ambient; "
+                          "traffic recordings have no damaged state")
     bridge = build_from_section(BridgeConfig, synth)
     if kind == "traffic":
         traffic = build_from_section(TrafficConfig, section(cfg, "traffic"))
@@ -353,22 +358,32 @@ def cmd_eval_ad(args, cfg, run_dir: Path) -> int:
     model = mae_model.load_model(ckpt)
     eval_seed = derive_seed(args.seed, "eval_ad")
     train_windows, calib_windows = (_load_dataset(path) for path in (train_path, calib_path))
-    require_normal(train_windows, f"threshold calibration on {train_path}")
-    require_normal(calib_windows, f"threshold calibration on {calib_path}")
+    require_normal([w.tag for w in train_windows], f"threshold calibration on {train_path}")
+    require_normal([w.tag for w in calib_windows], f"threshold calibration on {calib_path}")
     train_err = mae_model.reconstruction_errors(model, train_windows, base_seed=eval_seed)
     calib_err = mae_model.reconstruction_errors(model, calib_windows, base_seed=eval_seed)
     del train_windows, calib_windows   # not held while the test set is scored
     test_windows = _load_dataset(test_path)
-    for i, w in enumerate(test_windows):
-        if w.tag is None:
-            raise DataError(f"{test_path}: test window {i} has no {TAG_NORMAL}/{TAG_ANOMALY} tag")
+    truth = _test_truth([w.tag for w in test_windows], test_path)
     test_err = mae_model.reconstruction_errors(model, test_windows, base_seed=eval_seed)
-    truth = np.array([w.tag == TAG_ANOMALY for w in test_windows])
     threshold = _detection_report(run_dir, thr_cfg, "mae", train_err, calib_err, test_err,
                                   truth)
     write_decisions_csv(run_dir / "decisions.csv", test_err, threshold, 15,
                         truth, [w.start_index for w in test_windows])
     return 0
+
+
+def _test_truth(tags, source) -> np.ndarray:
+    """Whether each test window is anomalous. A window without a tag, or a
+    test set without both tags, is a DataError: one class alone leaves
+    sensitivity or specificity undefined."""
+    for i, tag in enumerate(tags):
+        if tag is None:
+            raise DataError(f"{source}: test window {i} has no {TAG_NORMAL}/{TAG_ANOMALY} tag")
+    for tag in (TAG_NORMAL, TAG_ANOMALY):
+        if tag not in tags:
+            raise DataError(f"{source}: the test set holds no window tagged {tag!r}")
+    return np.array([tag == TAG_ANOMALY for tag in tags])
 
 
 def _detection_report(run_dir: Path, thr_cfg: ThresholdConfig, model_id: str,
@@ -392,7 +407,7 @@ def cmd_eval_tle(args, cfg, run_dir: Path) -> int:
     model = mae_model.load_model(ckpt)
     windows = _load_dataset(test_path)
     y_true = targets_of(windows)
-    y_pred = mae_model.regress_predictions(model, [w.image for w in windows])
+    y_pred = mae_model.regress_predictions(model, windows)
     _regression_report(run_dir, "mae", y_true, y_pred)
     return 0
 
@@ -418,7 +433,6 @@ def cmd_ablation(args, cfg, run_dir: Path) -> int:
     all_windows, task_windows, ft_windows, test_windows = [
         _load_dataset(path) for path in (all_path, task_path, ft_path, test_path)]
     y_true = targets_of(test_windows)
-    test_images = [w.image for w in test_windows]
     seed = derive_seed(args.seed, "ablation")
     regimes = (("no_pretrain", None), ("pretrain_uc", task_windows),
                ("pretrain_all", all_windows))
@@ -431,7 +445,7 @@ def cmd_ablation(args, cfg, run_dir: Path) -> int:
             student = mae_model.attach_regression_head(model, seed=seed + 1)
             trainer.finetune_tle(student, ft_windows, ft_plan)
             report = evaluation.regression_metrics(
-                mae_model.regress_predictions(student, test_images), y_true)
+                mae_model.regress_predictions(student, test_windows), y_true)
         except Exception as exc:  # a failed regime must not sink the others
             print(f"{regime}: FAILED ({type(exc).__name__}: {exc})")
             continue
@@ -457,19 +471,18 @@ def _feature_targets(manifest_path: Path, pipe: PipelineConfig):
     return np.stack(feats), np.asarray(targets)
 
 
-def _raw_normalized_windows(manifest_path: Path, pipe: PipelineConfig, *states):
-    """Time-window vectors (normalized, energy-filtered) of the entries of
-    ``states``, in manifest order as ``preprocess`` keeps them, and the state
-    of each window."""
-    vecs, window_states = [], []
-    for entry, rec in _manifest_recordings(manifest_path, states):
+def _raw_normalized_windows(manifest_path: Path, pipe: PipelineConfig):
+    """Time-window vectors (normalized, energy-filtered) of every entry, in
+    manifest order as ``preprocess`` keeps and tags them, and the tag of each
+    window."""
+    vecs, tags = [], []
+    for entry, rec in _manifest_recordings(manifest_path):
         _, kept, _ = kept_windows(rec, pipe)
         vecs.extend(normalize(w).values for w in kept)
-        window_states.extend([entry["state"]] * len(kept))
-    for state in states:
-        if state not in window_states:
-            raise DataError(f"{manifest_path}: no kept windows of state {state!r}")
-    return np.stack(vecs), np.array(window_states)
+        tags.extend([_STATE_TO_TAG.get(entry.get("state"))] * len(kept))
+    if not vecs:
+        raise DataError(f"{manifest_path}: no kept windows")
+    return np.stack(vecs), tags
 
 
 def cmd_baseline(args, cfg, run_dir: Path) -> int:
@@ -484,12 +497,14 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
         (train_m, calib_m, test_m) = paths_of(
             cfg, "train_manifest", "calibration_manifest", "test_manifest")
         thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
-        train, _ = _raw_normalized_windows(train_m, pipe, "normal")
-        calib, _ = _raw_normalized_windows(calib_m, pipe, "normal")
-        test, test_states = _raw_normalized_windows(test_m, pipe, "normal", "damaged")
+        train, train_tags = _raw_normalized_windows(train_m, pipe)
+        require_normal(train_tags, f"threshold calibration on {train_m}")
+        calib, calib_tags = _raw_normalized_windows(calib_m, pipe)
+        require_normal(calib_tags, f"threshold calibration on {calib_m}")
+        test, test_tags = _raw_normalized_windows(test_m, pipe)
+        truth = _test_truth(test_tags, test_m)
         model = baselines.pca_fit(train, cf=cf)
         test_err = baselines.pca_errors(model, test)
-        truth = test_states == "damaged"
         _detection_report(run_dir, thr_cfg, f"pca_cf{cf}", baselines.pca_errors(model, train),
                           baselines.pca_errors(model, calib), test_err, truth)
         return 0

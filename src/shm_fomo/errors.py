@@ -5,25 +5,16 @@ class ShmFomoError(Exception):
     """Base class for all library errors."""
 
 
-class EmptyInputError(ShmFomoError):
-    """An operation received an empty recording, window set, or series."""
-
-
 class ConfigError(ShmFomoError):
     """Inconsistent or unsupported configuration values."""
 
 
 class DataError(ShmFomoError):
-    """Input data violates a contract (bad labels, missing targets, wrong tags)."""
+    """Input data violates a contract: bad labels, missing targets or tags,
+    an empty recording, window set or series, a spectrogram of the wrong size,
+    a threshold grid that cannot reach the largest calibration error, or a
+    training run whose loss or gradient turned non-finite."""
 
 
 class FormatError(ShmFomoError):
     """A persisted file is malformed, truncated, or has the wrong magic."""
-
-
-class CalibrationError(ShmFomoError):
-    """The threshold grid cannot reach the largest calibration error."""
-
-
-class DivergenceError(ShmFomoError):
-    """Training produced a non-finite loss or gradient."""

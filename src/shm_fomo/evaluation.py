@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .anomaly_head import FILTER_LENGTHS, AdMetrics, ad_metrics, classify, median_smooth
-from .errors import DataError, EmptyInputError
+from .errors import DataError
 
 
 @dataclass
@@ -43,7 +43,7 @@ def regression_metrics(y_pred: Sequence[float], y_true: Sequence[float]) -> Metr
     if y_pred.shape != y_true.shape:
         raise DataError(f"length mismatch {y_pred.shape} vs {y_true.shape}")
     if y_pred.size == 0:
-        raise EmptyInputError("no predictions to score")
+        raise DataError("no predictions to score")
     err = y_pred - y_true
     mse = float(np.mean(err ** 2))
     mae = float(np.mean(np.abs(err)))

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import nn_core
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .io_formats import read_container, write_container
 from .signal_pipeline import SPEC_SIZE
 
@@ -162,67 +162,67 @@ class MaeModel:
                         provenance=self.provenance)
 
 
-def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> MaeModel:
-    """A freshly initialized encoder-decoder, its tensors drawn from ``seed``."""
+def _init(rng: np.random.Generator, name: str, shape) -> np.ndarray:
+    """The initial value of tensor ``name``, in float64."""
+    if name == "mask_token":
+        return rng.normal(0.0, INIT_STD, size=shape)
+    if name.endswith(".g"):
+        return np.ones(shape)
+    if name.endswith((".b", ".bq", ".bk", ".bv", ".bo")):
+        return np.zeros(shape)
+    return _trunc_normal(rng, shape, INIT_STD)
+
+
+def build_model(cfg: ModelConfig, seed: int) -> MaeModel:
+    """A freshly initialized float32 encoder-decoder, its tensors drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in param_shapes(cfg).items():
-        if name == "mask_token":
-            arr = rng.normal(0.0, INIT_STD, size=shape)
-        elif name.endswith(".g"):
-            arr = np.ones(shape)
-        elif name.endswith((".b", ".bq", ".bk", ".bv", ".bo")):
-            arr = np.zeros(shape)
-        else:
-            arr = _trunc_normal(rng, shape, INIT_STD)
-        params[name] = arr.astype(dtype)
-    return MaeModel(config=cfg, params=params)
+    return MaeModel(config=cfg, params={name: _init(rng, name, shape).astype(np.float32)
+                                        for name, shape in param_shapes(cfg).items()})
 
 
 def attach_regression_head(model: MaeModel, seed: int) -> MaeModel:
-    """Drop the decoder and append the single-output linear head."""
+    """Drop the decoder and append the single-output linear head, drawn from ``seed``."""
     cfg = model.config
-    params = {k: v.copy() for k, v in model.params.items()
-              if k.startswith(("patch_embed", "enc."))}
+    encoder = param_shapes(cfg, with_decoder=False)
     rng = np.random.default_rng(seed)
-    params["reg_head.w"] = _trunc_normal(rng, (cfg.e_dim, 1), INIT_STD).astype(model.dtype)
-    params["reg_head.b"] = np.zeros((1,), dtype=model.dtype)
-    return MaeModel(config=cfg, params=params)
+    return MaeModel(config=cfg, params={
+        name: (model.params[name].copy() if name in encoder
+               else _init(rng, name, shape).astype(model.dtype))
+        for name, shape in param_shapes(cfg, with_decoder=False, with_reg_head=True).items()})
 
 
 # ---------------------------------------------------------------------------
 # patches and masking
 
 
-def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
-    """Split each square image of a (b, h, w) batch into a row-major grid of
-    flattened patches: (b, patches, patch_size ** 2)."""
-    b, h, w = images.shape
-    if h % patch_size or w % patch_size:
-        raise ConfigError(f"patch_size {patch_size} does not divide image {h}x{w}")
-    g = h // patch_size
-    return (images.reshape(b, g, patch_size, g, patch_size)
+def patchify(images: np.ndarray) -> np.ndarray:
+    """Split each SPEC_SIZE x SPEC_SIZE image of a (b, h, w) batch into a
+    row-major grid of flattened patches: (b, NUM_PATCHES, PATCH_DIM)."""
+    if images.shape[1:] != (SPEC_SIZE, SPEC_SIZE):
+        raise DataError(f"images of shape {images.shape[1:]} are not "
+                        f"{SPEC_SIZE}x{SPEC_SIZE} spectrograms")
+    return (images.reshape(-1, GRID, PATCH_SIZE, GRID, PATCH_SIZE)
             .transpose(0, 1, 3, 2, 4)
-            .reshape(b, g * g, patch_size * patch_size))
+            .reshape(-1, NUM_PATCHES, PATCH_DIM))
 
 
-def sample_mask(num_patches: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_mask(p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(masked_idx, visible_idx): a uniformly random subset of exactly
-    round(p * num_patches) masked indices, drawn from ``seed``."""
+    round(p * NUM_PATCHES) masked indices, drawn from ``seed``."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"mask ratio must be in [0,1), got {p}")
-    n_mask = int(round(p * num_patches))
-    perm = np.random.default_rng(seed).permutation(num_patches)
+    n_mask = int(round(p * NUM_PATCHES))
+    perm = np.random.default_rng(seed).permutation(NUM_PATCHES)
     return np.sort(perm[:n_mask]), np.sort(perm[n_mask:])
 
 
-def sample_mask_batch(num_patches: int, p: float, batch: int,
+def sample_mask_batch(p: float, batch: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Batch masking: (masked_idx, visible_idx) arrays of shape (batch, ...)."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"mask ratio must be in [0,1), got {p}")
-    n_mask = int(round(p * num_patches))
-    order = np.argsort(rng.random((batch, num_patches)), axis=1, kind="stable")
+    n_mask = int(round(p * NUM_PATCHES))
+    order = np.argsort(rng.random((batch, NUM_PATCHES)), axis=1, kind="stable")
     return np.sort(order[:, :n_mask], axis=1), np.sort(order[:, n_mask:], axis=1)
 
 
@@ -248,7 +248,7 @@ def _rows(idx: np.ndarray) -> np.ndarray:
 
 
 def _patches(model: MaeModel, images: np.ndarray) -> np.ndarray:
-    return patchify(np.asarray(images), PATCH_SIZE).astype(model.dtype, copy=False)
+    return patchify(np.asarray(images)).astype(model.dtype, copy=False)
 
 
 def _encode_batch(model: MaeModel, patches: np.ndarray,
@@ -391,19 +391,19 @@ def _predictions(model: MaeModel, images: np.ndarray) -> np.ndarray:
     return _pooled_head(model, latents)[1]
 
 
-def regress_predictions(model: MaeModel, images) -> np.ndarray:
-    """Predictions for a sequence of images, of the model's dtype and shape (n,).
+def regress_predictions(model: MaeModel, windows) -> np.ndarray:
+    """Predictions for a sequence of windows, of the model's dtype and shape (n,).
 
     EVAL_BATCH images at a time are stacked and go through the model without
     backward caches, and nothing of one chunk is held while the next is
-    scored, so memory is bounded by one chunk whatever the number of images.
+    scored, so memory is bounded by one chunk whatever the number of windows.
     Each prediction is bit-identical to ``forward_regress`` of its image alone.
     """
     _require_reg_head(model)
-    yhat = np.empty(len(images), dtype=model.dtype)
-    for start in range(0, len(images), EVAL_BATCH):
+    yhat = np.empty(len(windows), dtype=model.dtype)
+    for start in range(0, len(windows), EVAL_BATCH):
         yhat[start:start + EVAL_BATCH] = _predictions(
-            model, np.stack(images[start:start + EVAL_BATCH]))
+            model, np.stack([w.image for w in windows[start:start + EVAL_BATCH]]))
     return yhat
 
 
@@ -418,8 +418,7 @@ def _masked_errors(model: MaeModel, images: np.ndarray, seeds) -> np.ndarray:
     all images in one forward pass."""
     if not model.has_decoder:
         raise ConfigError("reconstruction error needs the decoder")
-    cfg = model.config
-    masks = [sample_mask(NUM_PATCHES, cfg.mask_ratio, seed) for seed in seeds]
+    masks = [sample_mask(model.config.mask_ratio, seed) for seed in seeds]
     masked_idx, visible_idx = (np.stack(idx) for idx in zip(*masks))
     patches = _patches(model, images)
     latents, _ = _encode_batch(model, patches, visible_idx, keep_cache=False)

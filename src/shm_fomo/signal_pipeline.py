@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyInputError
+from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
 
@@ -140,7 +140,7 @@ def make_windows(rec: RawRecording, cfg: PipelineConfig) -> list[TimeWindow]:
     """
     n = len(rec)
     if n == 0:
-        raise EmptyInputError("cannot window an empty recording")
+        raise DataError("cannot window an empty recording")
     win = int(round(rec.fs * cfg.window_s))
     hop = int(round(rec.fs * cfg.stride_s))
     if hop < 1:   # win >= hop, since window_s >= stride_s
@@ -298,11 +298,11 @@ def targets_of(windows) -> np.ndarray:
     return np.array([w.target for w in windows], dtype=np.float64)
 
 
-def require_normal(windows, use: str) -> None:
-    """A DataError naming ``use`` for the first window tagged anomalous;
-    untagged windows pass."""
-    for i, w in enumerate(windows):
-        if w.tag == TAG_ANOMALY:
+def require_normal(tags, use: str) -> None:
+    """A DataError naming ``use`` for the first window whose tag in ``tags``
+    is anomalous; untagged windows pass."""
+    for i, tag in enumerate(tags):
+        if tag == TAG_ANOMALY:
             raise DataError(f"window {i} is tagged anomalous; {use} uses normal data only")
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mae_model
-from .errors import ConfigError, DivergenceError, EmptyInputError
+from .errors import ConfigError, DataError
 from .mae_model import MaeModel
 from .signal_pipeline import require_normal, targets_of
 
@@ -137,7 +137,7 @@ def clip_gradients(grads: dict) -> dict:
     for g in grads.values():
         s = float(np.dot(g.reshape(-1), g.reshape(-1)))
         if not np.isfinite(s):
-            raise DivergenceError("non-finite gradient encountered")
+            raise DataError("non-finite gradient encountered")
         sq += s
     norm = np.sqrt(sq)
     if norm <= CLIP_NORM:
@@ -182,7 +182,7 @@ def _run_loop(model: MaeModel, windows: Sequence, plan: TrainPlan,
               step_fn: Callable[[np.ndarray, np.ndarray, np.random.Generator],
                                 tuple[float, dict]]) -> TrainLog:
     if len(windows) == 0:
-        raise EmptyInputError("no training windows")
+        raise DataError("no training windows")
     opt = AdamW(model.params, plan.weight_decay)
     log = TrainLog()
     for epoch in range(plan.epochs):
@@ -195,7 +195,7 @@ def _run_loop(model: MaeModel, windows: Sequence, plan: TrainPlan,
             idx = order[start:start + plan.batch_size]
             loss, grads = step_fn(np.stack([windows[i].image for i in idx]), idx, rng)
             if not np.isfinite(loss):
-                raise DivergenceError(
+                raise DataError(
                     f"non-finite loss at epoch {epoch}, step {len(log.step_losses) - first}")
             grads = clip_gradients(grads)
             opt.step(model.params, grads, lr)
@@ -223,8 +223,7 @@ def pretrain(model: MaeModel, windows: Sequence, plan: TrainPlan) -> TrainLog:
                           f"model's {model.config.mask_ratio}")
 
     def step(images, idx, rng):
-        masked, visible = mae_model.sample_mask_batch(
-            mae_model.NUM_PATCHES, plan.mask_ratio, len(idx), rng)
+        masked, visible = mae_model.sample_mask_batch(plan.mask_ratio, len(idx), rng)
         loss, cache = mae_model.pretrain_forward_batch(model, images, masked, visible)
         del images   # not held through backward
         return loss, mae_model.pretrain_backward(model, cache)
@@ -234,7 +233,7 @@ def pretrain(model: MaeModel, windows: Sequence, plan: TrainPlan) -> TrainLog:
 
 def finetune_ad(model: MaeModel, normal_windows: Sequence, plan: TrainPlan) -> TrainLog:
     """Continue masked-reconstruction training on normal-state data only."""
-    require_normal(normal_windows, "detection fine-tuning")
+    require_normal([w.tag for w in normal_windows], "detection fine-tuning")
     return pretrain(model, normal_windows, plan)
 
 
@@ -297,8 +296,7 @@ def finetune_kd(student: MaeModel, teacher: MaeModel, labeled_windows,
         raise ConfigError("teacher has no regression head")
     y = targets_of(labeled_windows)
     if kd.alpha_kd != 0.0:
-        y_t = mae_model.regress_predictions(
-            teacher, [w.image for w in labeled_windows]).astype(np.float64)
+        y_t = mae_model.regress_predictions(teacher, labeled_windows).astype(np.float64)
     else:
         y_t = np.zeros(len(y))
     return _regression_loop(student, labeled_windows, plan,

@@ -14,7 +14,7 @@ from shm_fomo.anomaly_head import (
     median_smooth,
     write_decisions_csv,
 )
-from shm_fomo.errors import CalibrationError, ConfigError, DataError, EmptyInputError
+from shm_fomo.errors import ConfigError, DataError
 
 
 def loop_threshold(train_errors, calibration_day_errors, step_fraction=0.01,
@@ -32,7 +32,7 @@ def loop_threshold(train_errors, calibration_day_errors, step_fraction=0.01,
         if top <= threshold:
             return threshold, steps
         threshold += init * step_fraction
-    raise CalibrationError(f"no threshold within {max_steps} steps")
+    raise DataError(f"no threshold within {max_steps} steps")
 
 
 def grid_steps(threshold, train_errors, calibration_day_errors, step_fraction=0.01):
@@ -113,7 +113,7 @@ class TestCalibrateThreshold:
                 ([0.0], [1.0], 0.01),           # init 0, so the step is 0
                 ([1.0], [1.0, np.nan], 0.01),   # NaN init and maximum
                 ([1.0], [2.0e300], 1e-300)]:    # more steps than a float counts
-            with pytest.raises(CalibrationError):
+            with pytest.raises(DataError, match="no 100%-specificity threshold on the grid"):
                 calibrate_threshold(train, calib, ThresholdConfig(step_fraction=step_fraction))
 
     @settings(max_examples=300, deadline=None)
@@ -138,7 +138,7 @@ class TestCalibrateThreshold:
         assert_matches_loop(thr, train, calib, step_fraction)
 
     def test_empty_inputs(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="calibration needs non-empty error sets"):
             calibrate_threshold([], [1.0])
 
     @pytest.mark.parametrize("kwargs", [{"step_fraction": 0.0}, {"step_fraction": -0.01},
@@ -207,7 +207,7 @@ class TestMedianSmooth:
                 assert (median_smooth(b, L) >= median_smooth(a, L)).all()
 
     def test_empty_series(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="cannot smooth an empty series"):
             median_smooth([], 3)
 
     def test_bad_filter_length_rejected(self):

@@ -109,6 +109,11 @@ def test_full_recipe(tmp_path):
     ft_dir = only_run_dir(out, "finetune-ad")
     ft_ckpt = ft_dir / "checkpoint.ckpt"
 
+    # eval-ad tests on both classes: the normal windows and a damaged recording's
+    test = tmp_path / "test.shmd"
+    damaged = gen_ambient(BridgeConfig(noise_std=0.05), 30, damaged=True, seed=8)
+    pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
+    save_dataset(windows + build_dataset([damaged], pipe, tags=["anomaly"]).windows, test)
     cfg_eval = tmp_path / "eval.ini"
     cfg_eval.write_text(f"""
 [experiment]
@@ -117,7 +122,7 @@ seed = 7
 [paths]
 train_dataset = {dataset}
 calibration_dataset = {dataset}
-test_dataset = {dataset}
+test_dataset = {test}
 checkpoint = {ft_ckpt}
 """)
     assert run_cli(["eval-ad", "--config", str(cfg_eval)], out) == 0
@@ -372,6 +377,19 @@ class TestTypedValues:
     def test_fractional_plan_int_rejected(self):
         with pytest.raises(ConfigError, match="epochs"):
             cli.build_from_section(trainer.TrainPlan, {"epochs": "2.5"})
+
+
+def test_synth_traffic_cannot_be_damaged(tmp_path, monkeypatch, capsys):
+    # the flag was ignored: exit 0 and a recording of state traffic
+    monkeypatch.setattr(cli, "save_recording_binary", _never_called)
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text("[synth]\nkind = traffic\ndamaged = true\nduration_s = 60\n")
+    out = tmp_path / "runs"
+    assert main_exit_code(["synth-gen", "--config", str(cfg), "--out", str(out)],
+                          monkeypatch) == 3
+    assert capsys.readouterr().err == ("config error: [synth] damaged = true needs kind = "
+                                       "ambient; traffic recordings have no damaged state\n")
+    assert list(out.iterdir()) == []
 
 
 def main_exit_code(argv, monkeypatch):
@@ -798,9 +816,9 @@ def test_pretrain_masks_at_model_ratio(tmp_path, monkeypatch):
     ratios = []
     real = mae_model.sample_mask_batch
 
-    def spy(num_patches, mask_ratio, batch, rng):
+    def spy(mask_ratio, batch, rng):
         ratios.append(mask_ratio)
-        return real(num_patches, mask_ratio, batch, rng)
+        return real(mask_ratio, batch, rng)
 
     monkeypatch.setattr(mae_model, "sample_mask_batch", spy)
     cfg = tmp_path / "c.ini"
@@ -1147,7 +1165,7 @@ def test_baseline_argument_out_of_range_exits_3(tmp_path, monkeypatch, traffic_d
 def test_baseline_pca_ad_needs_both_states(tmp_path):
     test = _write_recordings(tmp_path / "test", {
         "n": ("normal", gen_ambient(BridgeConfig(), 30, seed=2))})
-    with pytest.raises(DataError, match=r"manifest\.json.*'damaged'"):
+    with pytest.raises(DataError, match=r"manifest\.json.*'anomaly'"):
         run_cli(["baseline", "--config", str(_pca_config(tmp_path, test))], tmp_path / "runs")
 
 
@@ -1201,3 +1219,79 @@ def test_baseline_pca_ad_truth_in_manifest_order(tmp_path, monkeypatch):
     n = (2000 - 500) // 200 + 1
     assert decided.tolist() == [False] * n + [True] * n + [False] * n
     assert np.array_equal(pca_truth, decided) and np.array_equal(mae_truth, decided)
+
+
+N_30S = (3000 - 500) // 200 + 1   # AD_PIPELINE windows of a 30-s recording
+
+
+def _ad_detectors(tmp_path, train, calib, test):
+    """The config of pca-ad on the manifests ``train``, ``calib`` and
+    ``test`` and of eval-ad on the datasets ``preprocess`` makes of them, by
+    command, and the dataset of each manifest."""
+    datasets = {}
+    for manifest in (train, calib, test):
+        if manifest not in datasets:
+            datasets[manifest] = manifest.parent / "dataset.shmd"
+            save_dataset(_preprocessed(manifest.parent, manifest, AD_PIPELINE),
+                         datasets[manifest])
+    ckpt = tmp_path / "m.ckpt"
+    save_model(build_model(ModelConfig(e_dim=24, d_dim=16), seed=0), ckpt)
+    pca = tmp_path / "pca.ini"
+    pca.write_text("[baseline]\nmode = pca-ad\ncf = 50\n" + AD_PIPELINE
+                   + f"[paths]\ntrain_manifest = {train}\ncalibration_manifest = {calib}\n"
+                   f"test_manifest = {test}\n")
+    ad = tmp_path / "ad.ini"
+    ad.write_text(f"[paths]\ntrain_dataset = {datasets[train]}\n"
+                  f"calibration_dataset = {datasets[calib]}\n"
+                  f"test_dataset = {datasets[test]}\ncheckpoint = {ckpt}\n")
+    return {"baseline": pca, "eval-ad": ad}, datasets
+
+
+@pytest.mark.parametrize("case", ["normal-only", "damaged-only", "traffic-entry",
+                                  "damaged-train", "damaged-calibration"])
+def test_detectors_refuse_the_same_sets(tmp_path, monkeypatch, capsys, case):
+    # eval-ad scored a one-class test set to NaN sensitivity or specificity
+    # with exit 0; pca-ad dropped damaged training and calibration entries,
+    # and traffic test entries, unread
+    recs = {"normal": gen_ambient(BridgeConfig(), 30, seed=2),
+            "damaged": gen_ambient(BridgeConfig(), 30, damaged=True, seed=2),
+            "traffic": gen_traffic(BridgeConfig(), TrafficConfig(), 60, seed=3)}
+
+    def manifest(name, *states):
+        return _write_recordings(tmp_path / name, {s[0]: (s, recs[s]) for s in states})
+
+    normal = manifest("normal", "normal")
+    two = manifest("two", "normal", "damaged")
+    calibrating = (f"window {N_30S} is tagged anomalous; threshold calibration on {{}} "
+                   "uses normal data only")
+    train, calib, test, bad, message = {
+        "normal-only": (normal, normal, normal, 2,
+                        "{}: the test set holds no window tagged 'anomaly'"),
+        "damaged-only": (normal, normal, manifest("d", "damaged"), 2,
+                         "{}: the test set holds no window tagged 'normal'"),
+        "traffic-entry": (normal, normal, manifest("nt", "normal", "traffic"), 2,
+                          f"{{}}: test window {N_30S} has no normal/anomaly tag"),
+        "damaged-train": (two, normal, two, 0, calibrating),
+        "damaged-calibration": (normal, two, two, 1, calibrating),
+    }[case]
+    configs, datasets = _ad_detectors(tmp_path, train, calib, test)
+    scored = []
+    real = mae_model.reconstruction_errors
+
+    def spy(model, windows, base_seed=0):
+        scored.append(len(windows))
+        return real(model, windows, base_seed)
+
+    monkeypatch.setattr(mae_model, "reconstruction_errors", spy)
+    for command, cfg in configs.items():
+        out = tmp_path / f"runs-{command}"
+        assert main_exit_code([command, "--config", str(cfg), "--out", str(out)],
+                              monkeypatch) == 1
+        path = (train, calib, test)[bad]
+        if command == "eval-ad":
+            path = datasets[path]
+        assert capsys.readouterr().err == f"error: {message.format(path)}\n"
+        assert list(out.iterdir()) == []
+    # eval-ad scores the training and calibration sets before it loads the
+    # test set, and does not score a test set it refuses
+    assert scored == ([] if bad < 2 else [N_30S, N_30S])

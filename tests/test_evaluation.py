@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shm_fomo.errors import DataError, EmptyInputError
+from shm_fomo.errors import DataError
 from shm_fomo.evaluation import (
     MetricsReport,
     evaluate_anomaly_detection,
@@ -92,7 +92,7 @@ class TestRegressionMetrics:
             regression_metrics([1.0], [1.0, 2.0])
 
     def test_empty(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="no predictions to score"):
             regression_metrics([], [])
 
 

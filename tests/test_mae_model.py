@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from shm_fomo import nn_core
-from shm_fomo.errors import ConfigError, FormatError
+from shm_fomo.errors import ConfigError, DataError, FormatError
 from shm_fomo.io_formats import read_container, write_container
 from shm_fomo.signal_pipeline import SpectrogramWindow
 from shm_fomo.mae_model import (
@@ -43,7 +43,6 @@ from shm_fomo.mae_model import (
 )
 
 TINY = ModelConfig(e_dim=24, d_dim=16)
-DIVISORS_OF_100 = [1, 2, 4, 5, 10, 20, 25, 50, 100]
 
 
 def param_count(cfg: ModelConfig, with_decoder: bool = True,
@@ -54,32 +53,32 @@ def param_count(cfg: ModelConfig, with_decoder: bool = True,
                param_shapes(cfg, with_decoder, with_reg_head).values())
 
 
-def depatchify(patches, patch_size):
+def depatchify(patches):
     """Inverse of patchify: the oracle for its round trip."""
     b, n, _ = patches.shape
     g = int(round(np.sqrt(n)))
-    return (patches.reshape(b, g, g, patch_size, patch_size)
+    return (patches.reshape(b, g, g, PATCH_SIZE, PATCH_SIZE)
             .transpose(0, 1, 3, 2, 4)
-            .reshape(b, g * patch_size, g * patch_size))
+            .reshape(b, g * PATCH_SIZE, g * PATCH_SIZE))
 
 
 def patches_of(model, images):
     """The encoder's input: the images' patches in the model's dtype."""
-    return patchify(images, PATCH_SIZE).astype(model.dtype)
+    return patchify(images).astype(model.dtype)
 
 
 def reconstruct(model, image, masked, visible):
     """One image through the batched encoder and decoder, as an image."""
     latents, _ = _encode_batch(model, patches_of(model, image[None]), visible[None])
     pred, _ = _decode_batch(model, latents, masked[None], visible[None])
-    return depatchify(pred, PATCH_SIZE)[0]
+    return depatchify(pred)[0]
 
 
-def masked_mse(pred_image, true_image, masked_idx, patch_size=10):
+def masked_mse(pred_image, true_image, masked_idx):
     """The training loss of one image pair, through the production masked
     difference and the loss's float64 mean."""
-    pred = patchify(np.asarray(pred_image)[None], patch_size)
-    true = patchify(np.asarray(true_image)[None], patch_size)
+    pred = patchify(np.asarray(pred_image)[None])
+    true = patchify(np.asarray(true_image)[None])
     diff = _masked_diff(pred, true, masked_idx[None])
     return float(np.mean(diff.astype(np.float64) ** 2))
 
@@ -95,40 +94,36 @@ def rand_image(seed=0):
 
 class TestPatchify:
     def test_patch_count_and_size(self):
-        patches = patchify(rand_image()[None], 10)
+        patches = patchify(rand_image()[None])
         assert patches.shape == (1, 100, 100)
 
     def test_constant_image(self):
-        patches = patchify(np.full((1, 100, 100), 3.5), 20)
-        assert patches.shape == (1, 25, 400)
+        patches = patchify(np.full((1, 100, 100), 3.5))
+        assert patches.shape == (1, NUM_PATCHES, PATCH_DIM)
         assert (patches == 3.5).all()
 
     def test_round_trip_bit_exact_50_images(self):
         for seed in range(50):
             img = rand_image(seed)[None]
-            assert np.array_equal(depatchify(patchify(img, 10), 10), img)
-
-    @pytest.mark.parametrize("p", DIVISORS_OF_100)
-    def test_round_trip_all_divisors(self, p):
-        img = rand_image(1)[None]
-        assert np.array_equal(depatchify(patchify(img, p), p), img)
+            assert np.array_equal(depatchify(patchify(img)), img)
 
     @settings(max_examples=30, deadline=None)
-    @given(p=st.sampled_from(DIVISORS_OF_100), batch=st.integers(1, 3),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_round_trip_property(self, p, batch, seed):
+    @given(batch=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_trip_property(self, batch, seed):
         images = np.random.default_rng(seed).normal(size=(batch, 100, 100))
-        patches = patchify(images, p)
-        assert patches.shape == (batch, (100 // p) ** 2, p * p)
-        assert np.array_equal(depatchify(patches, p), images)
+        patches = patchify(images)
+        assert patches.shape == (batch, NUM_PATCHES, PATCH_DIM)
+        assert np.array_equal(depatchify(patches), images)
 
-    def test_indivisible_patch_size(self):
-        with pytest.raises(ConfigError):
-            patchify(rand_image()[None], 7)
+    def test_off_size_image_rejected(self):
+        # a 50x50 image got past a divisibility check into an IndexError
+        for shape in [(1, 70, 70), (1, 50, 50), (1, 100, 70), (100, 100)]:
+            with pytest.raises(DataError, match="not 100x100 spectrograms"):
+                patchify(np.zeros(shape))
 
     def test_row_major_grid_order(self):
         img = np.arange(10000, dtype=float).reshape(1, 100, 100)
-        patches = patchify(img, 10)
+        patches = patchify(img)
         # patch 1 is the grid cell at row 0, columns 10..19
         assert np.array_equal(patches[0, 1], img[0, 0:10, 10:20].reshape(-1))
 
@@ -136,41 +131,42 @@ class TestPatchify:
 class TestMasking:
     def test_exact_masked_count(self):
         for seed in range(20):
-            masked, visible = sample_mask(100, 0.8, seed)
+            masked, visible = sample_mask(0.8, seed)
             assert masked.shape[0] == 80
             assert visible.shape[0] == 20
 
     def test_zero_ratio(self):
-        masked, visible = sample_mask(100, 0.0, 1)
+        masked, visible = sample_mask(0.0, 1)
         assert masked.shape[0] == 0
         assert np.array_equal(visible, np.arange(100))
 
     def test_partition_property(self):
-        masked, visible = sample_mask(100, 0.8, 7)
+        masked, visible = sample_mask(0.8, 7)
         union = np.union1d(masked, visible)
         assert np.array_equal(union, np.arange(100))
         assert np.intersect1d(masked, visible).size == 0
 
     def test_same_seed_identical(self):
-        a, b = sample_mask(100, 0.8, 42), sample_mask(100, 0.8, 42)
+        a, b = sample_mask(0.8, 42), sample_mask(0.8, 42)
         assert np.array_equal(a[0], b[0])
 
     def test_different_seeds_differ(self):
-        masks = {tuple(sample_mask(100, 0.8, s)[0]) for s in range(50)}
+        masks = {tuple(sample_mask(0.8, s)[0]) for s in range(50)}
         assert len(masks) == 50
 
     def test_uniformity_chi_square(self):
-        # inclusion frequency per index over 1e5 draws of 5-of-10 subsets
+        # inclusion frequency per index over 1e4 draws of 50-of-100 subsets,
+        # 1e6 random numbers in all
         rng = np.random.default_rng(123)
-        masked, _ = sample_mask_batch(10, 0.5, 100_000, rng)
-        counts = np.bincount(masked.reshape(-1), minlength=10)
-        expected = masked.size / 10
+        masked, _ = sample_mask_batch(0.5, 10_000, rng)
+        counts = np.bincount(masked.reshape(-1), minlength=NUM_PATCHES)
+        expected = masked.size / NUM_PATCHES
         stat = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2.sf(stat, df=9) > 0.001
+        assert chi2.sf(stat, df=NUM_PATCHES - 1) > 0.001
 
     def test_invalid_ratio(self):
         with pytest.raises(ConfigError):
-            sample_mask(100, 1.0, 0)
+            sample_mask(1.0, 0)
 
 
 class TestEncodeDecode:
@@ -179,13 +175,13 @@ class TestEncodeDecode:
         assert latents.shape == (1, 100, TINY.e_dim)
 
     def test_encode_masked(self, tiny_model):
-        _, visible = sample_mask(100, 0.8, 5)
+        _, visible = sample_mask(0.8, 5)
         latents, _ = _encode_batch(tiny_model, patches_of(tiny_model, rand_image()[None]),
                                    visible[None])
         assert latents.shape == (1, 20, TINY.e_dim)
 
     def test_permutation_equivariance_with_zero_pos(self):
-        model = build_model(ModelConfig(e_dim=24, d_dim=16), seed=3, dtype=np.float64)
+        model = build_model(ModelConfig(e_dim=24, d_dim=16), seed=3).astype(np.float64)
         model.enc_pos = np.zeros_like(model.enc_pos)
         rng = np.random.default_rng(0)
         tokens = rng.normal(size=(1, 12, 24))
@@ -197,12 +193,12 @@ class TestEncodeDecode:
         assert np.allclose(out[:, perm], out_perm, atol=1e-10)
 
     def test_decode_shape(self, tiny_model):
-        masked, visible = sample_mask(100, 0.8, 2)
+        masked, visible = sample_mask(0.8, 2)
         recon = reconstruct(tiny_model, rand_image(), masked, visible)
         assert recon.shape == (100, 100)
 
     def test_decode_deterministic(self, tiny_model):
-        masked, visible = sample_mask(100, 0.0, 2)
+        masked, visible = sample_mask(0.0, 2)
         img = rand_image(4)
         r1 = reconstruct(tiny_model, img, masked, visible)
         r2 = reconstruct(tiny_model, img, masked, visible)
@@ -212,26 +208,26 @@ class TestEncodeDecode:
 class TestPretrainLoss:
     def test_zero_for_perfect_prediction(self):
         img = rand_image(1)
-        masked, _ = sample_mask(100, 0.8, 0)
+        masked, _ = sample_mask(0.8, 0)
         assert masked_mse(img, img, masked) == 0.0
 
     def test_constant_offset_closed_form(self):
         img = rand_image(2)
-        masked, _ = sample_mask(100, 0.8, 1)
-        patches = patchify(img[None], 10)
+        masked, _ = sample_mask(0.8, 1)
+        patches = patchify(img[None])
         patches[0, masked] += 0.3
-        pred = depatchify(patches, 10)[0]
+        pred = depatchify(patches)[0]
         assert masked_mse(pred, img, masked) == pytest.approx(0.09, rel=1e-12)
 
     def test_visible_perturbation_invariance_exact(self):
         img = rand_image(3)
-        masked, visible = sample_mask(100, 0.8, 2)
+        masked, visible = sample_mask(0.8, 2)
         pred = img + 0.1
         base = masked_mse(pred, img, masked)
-        patches = patchify(pred[None], 10)
+        patches = patchify(pred[None])
         patches[0, visible] += np.random.default_rng(0).normal(
             size=(20, 100)) * 100
-        perturbed = depatchify(patches, 10)[0]
+        perturbed = depatchify(patches)[0]
         assert masked_mse(perturbed, img, masked) == base
 
     def test_empty_masked_set_rejected(self):
@@ -245,7 +241,7 @@ class TestPretrainLoss:
 
     def test_batch_loss_matches_single(self, tiny_model):
         img = rand_image(5)
-        masked, visible = sample_mask(100, 0.8, 3)
+        masked, visible = sample_mask(0.8, 3)
         loss_batch, _ = pretrain_forward_batch(
             tiny_model, img[None], masked[None], visible[None])
         recon = reconstruct(tiny_model, img, masked, visible)
@@ -261,7 +257,7 @@ class TestPretrainLoss:
 def ref_pretrain_forward(model, images, masked_idx, visible_idx):
     """(loss, diff, cache) of one masked reconstruction batch."""
     cfg, p = model.config, model.params
-    patches = patchify(np.asarray(images), PATCH_SIZE).astype(model.dtype)
+    patches = patchify(np.asarray(images)).astype(model.dtype)
     vis = np.take_along_axis(patches, visible_idx[:, :, None], axis=1)
     tokens = (nn_core.linear_fwd(vis, p["patch_embed.w"], p["patch_embed.b"])
               + model.enc_pos[visible_idx])
@@ -305,7 +301,7 @@ def ref_pretrain_backward(model, masked_idx, visible_idx, diff, cache):
 
 def ref_reconstruction_errors(model, images, base_seed):
     cfg = model.config
-    masks = [sample_mask(NUM_PATCHES, cfg.mask_ratio, base_seed ^ i)
+    masks = [sample_mask(cfg.mask_ratio, base_seed ^ i)
              for i in range(len(images))]
     masked_idx, visible_idx = (np.stack(idx) for idx in zip(*masks))
     _, diff, _ = ref_pretrain_forward(model, images, masked_idx, visible_idx)
@@ -325,7 +321,7 @@ class TestMaskedPathMatchesReference:
     @staticmethod
     def model(dtype, mask_ratio):
         cfg = ModelConfig(e_dim=24, d_dim=16, mask_ratio=mask_ratio)
-        return build_model(cfg, seed=0, dtype=dtype)
+        return build_model(cfg, seed=0).astype(dtype)
 
     @staticmethod
     def images(batch):
@@ -334,8 +330,7 @@ class TestMaskedPathMatchesReference:
     def test_pretrain_forward_and_backward(self, dtype, batch, mask_ratio):
         model = self.model(dtype, mask_ratio)
         images = self.images(batch)
-        masked, visible = sample_mask_batch(100, mask_ratio, batch,
-                                            np.random.default_rng(batch))
+        masked, visible = sample_mask_batch(mask_ratio, batch, np.random.default_rng(batch))
         loss, cache = pretrain_forward_batch(model, images, masked, visible)
         grads = pretrain_backward(model, cache)
         want_loss, want_diff, ref_cache = ref_pretrain_forward(model, images, masked, visible)
@@ -428,7 +423,7 @@ def pretrain_step_peak(cfg, b):
     model = build_model(cfg, seed=0)
     rng = np.random.default_rng(0)
     images = rng.normal(size=(b, 100, 100)).astype(np.float32)
-    masked, visible = sample_mask_batch(NUM_PATCHES, cfg.mask_ratio, b, rng)
+    masked, visible = sample_mask_batch(cfg.mask_ratio, b, rng)
 
     def step():
         _, cache = pretrain_forward_batch(model, images, masked, visible)
@@ -487,7 +482,7 @@ class TestBackwardReadsItsCache:
             assert np.array_equal(a[name], b[name])
 
     def test_pretrain(self, tiny_model):
-        masked, visible = sample_mask_batch(NUM_PATCHES, 0.8, 3, np.random.default_rng(0))
+        masked, visible = sample_mask_batch(0.8, 3, np.random.default_rng(0))
         images = np.stack([rand_image(s) for s in range(3)])
         _, cache = pretrain_forward_batch(tiny_model, images, masked, visible)
         self.assert_same_grads(pretrain_backward(tiny_model, cache),
@@ -503,7 +498,7 @@ class TestBackwardReadsItsCache:
     def test_pretrain_recomputing_probabilities(self, tiny_model, monkeypatch):
         # one window a run: no cache holds probabilities, and each backward
         # recomputes the ones it reads, to the bit of the cached ones
-        masked, visible = sample_mask_batch(NUM_PATCHES, 0.8, 3, np.random.default_rng(0))
+        masked, visible = sample_mask_batch(0.8, 3, np.random.default_rng(0))
         images = np.stack([rand_image(s) for s in range(3)])
         _, cache = pretrain_forward_batch(tiny_model, images, masked, visible)
         kept = pretrain_backward(tiny_model, cache)
@@ -552,7 +547,7 @@ class TestReconstructionError:
     def test_equals_training_loss_under_same_mask(self, tiny_model):
         # scoring drops the backward caches; the training forward is the reference
         img = rand_image(8)
-        masked, visible = sample_mask(NUM_PATCHES, TINY.mask_ratio, 99)
+        masked, visible = sample_mask(TINY.mask_ratio, 99)
         loss, _ = pretrain_forward_batch(tiny_model, img[None],
                                          masked[None], visible[None])
         assert reconstruction_error(tiny_model, img, eval_seed=99) == loss
@@ -569,7 +564,7 @@ class TestReconstructionErrors:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equal_to_single_window_bit_for_bit(self, dtype):
         # crosses a chunk boundary and ends on a partial chunk
-        model = build_model(TINY, seed=0, dtype=dtype)
+        model = build_model(TINY, seed=0).astype(dtype)
         ws = self.windows(2 * EVAL_BATCH + 3)
         batched = reconstruction_errors(model, ws, base_seed=self.BASE)
         single = [reconstruction_error(model, w.image, self.BASE ^ i)
@@ -593,41 +588,42 @@ class TestRegressPredictions:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equal_to_one_batch_bit_for_bit(self, dtype):
         # crosses a chunk boundary and ends on a partial chunk
-        model = attach_regression_head(build_model(TINY, seed=0, dtype=dtype), seed=1)
-        images = np.stack([rand_image(s) for s in range(2 * EVAL_BATCH + 3)])
-        chunked = regress_predictions(model, images)
-        whole, _ = regress_forward_batch(model, images)
+        model = attach_regression_head(build_model(TINY, seed=0).astype(dtype), seed=1)
+        windows = TestReconstructionErrors.windows(2 * EVAL_BATCH + 3)
+        chunked = regress_predictions(model, windows)
+        whole, _ = regress_forward_batch(model, np.stack([w.image for w in windows]))
         assert chunked.dtype == dtype
         assert np.array_equal(chunked, whole)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equal_to_one_window_bit_for_bit(self, dtype):
         # a window's prediction must not depend on the batch it is scored in
-        model = attach_regression_head(build_model(TINY, seed=0, dtype=dtype), seed=1)
-        images = [rand_image(s) for s in range(2 * EVAL_BATCH + 3)]
-        batched = regress_predictions(model, images)
-        alone = [forward_regress(model, image) for image in images]
+        model = attach_regression_head(build_model(TINY, seed=0).astype(dtype), seed=1)
+        windows = TestReconstructionErrors.windows(2 * EVAL_BATCH + 3)
+        batched = regress_predictions(model, windows)
+        alone = [forward_regress(model, w.image) for w in windows]
         assert batched.tolist() == alone
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equal_to_mean_pooled_reference_bit_for_bit(self, dtype):
-        model = attach_regression_head(build_model(TINY, seed=0, dtype=dtype), seed=1)
-        images = np.stack([rand_image(s) for s in range(3)])
-        latents, _ = _encode_batch(model, patches_of(model, images), None)
+        model = attach_regression_head(build_model(TINY, seed=0).astype(dtype), seed=1)
+        windows = TestReconstructionErrors.windows(3)
+        latents, _ = _encode_batch(model, patches_of(model, np.stack([w.image for w in windows])),
+                                   None)
         pooled = latents.mean(axis=1)
         want = (pooled[:, None, :] @ model.params["reg_head.w"]
                 + model.params["reg_head.b"])[:, 0, 0]
-        assert np.array_equal(regress_predictions(model, images), want)
+        assert np.array_equal(regress_predictions(model, windows), want)
 
     def test_empty(self, tiny_model):
         model = attach_regression_head(tiny_model, seed=1)
-        assert regress_predictions(model, np.empty((0, 100, 100))).shape == (0,)
+        assert regress_predictions(model, []).shape == (0,)
 
     def test_missing_head_rejected(self, tiny_model):
         with pytest.raises(ConfigError):
-            regress_predictions(tiny_model, rand_image()[None])
+            regress_predictions(tiny_model, TestReconstructionErrors.windows(1))
         with pytest.raises(ConfigError):
-            regress_predictions(tiny_model, np.empty((0, 100, 100)))
+            regress_predictions(tiny_model, [])
         with pytest.raises(ConfigError):
             forward_regress(tiny_model, rand_image())
 
@@ -649,10 +645,9 @@ class TestScoringMemory:
                 reconstruction_errors(model, windows[:n])
         else:
             model = attach_regression_head(model, seed=1)
-            images = [w.image for w in windows]
 
             def score(n):
-                regress_predictions(model, images[:n])
+                regress_predictions(model, windows[:n])
         one = traced_peak(lambda: score(EVAL_BATCH))
         four = traced_peak(lambda: score(4 * EVAL_BATCH))
         assert four - one < 2 ** 18

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import get_window
 
-from shm_fomo.errors import ConfigError, DataError, EmptyInputError
+from shm_fomo.errors import ConfigError, DataError
 from shm_fomo.signal_pipeline import (
     HANN_TAPER,
     NORM_EPS,
@@ -86,7 +86,7 @@ class TestMakeWindows:
         assert len(windows[0].values) == 500
 
     def test_empty_recording(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="cannot window an empty recording"):
             make_windows(RawRecording(samples=np.empty(0)), UC1_PIPELINE)
 
     def test_shift_consistency_exact(self):
