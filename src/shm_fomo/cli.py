@@ -8,7 +8,8 @@ reproduced exactly.
 Sections and the keys they take (every value is typed like its default; an
 unknown key or a value of the wrong type is a config error):
 
-- ``[experiment]``: ``seed`` (default 0; ``--seed`` overrides it).
+- ``[experiment]``: ``seed`` (default 0), the one source of the run's seed,
+  so the config text alone decides it and its hash names the run directory.
 - ``[synth]``: ``kind`` (ambient | traffic), ``duration_s``, ``damaged``,
   ``count``, plus the fields of ``synth_bench.BridgeConfig``.
 - ``[traffic]``: ``synth_bench.TrafficConfig``.
@@ -24,19 +25,25 @@ unknown key or a value of the wrong type is a config error):
 - ``[baseline]``: ``mode`` (pca-ad | knn-tle | linreg-tle), ``cf`` and ``k``
   (each >= 1), all checked before any recording is read.
 - ``[paths]``: the input, dataset and checkpoint paths each subcommand names.
+  ``preprocess``'s ``input`` and the baselines' ``*_manifest`` keys take the
+  same three forms: a directory holding ``manifest.json``, a manifest, or
+  one recording file. Manifest entries are read in order, each tagged by its
+  state; a lone recording is untagged.
 
 A section outside this list is a config error; a listed section that the
 subcommand does not read is ignored, so one file can serve several
 subcommands. A dataset is one file: ``preprocess`` writes
-``<run>/dataset.shmd``, and the ``*dataset`` paths name such a file.
+``<run>/dataset.shmd``, and the ``*dataset`` paths name such a file. Each run
+directory goes under ``--out`` (default ``./runs``).
 
 Exit codes: 0 success; 1 one ``error:`` line for a library error on readable
-files, such as a test set without targets or tags, a detection test set (of
-eval-ad or pca-ad) that lacks normal or anomalous windows, a training or
-calibration set of either holding a window tagged anomalous (a ``damaged``
-manifest entry, for pca-ad), a calibration that cannot reach its grid or a
-diverged run, and an ablation whose regime printed ``FAILED`` (its other
-regimes still ran); 2 a usage error; 3 a ``config error:`` for a config file
+files, such as recordings of which the energy filter keeps no window (so
+``preprocess`` writes no empty dataset), a test set without targets or tags,
+a detection test set (of eval-ad or pca-ad) that lacks normal or anomalous
+windows, a training or calibration set of either holding a window tagged
+anomalous (a ``damaged`` manifest entry, for pca-ad), a calibration that
+cannot reach its grid or a diverged run, and an ablation whose regime
+printed ``FAILED`` (its other regimes still ran); 2 a usage error; 3 a ``config error:`` for a config file
 that cannot be read, decoded as UTF-8 or parsed, or that holds a bad section,
 key or value, such as ``[synth] damaged = true`` with ``kind = traffic``; 4
 one ``input error:`` line for any ``OSError`` or ``FormatError``: an input
@@ -52,7 +59,6 @@ import configparser
 import dataclasses
 import hashlib
 import json
-import os
 import shutil
 import sys
 import time
@@ -63,15 +69,14 @@ import numpy as np
 from . import __version__, baselines, evaluation, mae_model, synth_bench, trainer
 from .anomaly_head import ThresholdConfig, calibrate_threshold, write_decisions_csv
 from .errors import ConfigError, DataError, FormatError, ShmFomoError
-from .io_formats import (config_hash, load_dataset, load_manifest, load_recording,
-                         save_dataset, save_manifest, save_recording_binary)
+from .io_formats import (MANIFEST_STATES, config_hash, load_dataset, load_manifest,
+                         load_recording, save_dataset, save_manifest, save_recording_binary)
 from .mae_model import ModelConfig
 from .signal_pipeline import (TAG_ANOMALY, TAG_NORMAL, PipelineConfig, build_dataset,
                               kept_windows, normalize, require_normal, targets_of)
 from .synth_bench import BridgeConfig, TrafficConfig
 from .trainer import KDConfig, TrainPlan
 
-ENV_OUT = "SHM_FOMO_OUT"
 DATASET_FILE = "dataset.shmd"
 SECTIONS = ("experiment", "synth", "traffic", "pipeline", "model", "train", "finetune",
             "kd", "threshold", "baseline", "paths")
@@ -194,15 +199,18 @@ def write_run_info(run_dir: Path, command: str, cfg_path, cfg_text: str, cfg_sha
     (run_dir / "config.ini").write_text(cfg_text, encoding="utf-8")
 
 
-def _global_seed(args, cfg) -> int:
-    exp = options(section(cfg, "experiment"), EXPERIMENT_OPTIONS, "[experiment]")
-    return exp["seed"] if args.seed is None else args.seed
-
-
-def _manifest_recordings(manifest_path: Path):
-    """(entry, recording) per manifest entry, in manifest order."""
-    for entry in load_manifest(manifest_path):
-        yield entry, load_recording(manifest_path.parent / entry["file"])
+def _recordings(path: Path):
+    """(file name, recording, tag) of each recording ``path`` names, read one
+    at a time: the entries of a manifest, or of a directory's
+    ``manifest.json``, in order and tagged by their state; or one recording
+    file, untagged."""
+    manifest = path / "manifest.json" if path.is_dir() else path
+    if manifest.suffix != ".json":
+        yield path.name, load_recording(path), None
+        return
+    for entry in load_manifest(manifest):
+        yield (entry["file"], load_recording(manifest.parent / entry["file"]),
+               MANIFEST_STATES.get(entry.get("state")))
 
 
 def _load_dataset(path: Path):
@@ -252,23 +260,16 @@ def cmd_synth_gen(args, cfg, run_dir: Path) -> int:
     return 0
 
 
-_STATE_TO_TAG = {"normal": TAG_NORMAL, "damaged": TAG_ANOMALY, "traffic": None}
-
-
 def cmd_preprocess(args, cfg, run_dir: Path) -> int:
     pipe = build_from_section(PipelineConfig, section(cfg, "pipeline"))
     (input_path,) = paths_of(cfg, "input")
-    if input_path.is_dir():
-        input_path = input_path / "manifest.json"
     recs, tags = [], []
-    if input_path.suffix == ".json":
-        for entry, rec in _manifest_recordings(input_path):
-            recs.append(rec)
-            tags.append(_STATE_TO_TAG.get(entry.get("state")))
-    else:
-        recs.append(load_recording(input_path))
-        tags.append(None)
+    for _, rec, tag in _recordings(input_path):
+        recs.append(rec)
+        tags.append(tag)
     result = build_dataset(recs, pipe, tags=tags)
+    if not result.windows:
+        raise DataError(f"{input_path}: no kept windows")
     out_path = run_dir / DATASET_FILE
     save_dataset(result.windows, out_path)
     dropped = result.n_candidates - len(result.windows)
@@ -456,33 +457,23 @@ def cmd_ablation(args, cfg, run_dir: Path) -> int:
     return 0 if len(reports) == len(regimes) else 1
 
 
-def _feature_targets(manifest_path: Path, pipe: PipelineConfig):
-    """Per-window statistical features of raw windows, with traffic targets."""
-    feats, targets = [], []
-    for entry, rec in _manifest_recordings(manifest_path):
-        if rec.labels is None:
-            raise DataError(f"{manifest_path}: {entry['file']} has no labels; "
-                            "cannot build targets")
+def _window_rows(path: Path, pipe: PipelineConfig, features: bool = False):
+    """One row per time window ``preprocess`` keeps from the recordings at
+    ``path``, stacked in the order it keeps them, the tag of each window and
+    the traffic targets: the normalized values (for PCA), or the statistical
+    features (for the TLE baselines), whose recordings must be labelled."""
+    rows, tags, targets = [], [], []
+    for name, rec, tag in _recordings(path):
+        if features and rec.labels is None:
+            raise DataError(f"{path}: {name} has no labels; cannot build targets")
         _, kept, rec_targets = kept_windows(rec, pipe)
-        feats.extend(baselines.extract_features(w.values) for w in kept)
-        targets.extend(rec_targets)
-    if not feats:
-        raise DataError(f"{manifest_path}: no kept windows")
-    return np.stack(feats), np.asarray(targets)
-
-
-def _raw_normalized_windows(manifest_path: Path, pipe: PipelineConfig):
-    """Time-window vectors (normalized, energy-filtered) of every entry, in
-    manifest order as ``preprocess`` keeps and tags them, and the tag of each
-    window."""
-    vecs, tags = [], []
-    for entry, rec in _manifest_recordings(manifest_path):
-        _, kept, _ = kept_windows(rec, pipe)
-        vecs.extend(normalize(w).values for w in kept)
-        tags.extend([_STATE_TO_TAG.get(entry.get("state"))] * len(kept))
-    if not vecs:
-        raise DataError(f"{manifest_path}: no kept windows")
-    return np.stack(vecs), tags
+        rows.extend(baselines.extract_features(w.values) if features else normalize(w).values
+                    for w in kept)
+        tags.extend([tag] * len(kept))
+        targets.extend(rec_targets or ())
+    if not rows:
+        raise DataError(f"{path}: no kept windows")
+    return np.stack(rows), tags, np.asarray(targets)
 
 
 def cmd_baseline(args, cfg, run_dir: Path) -> int:
@@ -497,11 +488,11 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
         (train_m, calib_m, test_m) = paths_of(
             cfg, "train_manifest", "calibration_manifest", "test_manifest")
         thr_cfg = build_from_section(ThresholdConfig, section(cfg, "threshold"))
-        train, train_tags = _raw_normalized_windows(train_m, pipe)
+        train, train_tags, _ = _window_rows(train_m, pipe)
         require_normal(train_tags, f"threshold calibration on {train_m}")
-        calib, calib_tags = _raw_normalized_windows(calib_m, pipe)
+        calib, calib_tags, _ = _window_rows(calib_m, pipe)
         require_normal(calib_tags, f"threshold calibration on {calib_m}")
-        test, test_tags = _raw_normalized_windows(test_m, pipe)
+        test, test_tags, _ = _window_rows(test_m, pipe)
         truth = _test_truth(test_tags, test_m)
         model = baselines.pca_fit(train, cf=cf)
         test_err = baselines.pca_errors(model, test)
@@ -509,8 +500,8 @@ def cmd_baseline(args, cfg, run_dir: Path) -> int:
                           baselines.pca_errors(model, calib), test_err, truth)
         return 0
     (train_m, test_m) = paths_of(cfg, "train_manifest", "test_manifest")
-    x_train, y_train = _feature_targets(train_m, pipe)
-    x_test, y_test = _feature_targets(test_m, pipe)
+    x_train, _, y_train = _window_rows(train_m, pipe, features=True)
+    x_test, _, y_test = _window_rows(test_m, pipe, features=True)
     if mode == "knn-tle":
         y_pred = np.array([baselines.knn_predict(x_train, y_train, q, k=k) for q in x_test])
         model_id = f"knn_k{k}"
@@ -566,15 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("checkpoint", help="checkpoint file to inspect")
         if needs_config:
             p.add_argument("--config", required=True, help="INI config file")
-            p.add_argument("--seed", type=int, default=None, help="global seed override")
-            p.add_argument("--out", default=None,
-                           help=f"output root (default ${ENV_OUT} or ./runs)")
+            p.add_argument("--out", default="runs", help="output root (default ./runs)")
     return parser
 
 
 def run(argv) -> int:
     """Parse ``argv``, read the config once and run the subcommand. Handlers
-    find the resolved global seed in ``args.seed``; ``describe`` reads no
+    find ``[experiment] seed`` in ``args.seed``; ``describe`` reads no
     config and gets ``args`` alone. A run that raises removes its run
     directory and re-raises; one that returns non-zero keeps it."""
     args = build_parser().parse_args(argv)
@@ -582,10 +571,9 @@ def run(argv) -> int:
     if not needs_config:
         return handler(args)
     cfg, cfg_text = load_config(args.config)
-    args.seed = _global_seed(args, cfg)
+    args.seed = options(section(cfg, "experiment"), EXPERIMENT_OPTIONS, "[experiment]")["seed"]
     cfg_sha = config_hash({s: dict(cfg[s]) for s in cfg.sections()})
-    out_root = Path(args.out or os.environ.get(ENV_OUT, "runs"))
-    run_dir = make_run_dir(out_root, args.command, cfg_sha)
+    run_dir = make_run_dir(Path(args.out), args.command, cfg_sha)
     try:
         write_run_info(run_dir, args.command, args.config, cfg_text, cfg_sha, args.seed)
         return handler(args, cfg, run_dir)

@@ -25,11 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .signal_pipeline import RawRecording, SpectrogramWindow, SPEC_SIZE
+from .signal_pipeline import RawRecording, SpectrogramWindow, SPEC_SIZE, TAG_ANOMALY, TAG_NORMAL
 
 RECORDING_MAGIC = b"SHMR"
 CSV_TIME_TOL = 0.01      # largest timestamp misfit a CSV may have, in sample periods
-MANIFEST_STATES = ("normal", "damaged", "traffic")
+MANIFEST_STATES = {"normal": TAG_NORMAL, "damaged": TAG_ANOMALY, "traffic": None}   # -> tag
 
 _TAG_TO_U8 = {None: 0, "normal": 1, "anomaly": 2}
 _U8_TO_TAG = {v: k for k, v in _TAG_TO_U8.items()}
@@ -263,8 +263,8 @@ def save_manifest(path, entries: list[dict]) -> None:
 
 def load_manifest(path) -> list[dict]:
     """Entries of a recording manifest: a JSON list of objects, each with a
-    string ``file`` and, optionally, a ``state`` from MANIFEST_STATES (an
-    entry without one is untagged). Anything else is a FormatError."""
+    string ``file`` and, optionally, a ``state`` among MANIFEST_STATES' keys
+    (an entry without one is untagged). Anything else is a FormatError."""
     with open(path) as f:
         try:
             entries = json.load(f)
@@ -275,7 +275,8 @@ def load_manifest(path) -> list[dict]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
             raise FormatError(f"{path}: entry {i} is not an object with a string 'file'")
-        if "state" in entry and entry["state"] not in MANIFEST_STATES:
+        # a list, not the dict: an unhashable state is unknown, not a TypeError
+        if "state" in entry and entry["state"] not in list(MANIFEST_STATES):
             raise FormatError(f"{path}: entry {i} has state {entry['state']!r}; "
                               f"known: {', '.join(MANIFEST_STATES)}")
     return entries

@@ -273,6 +273,12 @@ class TestExitCodes:
         assert code == 2
         assert "--threads" in err
 
+    def test_seed_flag_removed(self, tmp_path):
+        # [experiment] seed alone sets the seed, so the config hash names it
+        code, err = exit_code_of(["pretrain", "--config", "c.ini", "--seed", "5"])
+        assert code == 2
+        assert "--seed" in err
+
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("not an ini file [[[")
@@ -309,13 +315,16 @@ def test_seed_derivation_stable():
     assert len({a, c, d}) == 3
 
 
-def test_env_out_root(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.ENV_OUT, str(tmp_path / "env_runs"))
+def test_out_root_is_runs_whatever_the_environment(tmp_path, monkeypatch):
+    # SHM_FOMO_OUT was a second way to set the output root
+    monkeypatch.setenv("SHM_FOMO_OUT", str(tmp_path / "env_runs"))
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "gen.ini"
     cfg.write_text(AMBIENT_CFG.replace("duration_s = 90", "duration_s = 10")
                    .replace("count = 2", "count = 1"))
     assert cli.run(["synth-gen", "--config", str(cfg)]) == 0
-    assert any((tmp_path / "env_runs").iterdir())
+    only_run_dir(tmp_path / "runs", "synth-gen")
+    assert not (tmp_path / "env_runs").exists()
 
 
 def _config(text):
@@ -1084,12 +1093,16 @@ def test_baseline_pca_ad_scores_the_windows_preprocess_keeps(tmp_path):
         rec.samples[1000:2500] = 0.0
         recs[stem] = (state, rec)
     test = _write_recordings(tmp_path / "test", recs)
-    out = tmp_path / "runs"
-    assert run_cli(["baseline", "--config", str(_pca_config(tmp_path, test))], out) == 0
     kept = _preprocessed(tmp_path, test, AD_PIPELINE)
     assert 0 < len(kept) < 2 * ((4000 - 500) // 200 + 1)
-    rows = _report_rows(only_run_dir(out, "baseline"))
-    assert {r[2] for r in rows} == {str(len(kept))}
+    cfg = _pca_config(tmp_path, test)
+    text = cfg.read_text()
+    for form in (test, test.parent):   # a manifest, and the directory holding it
+        cfg.write_text(text.replace(f"test_manifest = {test}", f"test_manifest = {form}"))
+        out = tmp_path / f"runs-{form.name}"
+        assert run_cli(["baseline", "--config", str(cfg)], out) == 0
+        rows = _report_rows(only_run_dir(out, "baseline"))
+        assert {r[2] for r in rows} == {str(len(kept))}
 
 
 @pytest.mark.parametrize("text", [
@@ -1099,6 +1112,7 @@ def test_baseline_pca_ad_scores_the_windows_preprocess_keeps(tmp_path):
     "[\"a.bin\"]",                                   # entry not an object
     "[{\"state\": \"normal\"}]",                    # entry without a file
     "[{\"file\": \"a.bin\", \"state\": \"Damaged\"}]",  # unknown state
+    "[{\"file\": \"a.bin\", \"state\": [\"normal\"]}]",  # unhashable state
 ])
 def test_malformed_manifest_exits_4(tmp_path, monkeypatch, capsys, text):
     rec_dir = tmp_path / "recs"
@@ -1183,6 +1197,22 @@ def test_tle_baseline_with_no_kept_window_is_one_error_line(tmp_path, monkeypatc
     assert code == 1
     assert err.splitlines() == [f"error: {manifest}: no kept windows"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("drop_all", [False, True], ids=["empty-manifest", "filter-drops-all"])
+def test_preprocess_keeping_no_window_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                        drop_all):
+    # each wrote a dataset of 0 windows and exited 0; pretrain on it exited 4
+    recs = {"n": ("normal", gen_ambient(BridgeConfig(), 30, seed=1))} if drop_all else {}
+    manifest = _write_recordings(tmp_path / "recs", recs)
+    cfg = tmp_path / "c.ini"
+    pipeline = AD_PIPELINE.replace("1e-8", "1e9") if drop_all else AD_PIPELINE
+    cfg.write_text(pipeline + f"[paths]\ninput = {manifest}\n")
+    out = tmp_path / "runs"
+    code = main_exit_code(["preprocess", "--config", str(cfg), "--out", str(out)], monkeypatch)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {manifest}: no kept windows\n"
+    assert list(out.iterdir()) == []
 
 
 def test_baseline_pca_ad_truth_in_manifest_order(tmp_path, monkeypatch):
