@@ -18,8 +18,8 @@ unknown key or a value of the wrong type is a config error):
   ``mae_model.SIZE_FAMILY``, and ``mask_ratio``, which alone sets the ratio
   pretraining masks at; ``finetune-ad`` takes it from the checkpoint.
 - ``[train]``, and the ablation's ``[finetune]``: ``trainer.TrainPlan``
-  without ``mask_ratio``, laid over the defaults of the subcommand's phase.
-  The model sets the mask ratio.
+  without ``mask_ratio`` or ``seed``, laid over the defaults of the
+  subcommand's phase. The model sets the mask ratio, ``[experiment]`` the seed.
 - ``[kd]``: ``alpha_kd`` (``trainer.KDConfig``), in [0, 1].
 - ``[threshold]``: ``step_fraction`` (``anomaly_head.ThresholdConfig``).
 - ``[baseline]``: ``mode`` (pca-ad | knn-tle | linreg-tle), ``cf`` and ``k``
@@ -284,15 +284,14 @@ def cmd_preprocess(args, cfg, run_dir: Path) -> int:
 def _train_plan(cfg, plan_factory, seed: int, name: str = "train",
                 mask_ratio: float | None = None):
     """Section ``name``'s keys laid over the defaults of ``plan_factory``
-    (a ``trainer.*_plan`` function).
-
-    A masking phase takes ``mask_ratio`` from its model, so the section may
-    not set it.
+    (a ``trainer.*_plan`` function). The model sets ``mask_ratio`` and the
+    experiment the seed, so the section may set neither.
     """
     values = section(cfg, name)
-    if "mask_ratio" in values:
-        raise ConfigError(f"[{name}] cannot set 'mask_ratio': the model sets it")
-    values.setdefault("seed", str(derive_seed(seed, "trainer")))
+    for key, owner in (("mask_ratio", "the model"), ("seed", "the experiment")):
+        if key in values:
+            raise ConfigError(f"[{name}] cannot set {key!r}: {owner} sets it")
+    values["seed"] = str(derive_seed(seed, "trainer"))
     plan = build_from_section(TrainPlan, values, plan_factory)
     return plan if mask_ratio is None else dataclasses.replace(plan, mask_ratio=mask_ratio)
 

@@ -1,6 +1,7 @@
 import builtins
 import configparser
 import io
+import json
 import struct
 import subprocess
 import sys
@@ -53,147 +54,37 @@ stride_s = 2
 energy_threshold = 1e-8
 """
 
-TRAIN_CFG = """
-[experiment]
-seed = 7
 
-[model]
-e_dim = 24
-d_dim = 16
+def test_full_recipe(tiny_record):
+    """The seeded recipe's tiny run (tools/recipe.py, the repo's one run of the
+    CLI from synth-gen to the baselines) leaves in each stage directory what
+    the stage promises to write, including what its record does not hash."""
+    stages = json.loads(tiny_record.read_text())["seconds"]
+    run_dirs = {stage: next((tiny_record.parent / stage).iterdir()) for stage in stages}
+    for run_dir in run_dirs.values():
+        assert (run_dir / "run.json").is_file() and (run_dir / "config.ini").is_file()
+    normal = load_manifest(run_dirs["synth-gen-normal"] / "manifest.json")
+    assert {entry["state"] for entry in normal} == {"normal"}
+    data = {name: load_dataset(run_dirs[f"preprocess-{name}"] / "dataset.shmd")
+            for name in ("ad-train", "ad-test", "tle-train", "tle-test")}
+    assert len(data["ad-train"]) == (3300 - 500) // 200 + 1   # a 33-s recording
+    assert {w.tag for w in data["ad-train"]} == {"normal"}
+    assert {w.tag for w in data["ad-test"]} == {"normal", "anomaly"}
+    assert all(w.target is not None for w in data["tle-train"] + data["tle-test"])
 
-[train]
-base_lr = 1e-3
-epochs = 2
-warmup_epochs = 1
-batch_size = 16
-seed = 3
+    def lines(stage, name):
+        return (run_dirs[stage] / name).read_text().splitlines()
 
-[paths]
-dataset = {dataset}
-"""
-
-
-def test_full_recipe(tmp_path):
-    out = tmp_path / "runs"
-    cfg_gen = tmp_path / "gen.ini"
-    cfg_gen.write_text(AMBIENT_CFG)
-    assert run_cli(["synth-gen", "--config", str(cfg_gen)], out) == 0
-    gen_dir = only_run_dir(out, "synth-gen")
-    manifest = load_manifest(gen_dir / "manifest.json")
-    assert len(manifest) == 2
-    assert all(e["state"] == "normal" for e in manifest)
-
-    cfg_pre = tmp_path / "pre.ini"
-    cfg_pre.write_text(AMBIENT_CFG + f"\n[paths]\ninput = {gen_dir}\n")
-    assert run_cli(["preprocess", "--config", str(cfg_pre)], out) == 0
-    pre_dir = only_run_dir(out, "preprocess")
-    dataset = pre_dir / "dataset.shmd"
-    windows = load_dataset(dataset)
-    assert len(windows) == 2 * ((9000 - 500) // 200 + 1)
-    assert all(w.tag == "normal" for w in windows)
-
-    cfg_train = tmp_path / "train.ini"
-    cfg_train.write_text(TRAIN_CFG.format(dataset=dataset))
-    assert run_cli(["pretrain", "--config", str(cfg_train)], out) == 0
-    pt_dir = only_run_dir(out, "pretrain")
-    ckpt = pt_dir / "checkpoint.ckpt"
-    assert ckpt.is_file()
-    assert (pt_dir / "trainlog.csv").read_text().startswith("epoch,lr,loss,seconds\n")
-    assert (pt_dir / "run.json").is_file()
-    assert (pt_dir / "config.ini").is_file()
-
-    cfg_ft = tmp_path / "ft.ini"
-    cfg_ft.write_text(TRAIN_CFG.format(dataset=dataset)
-                      + f"checkpoint = {ckpt}\n")
-    assert run_cli(["finetune-ad", "--config", str(cfg_ft)], out) == 0
-    ft_dir = only_run_dir(out, "finetune-ad")
-    ft_ckpt = ft_dir / "checkpoint.ckpt"
-
-    # eval-ad tests on both classes: the normal windows and a damaged recording's
-    test = tmp_path / "test.shmd"
-    damaged = gen_ambient(BridgeConfig(noise_std=0.05), 30, damaged=True, seed=8)
-    pipe = PipelineConfig(window_s=5, stride_s=2, energy_threshold=1e-8)
-    save_dataset(windows + build_dataset([damaged], pipe, tags=["anomaly"]).windows, test)
-    cfg_eval = tmp_path / "eval.ini"
-    cfg_eval.write_text(f"""
-[experiment]
-seed = 7
-
-[paths]
-train_dataset = {dataset}
-calibration_dataset = {dataset}
-test_dataset = {test}
-checkpoint = {ft_ckpt}
-""")
-    assert run_cli(["eval-ad", "--config", str(cfg_eval)], out) == 0
-    ev_dir = only_run_dir(out, "eval-ad")
-    assert (ev_dir / "report.csv").is_file()
-    assert (ev_dir / "decisions.csv").read_text().startswith("window_index")
-
-
-def test_traffic_gen_and_tle(tmp_path):
-    out = tmp_path / "runs"
-    cfg_gen = tmp_path / "gen.ini"
-    cfg_gen.write_text("""
-[experiment]
-seed = 9
-
-[synth]
-kind = traffic
-duration_s = 180
-
-[traffic]
-arrival_rate_light = 8
-arrival_rate_heavy = 2
-
-[pipeline]
-window_s = 60
-stride_s = 5
-energy_threshold = 1e-9
-vehicle_class = any
-""")
-    assert run_cli(["synth-gen", "--config", str(cfg_gen)], out) == 0
-    gen_dir = only_run_dir(out, "synth-gen")
-
-    cfg_pre = tmp_path / "pre.ini"
-    cfg_pre.write_text(cfg_gen.read_text() + f"\n[paths]\ninput = {gen_dir}\n")
-    assert run_cli(["preprocess", "--config", str(cfg_pre)], out) == 0
-    dataset = only_run_dir(out, "preprocess") / "dataset.shmd"
-    windows = load_dataset(dataset)
-    assert all(w.target is not None for w in windows)
-
-    cfg_train = tmp_path / "train.ini"
-    cfg_train.write_text(TRAIN_CFG.format(dataset=dataset))
-    assert run_cli(["pretrain", "--config", str(cfg_train)], out) == 0
-    ckpt = only_run_dir(out, "pretrain") / "checkpoint.ckpt"
-
-    cfg_ft = tmp_path / "ft.ini"
-    cfg_ft.write_text(TRAIN_CFG.format(dataset=dataset) + f"checkpoint = {ckpt}\n")
-    assert run_cli(["finetune-tle", "--config", str(cfg_ft)], out) == 0
-    tle_ckpt = only_run_dir(out, "finetune-tle") / "checkpoint.ckpt"
-
-    cfg_eval = tmp_path / "eval.ini"
-    cfg_eval.write_text(f"[paths]\ntest_dataset = {dataset}\ncheckpoint = {tle_ckpt}\n")
-    assert run_cli(["eval-tle", "--config", str(cfg_eval)], out) == 0
-    ev_dir = only_run_dir(out, "eval-tle")
-    assert (ev_dir / "predictions.csv").read_text().startswith("index,y_true,y_pred")
-
-    cfg_kd = tmp_path / "kd.ini"
-    cfg_kd.write_text(TRAIN_CFG.format(dataset=dataset)
-                      + f"checkpoint = {ckpt}\nteacher = {tle_ckpt}\n"
-                      + "\n[kd]\nalpha_kd = 0.5\n")
-    assert run_cli(["distill", "--config", str(cfg_kd)], out) == 0
-
-    cfg_base = tmp_path / "base.ini"
-    cfg_base.write_text(cfg_gen.read_text() + f"""
-[baseline]
-mode = linreg-tle
-
-[paths]
-train_manifest = {gen_dir}/manifest.json
-test_manifest = {gen_dir}/manifest.json
-""")
-    assert run_cli(["baseline", "--config", str(cfg_base)], out) == 0
+    for stage in ("pretrain", "finetune-ad", "finetune-tle", "pretrain-student", "distill"):
+        assert lines(stage, "trainlog.csv")[0] == "epoch,lr,loss,seconds"
+    # each TLE model and baseline scores the tle-test windows
+    for stage in ("eval-tle", "eval-tle-student", "baseline-knn-tle", "baseline-linreg-tle"):
+        predictions = lines(stage, "predictions.csv")
+        assert predictions[0] == "index,y_true,y_pred"
+        assert len(predictions) == 1 + len(data["tle-test"])
+    decisions = lines("eval-ad", "decisions.csv")
+    assert decisions[0].startswith("window_index,")
+    assert len(decisions) == 1 + len(data["ad-test"])
 
 
 def test_synth_damaged_takes_a_boolean_word(tmp_path):
@@ -207,6 +98,20 @@ def test_synth_damaged_takes_a_boolean_word(tmp_path):
     want = gen_ambient(BridgeConfig(), 10.0, damaged=True, seed=entry["seed"])
     assert np.array_equal(load_recording(gen_dir / entry["file"]).samples,
                           want.samples.astype(np.float32))
+
+
+def test_synth_traffic_section_sets_the_generator(tmp_path):
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text("[synth]\nkind = traffic\nduration_s = 60\n[traffic]\narrival_rate_light = 8\n")
+    out = tmp_path / "runs"
+    assert run_cli(["synth-gen", "--config", str(cfg)], out) == 0
+    gen_dir = only_run_dir(out, "synth-gen")
+    (entry,) = load_manifest(gen_dir / "manifest.json")
+    want = gen_traffic(BridgeConfig(), TrafficConfig(arrival_rate_light=8), 60.0,
+                       seed=entry["seed"])
+    got = load_recording(gen_dir / entry["file"])
+    assert np.array_equal(got.samples, want.samples.astype(np.float32))
+    assert np.array_equal(got.labels, want.labels.astype(np.float32))
 
 
 def test_preprocess_of_one_recording_file(tmp_path):
@@ -259,37 +164,35 @@ def test_cli_import_loads_no_scipy_module():
 
 
 class TestExitCodes:
-    def test_missing_config_is_usage_error(self, tmp_path):
-        code, err = exit_code_of(["pretrain", "--out", str(tmp_path)])
-        assert code == 2
-        assert "--config" in err
+    def test_missing_config_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        assert main_exit_code(["pretrain", "--out", str(tmp_path)], monkeypatch) == 2
+        assert "--config" in capsys.readouterr().err
 
-    def test_unknown_flag(self, tmp_path):
-        code, _ = exit_code_of(["pretrain", "--bogus", "x"])
-        assert code == 2
+    def test_unknown_flag(self, monkeypatch):
+        assert main_exit_code(["pretrain", "--bogus", "x"], monkeypatch) == 2
 
-    def test_threads_flag_removed(self, tmp_path):
-        code, err = exit_code_of(["pretrain", "--config", "c.ini", "--threads", "1"])
+    def test_threads_flag_removed(self, monkeypatch, capsys):
+        code = main_exit_code(["pretrain", "--config", "c.ini", "--threads", "1"], monkeypatch)
         assert code == 2
-        assert "--threads" in err
+        assert "--threads" in capsys.readouterr().err
 
-    def test_seed_flag_removed(self, tmp_path):
+    def test_seed_flag_removed(self, monkeypatch, capsys):
         # [experiment] seed alone sets the seed, so the config hash names it
-        code, err = exit_code_of(["pretrain", "--config", "c.ini", "--seed", "5"])
+        code = main_exit_code(["pretrain", "--config", "c.ini", "--seed", "5"], monkeypatch)
         assert code == 2
-        assert "--seed" in err
+        assert "--seed" in capsys.readouterr().err
 
-    def test_malformed_config(self, tmp_path):
+    def test_malformed_config(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("not an ini file [[[")
-        code, err = exit_code_of(["pretrain", "--config", str(bad),
-                                  "--out", str(tmp_path / "runs")])
+        code = main_exit_code(["pretrain", "--config", str(bad),
+                               "--out", str(tmp_path / "runs")], monkeypatch)
         assert code == 3
-        assert "config" in err.lower()
+        assert "config" in capsys.readouterr().err.lower()
 
-    def test_nonexistent_config(self, tmp_path):
-        code, _ = exit_code_of(["pretrain", "--config", str(tmp_path / "no.ini"),
-                                "--out", str(tmp_path / "runs")])
+    def test_nonexistent_config(self, tmp_path, monkeypatch):
+        code = main_exit_code(["pretrain", "--config", str(tmp_path / "no.ini"),
+                               "--out", str(tmp_path / "runs")], monkeypatch)
         assert code == 3
 
     def test_missing_checkpoint(self, tmp_path):
@@ -359,11 +262,20 @@ class TestPartialPlanSections:
                 plan.warmup_epochs) == PHASE_DEFAULTS[phase]
 
     def test_ablation_finetune_section(self):
-        cfg = _config("[finetune]\nepochs = 300\nseed = 4\n")
+        cfg = _config("[finetune]\nepochs = 300\n")
         plan = cli._train_plan(cfg, trainer.finetune_tle_plan, seed=7, name="finetune")
-        assert (plan.epochs, plan.seed) == (300, 4)
+        assert (plan.epochs, plan.seed) == (300, cli.derive_seed(7, "trainer"))
         assert (plan.base_lr, plan.weight_decay, plan.batch_size,
                 plan.warmup_epochs) == PHASE_DEFAULTS["finetune_tle"]
+
+    def test_commented_section_sets_each_key_it_names(self, tmp_path):
+        path = tmp_path / "plan.ini"
+        path.write_text("# fine-tune settings\n[train]\nbase_lr = 2.5e-6\n"
+                        "epochs = 500\nbatch_size = 8\nwarmup_epochs = 0\n")
+        plan = cli._train_plan(cli.load_config(path)[0], trainer.finetune_tle_plan, seed=0)
+        assert plan.weight_decay == 0.05
+        assert plan.base_lr == 2.5e-6
+        assert plan.epochs == 500 and plan.batch_size == 8 and plan.warmup_epochs == 0
 
     def test_section_naming_another_phase_rejected(self):
         # the subcommand picks the phase; ``phase`` is no plan key
@@ -423,6 +335,7 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
     ("synth-gen", "[experiment]\nseed = x1\n"),
     ("synth-gen", "[experiment]\nsed = 1\n"),
     ("pretrain", "[train]\nmask_ratio = 0.5\n[paths]\ndataset = x\n"),
+    ("pretrain", "[train]\nseed = 3\n[paths]\ndataset = x\n"),
     ("pretrain", "[model]\ne_dim = 24\nd_dim = 32\n[paths]\ndataset = x\n"),
     ("pretrain", "[train]\nphase = pretrain\n[paths]\ndataset = x\n"),
     ("distill", "[kd]\nalpha_kd = 1.5\n" + KD_PATHS),

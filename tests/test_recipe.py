@@ -1,15 +1,11 @@
 """The seeded recipe in tools/recipe.py runs every CLI stage, records a hash
-per artifact, and its compare mode tells two records apart."""
+per artifact, and its compare mode tells two records apart. The ``recipe`` and
+``tiny_record`` fixtures are in conftest.py; test_cli.py::test_full_recipe
+checks what each stage of the same tiny run writes."""
 
-import importlib.util
 import json
-from pathlib import Path
-
-import pytest
 
 from shm_fomo.anomaly_head import FILTER_LENGTHS
-
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "recipe.py"
 
 STAGE_FILES = {
     "synth-gen-normal": {"manifest.json", "rec_normal_000.bin", "rec_normal_001.bin",
@@ -26,21 +22,6 @@ STAGE_FILES = {
        for stage in ("eval-tle", "eval-tle-student", "baseline-knn-tle", "baseline-linreg-tle")},
     "ablation": {"report.csv"},
 }
-
-
-@pytest.fixture(scope="module")
-def recipe():
-    spec = importlib.util.spec_from_file_location("recipe", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def tiny_record(recipe, tmp_path_factory):
-    out = tmp_path_factory.mktemp("recipe") / "run"
-    assert recipe.main([str(out), "--tiny"]) == 0
-    return out / recipe.RECORD
 
 
 def test_tiny_run_records_every_artifact(tiny_record):

@@ -420,16 +420,6 @@ def plan_from_file(path, plan_factory):
 
 
 class TestPlanParsing:
-    def test_load_key_value_file(self, tmp_path):
-        path = tmp_path / "plan.ini"
-        path.write_text(
-            "# fine-tune settings\n[train]\nbase_lr = 2.5e-6\n"
-            "epochs = 500\nbatch_size = 8\nwarmup_epochs = 0\nseed = 42\n")
-        plan = plan_from_file(path, finetune_tle_plan)
-        assert plan.weight_decay == 0.05
-        assert plan.base_lr == 2.5e-6
-        assert plan.epochs == 500 and plan.batch_size == 8 and plan.seed == 42
-
     def test_partial_file_keeps_phase_defaults(self, tmp_path):
         path = tmp_path / "plan.ini"
         path.write_text("[train]\nepochs = 300\n")

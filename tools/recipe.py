@@ -128,7 +128,7 @@ def run_recipe(out: Path, s: dict) -> dict:
     for name, manifest in manifests.items():
         pipeline = AD_PIPELINE if name.startswith("ad-") else TLE_PIPELINE
         run_dir = r.run(f"preprocess-{name}", "preprocess",
-                        SEED.format(7) + pipeline + paths(input=manifest))
+                        SEED.format(7) + pipeline + paths(input=manifest.parent))
         data[name] = run_dir / "dataset.shmd"
 
     seed, batch = SEED.format(7), s["batch"]
