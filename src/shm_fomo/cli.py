@@ -10,7 +10,7 @@ unknown key or a value of the wrong type is a config error):
 
 - ``[experiment]``: ``seed`` (default 0), the one source of the run's seed,
   so the config text alone decides it and its hash names the run directory.
-- ``[synth]``: ``kind`` (ambient | traffic), ``duration_s``, ``damaged``,
+- ``[synth]``: ``state`` (normal | damaged | traffic), ``duration_s``,
   ``count``, plus the fields of ``synth_bench.BridgeConfig``.
 - ``[traffic]``: ``synth_bench.TrafficConfig``.
 - ``[pipeline]``: ``signal_pipeline.PipelineConfig``.
@@ -45,7 +45,7 @@ anomalous (a ``damaged`` manifest entry, for pca-ad), a calibration that
 cannot reach its grid or a diverged run, and an ablation whose regime
 printed ``FAILED`` (its other regimes still ran); 2 a usage error; 3 a ``config error:`` for a config file
 that cannot be read, decoded as UTF-8 or parsed, or that holds a bad section,
-key or value, such as ``[synth] damaged = true`` with ``kind = traffic``; 4
+key or value, such as ``[synth] state = broken``; 4
 one ``input error:`` line for any ``OSError`` or ``FormatError``: an input
 file (checkpoint, dataset, manifest, recording) that is missing, a directory
 or malformed, and an ``OSError`` while writing the run directory. Neither the
@@ -83,7 +83,7 @@ SECTIONS = ("experiment", "synth", "traffic", "pipeline", "model", "train", "fin
 
 # keys of the sections that configure the CLI itself, with their defaults
 EXPERIMENT_OPTIONS = {"seed": 0}
-SYNTH_OPTIONS = {"kind": "ambient", "duration_s": 600.0, "damaged": False, "count": 1}
+SYNTH_OPTIONS = {"state": "normal", "duration_s": 600.0, "count": 1}
 BASELINE_OPTIONS = {"mode": "pca-ad", "cf": 32, "k": 7}
 
 
@@ -114,13 +114,6 @@ def load_config(path) -> tuple[configparser.ConfigParser, str]:
 
 
 def _coerce(raw: str, typ):
-    if typ is bool:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
     if typ is tuple:
         return tuple(float(v) for v in raw.split(",") if v.strip())
     return typ(raw)
@@ -229,28 +222,23 @@ def cmd_synth_gen(args, cfg, run_dir: Path) -> int:
     synth = section(cfg, "synth")
     opts = options({k: synth.pop(k) for k in SYNTH_OPTIONS if k in synth},
                    SYNTH_OPTIONS, "[synth]")
-    kind, duration, damaged, count = (opts["kind"], opts["duration_s"],
-                                      opts["damaged"], opts["count"])
-    if kind not in ("ambient", "traffic"):
-        raise ConfigError(f"unknown synth kind {kind!r}")
+    state, duration, count = opts["state"], opts["duration_s"], opts["count"]
+    if state not in MANIFEST_STATES:
+        raise ConfigError(f"unknown [synth] state {state!r}; "
+                          f"known: {', '.join(MANIFEST_STATES)}")
     if count < 1:
         raise ConfigError(f"[synth] count must be >= 1, got {count}")
-    if damaged and kind == "traffic":
-        raise ConfigError("[synth] damaged = true needs kind = ambient; "
-                          "traffic recordings have no damaged state")
     bridge = build_from_section(BridgeConfig, synth)
-    if kind == "traffic":
+    if state == "traffic":
         traffic = build_from_section(TrafficConfig, section(cfg, "traffic"))
     entries = []
     for i in range(count):
         rec_seed = seed + i
-        if kind == "ambient":
-            rec = synth_bench.gen_ambient(bridge, duration, damaged=damaged,
-                                          seed=rec_seed)
-            state = "damaged" if damaged else "normal"
-        else:
+        if state == "traffic":
             rec = synth_bench.gen_traffic(bridge, traffic, duration, seed=rec_seed)
-            state = "traffic"
+        else:
+            rec = synth_bench.gen_ambient(bridge, duration, damaged=state == "damaged",
+                                          seed=rec_seed)
         name = f"rec_{state}_{i:03d}.bin"
         save_recording_binary(rec, run_dir / name)
         entries.append({"file": name, "state": state, "seed": rec_seed,

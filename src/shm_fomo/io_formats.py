@@ -31,7 +31,7 @@ RECORDING_MAGIC = b"SHMR"
 CSV_TIME_TOL = 0.01      # largest timestamp misfit a CSV may have, in sample periods
 MANIFEST_STATES = {"normal": TAG_NORMAL, "damaged": TAG_ANOMALY, "traffic": None}   # -> tag
 
-_TAG_TO_U8 = {None: 0, "normal": 1, "anomaly": 2}
+_TAG_TO_U8 = {None: 0, TAG_NORMAL: 1, TAG_ANOMALY: 2}
 _U8_TO_TAG = {v: k for k, v in _TAG_TO_U8.items()}
 
 

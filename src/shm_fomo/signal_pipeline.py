@@ -10,7 +10,6 @@ All functions are pure and deterministic.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -18,8 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-logger = logging.getLogger(__name__)
 
 SPEC_SIZE = 100          # spectrogram is SPEC_SIZE time frames x SPEC_SIZE frequency bins
 STFT_NFFT = 198          # one-sided rfft of 198 samples -> exactly 100 bins
@@ -284,8 +281,6 @@ def build_dataset(
                 image=spectrogram(normalize(w)).astype(np.float32),
                 target=None if targets is None else targets[i],
                 tag=tag, start_index=w.start_index))
-    if result.n_candidates and not result.windows:
-        logger.warning("energy filter dropped all %d candidate windows", result.n_candidates)
     return result
 
 

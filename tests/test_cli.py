@@ -2,10 +2,12 @@ import builtins
 import configparser
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ AMBIENT_CFG = """
 seed = 7
 
 [synth]
-kind = ambient
+state = normal
 duration_s = 90
 count = 2
 noise_std = 0.05
@@ -87,22 +89,32 @@ def test_full_recipe(tiny_record):
     assert len(decisions) == 1 + len(data["ad-test"])
 
 
-def test_synth_damaged_takes_a_boolean_word(tmp_path):
+@pytest.mark.parametrize("state", ["normal", "damaged", "traffic"])
+def test_synth_state_picks_the_generator(tmp_path, state):
     cfg = tmp_path / "gen.ini"
-    cfg.write_text("[synth]\nduration_s = 10\ndamaged = yes\n")
+    cfg.write_text(f"[synth]\nstate = {state}\nduration_s = 60\ncount = 2\n")
     out = tmp_path / "runs"
     assert run_cli(["synth-gen", "--config", str(cfg)], out) == 0
     gen_dir = only_run_dir(out, "synth-gen")
-    (entry,) = load_manifest(gen_dir / "manifest.json")
-    assert (entry["state"], entry["file"]) == ("damaged", "rec_damaged_000.bin")
-    want = gen_ambient(BridgeConfig(), 10.0, damaged=True, seed=entry["seed"])
-    assert np.array_equal(load_recording(gen_dir / entry["file"]).samples,
-                          want.samples.astype(np.float32))
+    entries = load_manifest(gen_dir / "manifest.json")
+    assert [(e["state"], e["file"]) for e in entries] == [
+        (state, f"rec_{state}_000.bin"), (state, f"rec_{state}_001.bin")]
+    assert entries[1]["seed"] == entries[0]["seed"] + 1
+    for entry in entries:
+        got = load_recording(gen_dir / entry["file"])
+        if state == "traffic":
+            want = gen_traffic(BridgeConfig(), TrafficConfig(), 60.0, seed=entry["seed"])
+            assert np.array_equal(got.labels, want.labels.astype(np.float32))
+        else:
+            want = gen_ambient(BridgeConfig(), 60.0, damaged=state == "damaged",
+                               seed=entry["seed"])
+            assert got.labels is None
+        assert np.array_equal(got.samples, want.samples.astype(np.float32))
 
 
 def test_synth_traffic_section_sets_the_generator(tmp_path):
     cfg = tmp_path / "gen.ini"
-    cfg.write_text("[synth]\nkind = traffic\nduration_s = 60\n[traffic]\narrival_rate_light = 8\n")
+    cfg.write_text("[synth]\nstate = traffic\nduration_s = 60\n[traffic]\narrival_rate_light = 8\n")
     out = tmp_path / "runs"
     assert run_cli(["synth-gen", "--config", str(cfg)], out) == 0
     gen_dir = only_run_dir(out, "synth-gen")
@@ -300,19 +312,6 @@ class TestTypedValues:
             cli.build_from_section(trainer.TrainPlan, {"epochs": "2.5"})
 
 
-def test_synth_traffic_cannot_be_damaged(tmp_path, monkeypatch, capsys):
-    # the flag was ignored: exit 0 and a recording of state traffic
-    monkeypatch.setattr(cli, "save_recording_binary", _never_called)
-    cfg = tmp_path / "gen.ini"
-    cfg.write_text("[synth]\nkind = traffic\ndamaged = true\nduration_s = 60\n")
-    out = tmp_path / "runs"
-    assert main_exit_code(["synth-gen", "--config", str(cfg), "--out", str(out)],
-                          monkeypatch) == 3
-    assert capsys.readouterr().err == ("config error: [synth] damaged = true needs kind = "
-                                       "ambient; traffic recordings have no damaged state\n")
-    assert list(out.iterdir()) == []
-
-
 def main_exit_code(argv, monkeypatch):
     """Exit code of ``cli.main`` run in this process."""
     monkeypatch.setattr(sys, "argv", ["shm-fomo", *argv])
@@ -329,7 +328,7 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
     ("synth-gen", "[synth]\nduration_s = ten\n"),
     ("synth-gen", "[synth]\ncount = 2.5\n"),
     ("synth-gen", "[synth]\nseed = 12345\n"),
-    ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\nseed = 999\n"),
+    ("synth-gen", "[synth]\nstate = traffic\nduration_s = 60\n[traffic]\nseed = 999\n"),
     ("baseline", "[baseline]\ncf = x\n" + PCA_PATHS),
     ("baseline", "[baseline]\nmodel = pca\n" + PCA_PATHS),
     ("synth-gen", "[experiment]\nseed = x1\n"),
@@ -344,7 +343,7 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
     ("synth-gen", "[synht]\nduration_s = 10\n"),
     ("synth-gen", "[synth]\nduration_s = 10\n[Synth]\ncount = 2\n"),
     ("synth-gen", "[synth]\nduration_s = 10\ncount = -2\n"),
-    ("synth-gen", "[synth]\ncount = 0\nkind = bogus\n"),
+    ("synth-gen", "[synth]\ncount = 0\nstate = bogus\n"),
     ("pretrain", "[train]\nbase_lr = nan\n[paths]\ndataset = x\n"),
     ("pretrain", "[train]\nbatch_size = 0\n[paths]\ndataset = x\n"),
     ("preprocess", "[pipeline]\nenergy_threshold = nan\n[paths]\ninput = x\n"),
@@ -352,8 +351,8 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
                 "calibration_dataset = x\ntest_dataset = x\ncheckpoint = x\n"),
     ("synth-gen", "[synth]\nduration_s = nan\n"),
     ("synth-gen", "[synth]\nduration_s = inf\n"),
-    ("synth-gen", "[synth]\nkind = traffic\nduration_s = nan\n"),
-    ("synth-gen", "[synth]\nkind = traffic\nduration_s = inf\n"),
+    ("synth-gen", "[synth]\nstate = traffic\nduration_s = nan\n"),
+    ("synth-gen", "[synth]\nstate = traffic\nduration_s = inf\n"),
     ("synth-gen", "[synth]\nduration_s = 10\nexcite_rate = nan\n"),
     ("synth-gen", "[synth]\nduration_s = 10\nexcite_rate = -1\n"),
     ("synth-gen", "[synth]\nduration_s = 10\namp_sigma = -1\n"),
@@ -361,13 +360,16 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
     ("synth-gen", "[synth]\nduration_s = 10\nnoise_std = nan\n"),
     ("synth-gen", "[synth]\nduration_s = 10\ndamping = 0, 1.2, 1.6\n"),
     ("synth-gen", "[synth]\nduration_s = 10\nmodal_amps = nan, 0.7, 0.45\n"),
-    ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\n"
+    ("synth-gen", "[synth]\nstate = traffic\nduration_s = 60\n[traffic]\n"
                   "arrival_rate_light = nan\n"),
-    ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\n"
+    ("synth-gen", "[synth]\nstate = traffic\nduration_s = 60\n[traffic]\n"
                   "pulse_amp_heavy = nan\n"),
-    ("synth-gen", "[synth]\nkind = traffic\nduration_s = 60\n[traffic]\n"
+    ("synth-gen", "[synth]\nstate = traffic\nduration_s = 60\n[traffic]\n"
                   "pulse_dur_s = inf\n"),
-    ("synth-gen", "[synth]\nduration_s = 10\ndamaged = maybe\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\nstate = maybe\n"),
+    # the two keys that ``state`` replaced
+    ("synth-gen", "[synth]\nduration_s = 10\nkind = ambient\n"),
+    ("synth-gen", "[synth]\nduration_s = 10\ndamaged = true\n"),
     ("pretrain", "[model]\ne_dim = 24\nd_dim = 16\n[paths]\ndatset = x\n"),
     ("baseline", "[baseline]\nmode = svm-tle\n" + PCA_PATHS),
 ])
@@ -631,7 +633,7 @@ def test_describe_reads_the_checkpoint_once(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command, text, code", [
     ("preprocess", "[paths]\ninput = {empty}\n", 4),
     ("pretrain", "[model]\ne_dim = 24\nd_dim = 16\n[paths]\ndataset = {empty}/d.shmd\n", 4),
-    ("synth-gen", "[synth]\nkind = bogus\n", 3),
+    ("synth-gen", "[synth]\nstate = bogus\n", 3),
 ])
 def test_failed_run_leaves_no_run_directory(tmp_path, monkeypatch, command, text, code):
     # each fails inside its handler, after the run directory is made
@@ -1126,6 +1128,21 @@ def test_preprocess_keeping_no_window_is_one_error_line(tmp_path, monkeypatch, c
     assert code == 1
     assert capsys.readouterr().err == f"error: {manifest}: no kept windows\n"
     assert list(out.iterdir()) == []
+
+
+def test_preprocess_keeping_no_window_prints_only_its_error_line(tmp_path):
+    # the energy filter's warning reached stderr through logging's fallback
+    # handler as a second, bare line
+    manifest = _write_recordings(tmp_path / "recs", {
+        "n": ("normal", gen_ambient(BridgeConfig(), 30, seed=1))})
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AD_PIPELINE.replace("1e-8", "1e9") + f"[paths]\ninput = {manifest}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "shm_fomo.cli", "preprocess", "--config",
+                           str(cfg), "--out", str(tmp_path / "runs")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {manifest}: no kept windows\n"
 
 
 def test_baseline_pca_ad_truth_in_manifest_order(tmp_path, monkeypatch):

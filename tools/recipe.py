@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from shm_fomo import cli
+from shm_fomo.io_formats import save_manifest
 
 RECORD = "recipe.json"
 AD_PIPELINE = "[pipeline]\nwindow_s = 5\nstride_s = 2\nenergy_threshold = 1e-8\n"
@@ -98,8 +99,7 @@ class Recipe:
         """A manifest of (recording, state) entries, by absolute path."""
         path = self.out / "inputs" / name / "manifest.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps([{"file": str(rec), "state": state}
-                                    for rec, state in entries], indent=2) + "\n")
+        save_manifest(path, [{"file": str(rec), "state": state} for rec, state in entries])
         return path
 
 
@@ -107,13 +107,13 @@ def run_recipe(out: Path, s: dict) -> dict:
     """Every stage, run into ``out`` at the sizes ``s`` (one of SIZES); each
     stage's seconds."""
     r = Recipe(out)
-    ambient = "[synth]\nkind = ambient\nduration_s = {}\ncount = {}\ndamaged = {}\n"
+    synth = "[synth]\nstate = {}\nduration_s = {}\ncount = {}\n"
     normal = r.run("synth-gen-normal", "synth-gen",
-                   SEED.format(1) + ambient.format(s["ad_s"], 3, "false"))
+                   SEED.format(1) + synth.format("normal", s["ad_s"], 3))
     damaged = r.run("synth-gen-damaged", "synth-gen",
-                    SEED.format(2) + ambient.format(s["ad_s"], 1, "true"))
-    traffic = r.run("synth-gen-traffic", "synth-gen", SEED.format(3)
-                    + f"[synth]\nkind = traffic\nduration_s = {s['traffic_s']}\ncount = 2\n")
+                    SEED.format(2) + synth.format("damaged", s["ad_s"], 1))
+    traffic = r.run("synth-gen-traffic", "synth-gen",
+                    SEED.format(3) + synth.format("traffic", s["traffic_s"], 2))
     manifests = {
         "ad-train": r.manifest("ad-train", [(normal / "rec_normal_000.bin", "normal")]),
         "ad-calib": r.manifest("ad-calib", [(normal / "rec_normal_001.bin", "normal")]),
@@ -129,7 +129,7 @@ def run_recipe(out: Path, s: dict) -> dict:
         pipeline = AD_PIPELINE if name.startswith("ad-") else TLE_PIPELINE
         run_dir = r.run(f"preprocess-{name}", "preprocess",
                         SEED.format(7) + pipeline + paths(input=manifest.parent))
-        data[name] = run_dir / "dataset.shmd"
+        data[name] = run_dir / cli.DATASET_FILE
 
     seed, batch = SEED.format(7), s["batch"]
     big = "[model]\ne_dim = 48\nd_dim = 32\n"
