@@ -17,9 +17,11 @@ unknown key or a value of the wrong type is a config error):
 - ``[model]``: ``mae_model.ModelConfig``: ``e_dim`` and ``d_dim``, a pair of
   ``mae_model.SIZE_FAMILY``, and ``mask_ratio``, which alone sets the ratio
   pretraining masks at; ``finetune-ad`` takes it from the checkpoint.
-- ``[train]``, and the ablation's ``[finetune]``: ``trainer.TrainPlan``
-  without ``mask_ratio`` or ``seed``, laid over the defaults of the
-  subcommand's phase. The model sets the mask ratio, ``[experiment]`` the seed.
+  ``pretrain`` builds this model, and so does ``finetune-tle`` when
+  ``[paths]`` names no checkpoint, from the same seed.
+- ``[train]``: ``trainer.TrainPlan`` without ``mask_ratio`` or ``seed``, laid
+  over the defaults of the subcommand's phase. The model sets the mask
+  ratio, ``[experiment]`` the seed.
 - ``[kd]``: ``alpha_kd`` (``trainer.KDConfig``), in [0, 1].
 - ``[threshold]``: ``step_fraction`` (``anomaly_head.ThresholdConfig``).
 - ``[baseline]``: ``mode`` (pca-ad | knn-tle | linreg-tle), ``cf`` and ``k``
@@ -42,10 +44,10 @@ files, such as recordings of which the energy filter keeps no window (so
 a detection test set (of eval-ad or pca-ad) that lacks normal or anomalous
 windows, a training or calibration set of either holding a window tagged
 anomalous (a ``damaged`` manifest entry, for pca-ad), a calibration that
-cannot reach its grid or a diverged run, and an ablation whose regime
-printed ``FAILED`` (its other regimes still ran); 2 a usage error; 3 a ``config error:`` for a config file
-that cannot be read, decoded as UTF-8 or parsed, or that holds a bad section,
-key or value, such as ``[synth] state = broken``; 4
+cannot reach its grid or a diverged run; 2 a usage error; 3 a ``config
+error:`` for a config file that cannot be read, decoded as UTF-8 or parsed,
+or that holds a bad section, key or value, such as ``[synth] state =
+broken``, or lacks one that the subcommand needs; 4
 one ``input error:`` line for any ``OSError`` or ``FormatError``: an input
 file (checkpoint, dataset, manifest, recording) that is missing, a directory
 or malformed, and an ``OSError`` while writing the run directory. Neither the
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -78,8 +81,8 @@ from .synth_bench import BridgeConfig, TrafficConfig
 from .trainer import KDConfig, TrainPlan
 
 DATASET_FILE = "dataset.shmd"
-SECTIONS = ("experiment", "synth", "traffic", "pipeline", "model", "train", "finetune",
-            "kd", "threshold", "baseline", "paths")
+SECTIONS = ("experiment", "synth", "traffic", "pipeline", "model", "train", "kd",
+            "threshold", "baseline", "paths")
 
 # keys of the sections that configure the CLI itself, with their defaults
 EXPERIMENT_OPTIONS = {"seed": 0}
@@ -179,6 +182,20 @@ def make_run_dir(root: Path, command: str, cfg_hash: str) -> Path:
             run_dir = Path(f"{base}-{k}")
 
 
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count in force, asked of the library numpy loaded;
+    None where there is no such library or call."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            get = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            return None
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
+
+
 def write_run_info(run_dir: Path, command: str, cfg_path, cfg_text: str, cfg_sha: str,
                    seed: int) -> None:
     info = {
@@ -187,6 +204,7 @@ def write_run_info(run_dir: Path, command: str, cfg_path, cfg_text: str, cfg_sha
         "config_sha": cfg_sha,
         "seed": seed,
         "version": __version__,
+        "blas_threads": blas_threads(),
     }
     (run_dir / "run.json").write_text(json.dumps(info, indent=2) + "\n")
     (run_dir / "config.ini").write_text(cfg_text, encoding="utf-8")
@@ -269,19 +287,23 @@ def cmd_preprocess(args, cfg, run_dir: Path) -> int:
     return 0
 
 
-def _train_plan(cfg, plan_factory, seed: int, name: str = "train",
-                mask_ratio: float | None = None):
-    """Section ``name``'s keys laid over the defaults of ``plan_factory``
-    (a ``trainer.*_plan`` function). The model sets ``mask_ratio`` and the
+def _train_plan(cfg, plan_factory, seed: int, mask_ratio: float | None = None):
+    """``[train]``'s keys laid over the defaults of ``plan_factory`` (a
+    ``trainer.*_plan`` function). The model sets ``mask_ratio`` and the
     experiment the seed, so the section may set neither.
     """
-    values = section(cfg, name)
+    values = section(cfg, "train")
     for key, owner in (("mask_ratio", "the model"), ("seed", "the experiment")):
         if key in values:
-            raise ConfigError(f"[{name}] cannot set {key!r}: {owner} sets it")
+            raise ConfigError(f"[train] cannot set {key!r}: {owner} sets it")
     values["seed"] = str(derive_seed(seed, "trainer"))
     plan = build_from_section(TrainPlan, values, plan_factory)
     return plan if mask_ratio is None else dataclasses.replace(plan, mask_ratio=mask_ratio)
+
+
+def _fresh_model(model_cfg: ModelConfig, seed: int):
+    """An untrained model, its weights drawn from the experiment's seed."""
+    return mae_model.build_model(model_cfg, seed=derive_seed(seed, "mae_model"))
 
 
 def cmd_pretrain(args, cfg, run_dir: Path) -> int:
@@ -289,7 +311,7 @@ def cmd_pretrain(args, cfg, run_dir: Path) -> int:
     plan = _train_plan(cfg, trainer.pretrain_plan, args.seed, mask_ratio=model_cfg.mask_ratio)
     (data_path,) = paths_of(cfg, "dataset")
     windows = _load_dataset(data_path)
-    model = mae_model.build_model(model_cfg, seed=derive_seed(args.seed, "mae_model"))
+    model = _fresh_model(model_cfg, args.seed)
     log = trainer.pretrain(model, windows, plan)
     _save_training_outputs(model, log, run_dir, plan, cfg_note="pretrain")
     return 0
@@ -315,10 +337,18 @@ def cmd_finetune_ad(args, cfg, run_dir: Path) -> int:
 
 
 def cmd_finetune_tle(args, cfg, run_dir: Path) -> int:
-    (data_path, ckpt_in) = paths_of(cfg, "dataset", "checkpoint")
-    model = mae_model.load_model(ckpt_in)
-    windows = _load_dataset(data_path)
+    """Fine-tune the checkpoint's encoder or, without ``[paths] checkpoint``,
+    a fresh ``[model]`` that starts where ``pretrain`` starts."""
+    (data_path,) = paths_of(cfg, "dataset")
     plan = _train_plan(cfg, trainer.finetune_tle_plan, args.seed)
+    ckpt_in = section(cfg, "paths").get("checkpoint")
+    if ckpt_in is not None:
+        model = mae_model.load_model(ckpt_in)
+    elif cfg.has_section("model"):
+        model = _fresh_model(build_from_section(ModelConfig, section(cfg, "model")), args.seed)
+    else:
+        raise ConfigError("finetune-tle needs [paths] checkpoint or a [model] section")
+    windows = _load_dataset(data_path)
     student = mae_model.attach_regression_head(model, seed=derive_seed(args.seed, "reg_head"))
     log = trainer.finetune_tle(student, windows, plan)
     _save_training_outputs(student, log, run_dir, plan, cfg_note="finetune-tle")
@@ -409,41 +439,6 @@ def _regression_report(run_dir: Path, model_id: str, y_true, y_pred) -> None:
     print(evaluation.format_report_table([report]))
 
 
-def cmd_ablation(args, cfg, run_dir: Path) -> int:
-    """Fine-tune under one plan and seeds after no pretraining, pretraining on
-    the task's pool, and pretraining on the combined pool."""
-    (all_path, task_path, ft_path, test_path) = paths_of(
-        cfg, "pretrain_all_dataset", "task_dataset", "finetune_dataset", "test_dataset")
-    model_cfg = build_from_section(ModelConfig, section(cfg, "model"))
-    pre_plan = _train_plan(cfg, trainer.pretrain_plan, args.seed,
-                          mask_ratio=model_cfg.mask_ratio)
-    ft_plan = _train_plan(cfg, trainer.finetune_tle_plan, args.seed, name="finetune")
-    all_windows, task_windows, ft_windows, test_windows = [
-        _load_dataset(path) for path in (all_path, task_path, ft_path, test_path)]
-    y_true = targets_of(test_windows)
-    seed = derive_seed(args.seed, "ablation")
-    regimes = (("no_pretrain", None), ("pretrain_uc", task_windows),
-               ("pretrain_all", all_windows))
-    reports = []
-    for regime, pool in regimes:
-        try:
-            model = mae_model.build_model(model_cfg, seed=seed)
-            if pool is not None:
-                trainer.pretrain(model, pool, pre_plan)
-            student = mae_model.attach_regression_head(model, seed=seed + 1)
-            trainer.finetune_tle(student, ft_windows, ft_plan)
-            report = evaluation.regression_metrics(
-                mae_model.regress_predictions(student, test_windows), y_true)
-        except Exception as exc:  # a failed regime must not sink the others
-            print(f"{regime}: FAILED ({type(exc).__name__}: {exc})")
-            continue
-        report.task_id, report.model_id = "tle_synth", regime
-        reports.append(report)
-        print(f"{regime}: MAE% {report.mae_pct:.2f}  R2 {report.r2:.3f}")
-    evaluation.write_report_csv(run_dir / "report.csv", reports)
-    return 0 if len(reports) == len(regimes) else 1
-
-
 def _window_rows(path: Path, pipe: PipelineConfig, features: bool = False):
     """One row per time window ``preprocess`` keeps from the recordings at
     ``path``, stacked in the order it keeps them, the tag of each window and
@@ -526,7 +521,6 @@ COMMANDS = {
     "distill": (cmd_distill, True),
     "eval-ad": (cmd_eval_ad, True),
     "eval-tle": (cmd_eval_tle, True),
-    "ablation": (cmd_ablation, True),
     "baseline": (cmd_baseline, True),
     "describe": (cmd_describe, False),
 }

@@ -130,16 +130,28 @@ def _sampling_rate(path, times: np.ndarray) -> int:
 CONTAINER_VERSION = 1
 
 
-def write_container(path, magic: bytes, meta: dict, tensors: dict[str, np.ndarray]) -> None:
+def write_container(path, magic: bytes, meta: dict, tensors: dict) -> None:
     """Write magic + version + JSON metadata + named f32 tensors + CRC32.
 
     Tensor payloads are little-endian float32; the trailing CRC covers
-    everything after the magic so tampering is detectable on load. Each
-    tensor's bytes go straight from its array to the file.
+    everything after the magic so tampering is detectable on load. A tensor
+    is an array, or a non-empty list of equal-shape rows that is written as
+    their stack without being stacked. Each tensor's bytes go straight from
+    its array, or row by row, to the file.
     """
     if len(magic) != 4:
         raise FormatError(f"magic must be 4 bytes, got {magic!r}")
     meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    layout = {}   # name -> (shape, the arrays whose bytes follow its header)
+    for name, value in tensors.items():
+        if isinstance(value, list):
+            row_shapes = {np.shape(row) for row in value}
+            if len(row_shapes) != 1:
+                raise DataError(f"tensor {name!r} needs rows of one shape, "
+                                f"got {sorted(row_shapes)}")
+            layout[name] = ((len(value), *row_shapes.pop()), value)
+        else:
+            layout[name] = (np.shape(value), (value,))
     crc = 0
     with open(path, "wb") as f:
 
@@ -152,11 +164,11 @@ def write_container(path, magic: bytes, meta: dict, tensors: dict[str, np.ndarra
         put(struct.pack("<II", CONTAINER_VERSION, len(meta_blob)) + meta_blob
             + struct.pack("<I", len(tensors)))
         for name in sorted(tensors):
-            arr = np.asarray(tensors[name], dtype="<f4")
-            name_b = name.encode("utf-8")
+            (shape, parts), name_b = layout[name], name.encode("utf-8")
             put(struct.pack("<H", len(name_b)) + name_b
-                + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-            put(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))   # C order
+                + struct.pack(f"<B{len(shape)}I", len(shape), *shape))
+            for part in parts:
+                put(np.ascontiguousarray(part, dtype="<f4").reshape(-1).view(np.uint8))   # C order
         f.write(struct.pack("<I", crc))
 
 
@@ -214,15 +226,16 @@ DATASET_MAGIC = b"SHMD"
 
 def save_dataset(windows, path) -> None:
     """Write a dataset as one container file (magic SHMD), creating its parent
-    directories: tensors ``images`` (n, 100, 100) and ``targets`` (n,, NaN for
-    no target), metadata ``tags`` (u8 codes) and ``start_index``."""
+    directories: tensors ``images`` (n, 100, 100), written window by window,
+    and ``targets`` (n,, NaN for no target), metadata ``tags`` (u8 codes) and
+    ``start_index``. A window of another image shape is a DataError, raised
+    before the file is opened."""
     path = Path(path)
-    images = np.empty((len(windows), SPEC_SIZE, SPEC_SIZE), dtype=np.float32)
     for i, w in enumerate(windows):
-        if np.shape(w.image) != images.shape[1:]:
+        if np.shape(w.image) != (SPEC_SIZE, SPEC_SIZE):
             raise DataError(f"window {i}: image shape {np.shape(w.image)}, "
-                            f"expected {images.shape[1:]}")
-        images[i] = w.image
+                            f"expected {(SPEC_SIZE, SPEC_SIZE)}")
+    images = [w.image for w in windows] or np.empty((0, SPEC_SIZE, SPEC_SIZE), np.float32)
     targets = np.array([np.nan if w.target is None else w.target for w in windows],
                        dtype=np.float32)
     meta = {"tags": [_TAG_TO_U8[w.tag] for w in windows],

@@ -15,8 +15,8 @@ import pytest
 from shm_fomo import baselines, cli, mae_model, trainer
 from shm_fomo.anomaly_head import FILTER_LENGTHS
 from shm_fomo.errors import ConfigError, DataError
-from shm_fomo.io_formats import (RECORDING_MAGIC, config_hash, load_dataset, load_manifest,
-                                 load_recording, read_container, save_dataset, save_manifest,
+from shm_fomo.io_formats import (RECORDING_MAGIC, load_dataset, load_manifest, load_recording,
+                                 read_container, save_dataset, save_manifest,
                                  save_recording_binary, write_container)
 from shm_fomo.mae_model import ModelConfig, attach_regression_head, build_model, save_model
 from shm_fomo.signal_pipeline import PipelineConfig, build_dataset
@@ -64,7 +64,9 @@ def test_full_recipe(tiny_record):
     stages = json.loads(tiny_record.read_text())["seconds"]
     run_dirs = {stage: next((tiny_record.parent / stage).iterdir()) for stage in stages}
     for run_dir in run_dirs.values():
-        assert (run_dir / "run.json").is_file() and (run_dir / "config.ini").is_file()
+        assert (run_dir / "config.ini").is_file()
+        info = json.loads((run_dir / "run.json").read_text())
+        assert info["blas_threads"] == cli.blas_threads()
     normal = load_manifest(run_dirs["synth-gen-normal"] / "manifest.json")
     assert {entry["state"] for entry in normal} == {"normal"}
     data = {name: load_dataset(run_dirs[f"preprocess-{name}"] / "dataset.shmd")
@@ -77,10 +79,13 @@ def test_full_recipe(tiny_record):
     def lines(stage, name):
         return (run_dirs[stage] / name).read_text().splitlines()
 
-    for stage in ("pretrain", "finetune-ad", "finetune-tle", "pretrain-student", "distill"):
+    regimes = ("no_pretrain", "pretrain_uc", "pretrain_all")   # the ablation's
+    for stage in ("pretrain", "finetune-ad", "finetune-tle", "pretrain-student", "distill",
+                  "pretrain-uc", "pretrain-all", *(f"finetune-tle-{r}" for r in regimes)):
         assert lines(stage, "trainlog.csv")[0] == "epoch,lr,loss,seconds"
     # each TLE model and baseline scores the tle-test windows
-    for stage in ("eval-tle", "eval-tle-student", "baseline-knn-tle", "baseline-linreg-tle"):
+    for stage in ("eval-tle", "eval-tle-student", "baseline-knn-tle", "baseline-linreg-tle",
+                  *(f"eval-tle-{r}" for r in regimes)):
         predictions = lines(stage, "predictions.csv")
         assert predictions[0] == "index,y_true,y_pred"
         assert len(predictions) == 1 + len(data["tle-test"])
@@ -188,6 +193,11 @@ class TestExitCodes:
         assert code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_ablation_command_removed(self, monkeypatch, capsys):
+        # the ablation's regimes are pretrain, finetune-tle and eval-tle runs
+        assert main_exit_code(["ablation", "--config", "c.ini"], monkeypatch) == 2
+        assert "invalid choice: 'ablation'" in capsys.readouterr().err
+
     def test_seed_flag_removed(self, monkeypatch, capsys):
         # [experiment] seed alone sets the seed, so the config hash names it
         code = main_exit_code(["pretrain", "--config", "c.ini", "--seed", "5"], monkeypatch)
@@ -272,13 +282,6 @@ class TestPartialPlanSections:
         assert plan.seed == cli.derive_seed(7, "trainer")
         assert (plan.base_lr, plan.weight_decay, plan.batch_size,
                 plan.warmup_epochs) == PHASE_DEFAULTS[phase]
-
-    def test_ablation_finetune_section(self):
-        cfg = _config("[finetune]\nepochs = 300\n")
-        plan = cli._train_plan(cfg, trainer.finetune_tle_plan, seed=7, name="finetune")
-        assert (plan.epochs, plan.seed) == (300, cli.derive_seed(7, "trainer"))
-        assert (plan.base_lr, plan.weight_decay, plan.batch_size,
-                plan.warmup_epochs) == PHASE_DEFAULTS["finetune_tle"]
 
     def test_commented_section_sets_each_key_it_names(self, tmp_path):
         path = tmp_path / "plan.ini"
@@ -372,13 +375,19 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
     ("synth-gen", "[synth]\nduration_s = 10\ndamaged = true\n"),
     ("pretrain", "[model]\ne_dim = 24\nd_dim = 16\n[paths]\ndatset = x\n"),
     ("baseline", "[baseline]\nmode = svm-tle\n" + PCA_PATHS),
+    # the ablation's plan section, gone with it
+    ("finetune-tle", "[finetune]\nepochs = 1\n[paths]\ndataset = x\ncheckpoint = x\n"),
+    # no checkpoint, and no [model] to start from
+    ("finetune-tle", "[train]\nepochs = 1\n[paths]\ndataset = x\n"),
 ])
-def test_bad_section_exits_3(tmp_path, monkeypatch, command, text):
+def test_bad_section_exits_3(tmp_path, monkeypatch, capsys, command, text):
     cfg = tmp_path / "c.ini"
     cfg.write_text(text)
     code = main_exit_code([command, "--config", str(cfg), "--out", str(tmp_path / "runs")],
                           monkeypatch)
+    err = capsys.readouterr().err
     assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
 
 
 def _non_utf8_config(cfg, monkeypatch):
@@ -774,19 +783,6 @@ def test_mask_ratio_leaving_no_visible_patch_exits_3(tmp_path, monkeypatch, caps
     assert list(out.iterdir()) == []
 
 
-def _ablation_config(tmp_path, dataset, **paths):
-    """An ablation config whose four datasets are ``dataset``, except those
-    that ``paths`` names."""
-    cfg = tmp_path / "c.ini"
-    cfg.write_text("[model]\ne_dim = 24\nd_dim = 16\n"
-                   "[train]\nepochs = 1\nwarmup_epochs = 0\nbatch_size = 8\n"
-                   "[finetune]\nepochs = 1\nbatch_size = 8\n[paths]\n"
-                   + "".join(f"{key} = {paths.get(key, dataset)}\n" for key in (
-                       "pretrain_all_dataset", "task_dataset", "finetune_dataset",
-                       "test_dataset")))
-    return cfg
-
-
 def _ambient_dataset(tmp_path):
     """A dataset of unlabelled, untagged ambient windows."""
     path = tmp_path / "ambient.shmd"
@@ -795,97 +791,53 @@ def _ambient_dataset(tmp_path):
     return path
 
 
-def test_ablation(tmp_path, traffic_data):
-    _, dataset = traffic_data
-    out = tmp_path / "runs"
-    assert run_cli(["ablation", "--config", str(_ablation_config(tmp_path, dataset))],
-                   out) == 0
-    rows = _report_rows(only_run_dir(out, "ablation"))
-    assert [r[:3] for r in rows] == [["tle_synth", regime, "25"] for regime in
-                                     ("no_pretrain", "pretrain_uc", "pretrain_all")]
+def test_finetune_tle_without_checkpoint_starts_where_pretrain_starts(tmp_path, traffic_data,
+                                                                      monkeypatch):
+    # so under one seed the ablation's fresh and pretrained starts share their
+    # initial weights and head seed, and differ only in the pretraining pool
+    starts = {}
+
+    def spy(name, real):
+        def record(model, windows, plan):
+            starts[name] = {key: value.copy() for key, value in model.params.items()}
+            return real(model, windows, plan)
+        return record
+
+    monkeypatch.setattr(trainer, "pretrain", spy("pretrain", trainer.pretrain))
+    monkeypatch.setattr(trainer, "finetune_tle", spy("finetune-tle", trainer.finetune_tle))
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[experiment]\nseed = 5\n[model]\ne_dim = 24\nd_dim = 16\n"
+                   "[train]\nepochs = 1\nwarmup_epochs = 0\nbatch_size = 8\n"
+                   f"[paths]\ndataset = {traffic_data[1]}\n")
+    for command in ("pretrain", "finetune-tle"):
+        assert run_cli([command, "--config", str(cfg)], tmp_path / "runs") == 0
+    fresh = build_model(ModelConfig(e_dim=24, d_dim=16), seed=cli.derive_seed(5, "mae_model"))
+    want = attach_regression_head(fresh, seed=cli.derive_seed(5, "reg_head")).params
+    for name, params in (("pretrain", fresh.params), ("finetune-tle", want)):
+        assert starts[name].keys() == params.keys()
+        assert all(np.array_equal(starts[name][key], params[key]) for key in params)
 
 
-def test_ablation_exits_1_when_regimes_fail(tmp_path, traffic_data, monkeypatch, capsys):
-    # a fine-tune split without targets fails every regime
-    cfg = _ablation_config(tmp_path, traffic_data[1],
-                           finetune_dataset=_ambient_dataset(tmp_path))
-    assert main_exit_code(["ablation", "--config", str(cfg), "--out", str(tmp_path / "runs")],
-                          monkeypatch) == 1
-    assert capsys.readouterr().out.count("FAILED") == 3
-    assert _report_rows(only_run_dir(tmp_path / "runs", "ablation")) == []
+def test_finetune_tle_from_a_checkpoint_ignores_the_model_section(tmp_path, traffic_data,
+                                                                   monkeypatch):
+    base = build_model(ModelConfig(e_dim=24, d_dim=16), seed=3)
+    save_model(base, tmp_path / "m.ckpt")
+    starts = []
+    real = trainer.finetune_tle
 
+    def spy(model, windows, plan):
+        starts.append({key: value.copy() for key, value in model.params.items()})
+        return real(model, windows, plan)
 
-def test_ablation_regime_failure_is_contained(tmp_path, traffic_data, monkeypatch, capsys):
-    # a fine-tune split without targets fails each regime's fine-tune; the
-    # regimes after a failed one still pretrain on their own pools
-    windows = load_dataset(traffic_data[1])
-    splits = {}
-    for key, n in (("pretrain_all_dataset", 17), ("task_dataset", 9)):
-        splits[key] = tmp_path / f"{key}.shmd"
-        save_dataset(windows[:n], splits[key])
-    cfg = _ablation_config(tmp_path, traffic_data[1],
-                           finetune_dataset=_ambient_dataset(tmp_path), **splits)
-    pools = []
-    real_pretrain = trainer.pretrain
-
-    def pretrain_spy(model, pool, plan):
-        pools.append(len(pool))
-        return real_pretrain(model, pool, plan)
-
-    monkeypatch.setattr(trainer, "pretrain", pretrain_spy)
-    assert run_cli(["ablation", "--config", str(cfg)], tmp_path / "runs") == 1
-    assert pools == [9, 17]
-    failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
-              if "FAILED" in line]
-    assert failed == ["no_pretrain", "pretrain_uc", "pretrain_all"]
-
-
-def test_ablation_reports_the_regimes_that_succeed(tmp_path, traffic_data, monkeypatch):
-    _, dataset = traffic_data
-
-    def no_pretraining(*args):
-        raise DataError("pretraining unavailable")
-
-    monkeypatch.setattr(trainer, "pretrain", no_pretraining)
-    out = tmp_path / "runs"
-    assert run_cli(["ablation", "--config", str(_ablation_config(tmp_path, dataset))],
-                   out) == 1
-    rows = _report_rows(only_run_dir(out, "ablation"))
-    assert [r[:3] for r in rows] == [["tle_synth", "no_pretrain", "25"]]
-
-
-def test_ablation_regimes_differ_only_in_their_pretraining_pool(tmp_path, traffic_data,
-                                                                monkeypatch):
-    # every split has its own size, so each pretraining call shows its pool
-    windows = load_dataset(traffic_data[1])
-    splits = {}
-    for key, n in (("pretrain_all_dataset", 17), ("task_dataset", 9),
-                   ("finetune_dataset", 12), ("test_dataset", 6)):
-        splits[key] = tmp_path / f"{key}.shmd"
-        save_dataset(windows[:n], splits[key])
-    cfg = _ablation_config(tmp_path, None, **splits)
-    calls = []
-    real_pretrain, real_finetune = trainer.pretrain, trainer.finetune_tle
-
-    def pretrain_spy(model, pool, plan):
-        calls.append(("pretrain", len(pool)))
-        return real_pretrain(model, pool, plan)
-
-    def finetune_spy(model, labeled, plan):
-        calls.append(("finetune", len(labeled), config_hash(plan)))
-        return real_finetune(model, labeled, plan)
-
-    monkeypatch.setattr(trainer, "pretrain", pretrain_spy)
-    monkeypatch.setattr(trainer, "finetune_tle", finetune_spy)
-    out = tmp_path / "runs"
-    assert run_cli(["ablation", "--config", str(cfg)], out) == 0
-    plan = cli._train_plan(cli.load_config(cfg)[0], trainer.finetune_tle_plan, 0,
-                           name="finetune")
-    finetune = ("finetune", 12, config_hash(plan))
-    assert calls == [finetune, ("pretrain", 9), finetune, ("pretrain", 17), finetune]
-    rows = _report_rows(only_run_dir(out, "ablation"))
-    assert [r[:3] for r in rows] == [["tle_synth", regime, "6"] for regime in
-                                     ("no_pretrain", "pretrain_uc", "pretrain_all")]
+    monkeypatch.setattr(trainer, "finetune_tle", spy)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\ne_dim = 48\nd_dim = 32\n[train]\nepochs = 1\nbatch_size = 8\n"
+                   f"[paths]\ndataset = {traffic_data[1]}\ncheckpoint = {tmp_path / 'm.ckpt'}\n")
+    assert run_cli(["finetune-tle", "--config", str(cfg)], tmp_path / "runs") == 0
+    want = attach_regression_head(base, seed=cli.derive_seed(0, "reg_head")).params
+    (start,) = starts
+    assert start.keys() == want.keys()
+    assert all(np.array_equal(start[key], want[key]) for key in want)
 
 
 def _eval_tle_without_targets(tmp_path, data):
@@ -908,12 +860,6 @@ def _eval_ad_without_tags(tmp_path, data):
     return ["eval-ad", "--config", str(cfg)], "test window 0 has no normal/anomaly tag"
 
 
-def _ablation_without_targets(tmp_path, data):
-    _, dataset = data
-    cfg = _ablation_config(tmp_path, dataset, test_dataset=_ambient_dataset(tmp_path))
-    return ["ablation", "--config", str(cfg)], "window 0 has no regression target"
-
-
 def _knn_tle_on_ambient(tmp_path, data):
     manifest, _ = data
     test = _write_recordings(tmp_path / "ambient", {
@@ -925,8 +871,8 @@ def _knn_tle_on_ambient(tmp_path, data):
 
 
 @pytest.mark.parametrize("command", [_eval_tle_without_targets, _eval_ad_without_tags,
-                                     _ablation_without_targets, _knn_tle_on_ambient],
-                         ids=["eval-tle", "eval-ad", "ablation", "knn-tle"])
+                                     _knn_tle_on_ambient],
+                         ids=["eval-tle", "eval-ad", "knn-tle"])
 def test_test_set_without_labels_is_one_error_line(tmp_path, monkeypatch, capsys,
                                                    traffic_data, command):
     # scored as NaN metrics, or every window as normal, these exited 0;
@@ -934,9 +880,8 @@ def test_test_set_without_labels_is_one_error_line(tmp_path, monkeypatch, capsys
     argv, message = command(tmp_path, traffic_data)
     out = tmp_path / "runs"
     assert main_exit_code(argv + ["--out", str(out)], monkeypatch) == 1
-    stdout, err = capsys.readouterr()
+    err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:") and message in err
-    assert "FAILED" not in stdout
     assert list(out.iterdir()) == []
 
 

@@ -237,6 +237,8 @@ def test_dataset_round_trip_bit_exact(tmp_path):
                                           (2.5, None, 123456789))]
     path = tmp_path / "sub" / "dir" / "ds.shmd"   # parents are created
     save_dataset(windows, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "a965f152b71dfebcfa94a1c2cb54acb54759eefd4fc4bac9be65356474e0ffe2")
     back = load_dataset(path)
     assert [w.image.dtype for w in back] == [np.float32] * 3
     assert all(w.image.tobytes() == orig.image.tobytes() for w, orig in zip(back, windows))
@@ -248,13 +250,29 @@ def test_dataset_round_trip_bit_exact(tmp_path):
 
 def test_dataset_empty(tmp_path):
     save_dataset([], tmp_path / "ds.shmd")
+    assert read_container(tmp_path / "ds.shmd", DATASET_MAGIC)[1]["images"].shape == (0, 100, 100)
     assert load_dataset(tmp_path / "ds.shmd") == []
 
 
 def test_dataset_rejects_wrong_image_shape(tmp_path):
-    with pytest.raises(DataError):
-        save_dataset([SpectrogramWindow(image=np.zeros((100,), np.float32))],
+    good = SpectrogramWindow(image=np.zeros((100, 100), np.float32))
+    with pytest.raises(DataError, match="window 1"):
+        save_dataset([good, SpectrogramWindow(image=np.zeros((100,), np.float32))],
                      tmp_path / "ds.shmd")
+    assert not (tmp_path / "ds.shmd").exists()
+
+
+def test_dataset_save_holds_no_copy_of_the_images(tmp_path):
+    rng = np.random.default_rng(5)
+    windows = [SpectrogramWindow(image=rng.normal(size=(100, 100)).astype(np.float32))
+               for _ in range(200)]   # 8 MB of images
+    tracemalloc.start()
+    try:
+        save_dataset(windows, tmp_path / "ds.shmd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * 200 * 100 * 100 * 4
 
 
 @pytest.fixture
@@ -320,15 +338,18 @@ def test_dataset_rejects_inconsistent_contents(tmp_path, n_images, targets, tags
 
 def test_container_bytes_pinned(tmp_path):
     """The container's bytes on disk, pinned by hash; 0-d, empty and strided
-    tensors included."""
+    tensors included. A tensor given as a list of its rows writes the same
+    bytes as the array."""
     tensors = {"b": np.arange(6, dtype=np.float32).reshape(2, 3),
                "a": np.float32(-1.5) * np.ones((), np.float32),
                "empty": np.zeros((0, 4), np.float32),
                "strided": np.arange(12, dtype=np.float64).reshape(3, 4)[:, ::2]}
-    path = tmp_path / "h.bin"
-    write_container(path, b"TEST", {"kind": "pin", "n": 3}, tensors)
-    assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == "2118ed61f4e3958a13468a095f638eb03cecf7a0c331314e8856043e83b690b8")
+    rows = {**tensors, "b": list(tensors["b"]), "strided": list(tensors["strided"])}
+    for form in (tensors, rows):
+        path = tmp_path / "h.bin"
+        write_container(path, b"TEST", {"kind": "pin", "n": 3}, form)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == "2118ed61f4e3958a13468a095f638eb03cecf7a0c331314e8856043e83b690b8")
 
 
 @pytest.mark.parametrize("row", ["0.01,x,", "0.01,0.5,heavy", "zero,0.5,"])
@@ -355,6 +376,13 @@ def test_recording_csv_row_without_a_sample(tmp_path):
     path.write_text("timestamp,accel_z,label\n0.00,0.1,\n0.01\n0.02,0.3,\n")
     with pytest.raises(FormatError, match="row 3"):
         load_recording(path)
+
+
+def test_container_rows_of_two_shapes_rejected(tmp_path):
+    with pytest.raises(DataError, match="rows of one shape"):
+        write_container(tmp_path / "box.bin", b"TEST", {},
+                        {"x": [np.zeros(3), np.zeros(4)]})
+    assert not (tmp_path / "box.bin").exists()
 
 
 def test_container_round_trip_bit_exact(tmp_path):

@@ -7,6 +7,7 @@ import json
 
 from shm_fomo.anomaly_head import FILTER_LENGTHS
 
+REGIMES = ("no_pretrain", "pretrain_uc", "pretrain_all")   # the ablation's
 STAGE_FILES = {
     "synth-gen-normal": {"manifest.json", "rec_normal_000.bin", "rec_normal_001.bin",
                          "rec_normal_002.bin"},
@@ -15,12 +16,13 @@ STAGE_FILES = {
     **{f"preprocess-{name}": {"dataset.shmd", "preprocess.json"}
        for name in ("ad-train", "ad-calib", "ad-test", "tle-train", "tle-test", "tle-pool")},
     **{stage: {"checkpoint.ckpt", "trainlog.csv"}
-       for stage in ("pretrain", "finetune-ad", "finetune-tle", "pretrain-student", "distill")},
+       for stage in ("pretrain", "finetune-ad", "finetune-tle", "pretrain-student", "distill",
+                     "pretrain-uc", "pretrain-all", *(f"finetune-tle-{r}" for r in REGIMES))},
     "eval-ad": {"decisions.csv", "report.csv"},
     "baseline-pca-ad": {"report.csv"},
     **{stage: {"predictions.csv", "report.csv"}
-       for stage in ("eval-tle", "eval-tle-student", "baseline-knn-tle", "baseline-linreg-tle")},
-    "ablation": {"report.csv"},
+       for stage in ("eval-tle", "eval-tle-student", "baseline-knn-tle", "baseline-linreg-tle",
+                     *(f"eval-tle-{r}" for r in REGIMES))},
 }
 
 
@@ -31,8 +33,8 @@ def test_tiny_run_records_every_artifact(tiny_record):
     assert set(rec["seconds"]) == set(STAGE_FILES)
     assert [r["filter_len"] for r in rec["reports"]["eval-ad"]] == [
         str(L) for L in FILTER_LENGTHS]
-    assert [r["model_id"] for r in rec["reports"]["ablation"]] == [
-        "no_pretrain", "pretrain_uc", "pretrain_all"]
+    for regime in REGIMES:
+        assert [r["model_id"] for r in rec["reports"][f"eval-tle-{regime}"]] == ["mae"]
 
 
 def test_compare_exits_1_on_one_changed_hash(recipe, tiny_record, tmp_path, capsys):
