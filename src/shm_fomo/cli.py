@@ -22,15 +22,17 @@ unknown key or a value of the wrong type is a config error):
 - ``[train]``: ``trainer.TrainPlan`` without ``mask_ratio`` or ``seed``, laid
   over the defaults of the subcommand's phase. The model sets the mask
   ratio, ``[experiment]`` the seed.
-- ``[kd]``: ``alpha_kd`` (``trainer.KDConfig``), in [0, 1].
+- ``[kd]``: ``alpha_kd`` (``trainer.KDConfig``), in [0, 1], the weight of
+  the distillation term; ``finetune-tle`` reads it when ``[paths]`` names a
+  ``teacher``, whose predictions it then distils into the model it tunes.
 - ``[threshold]``: ``step_fraction`` (``anomaly_head.ThresholdConfig``).
 - ``[baseline]``: ``mode`` (pca-ad | knn-tle | linreg-tle), ``cf`` and ``k``
   (each >= 1), all checked before any recording is read.
-- ``[paths]``: the input, dataset and checkpoint paths each subcommand names.
-  ``preprocess``'s ``input`` and the baselines' ``*_manifest`` keys take the
-  same three forms: a directory holding ``manifest.json``, a manifest, or
-  one recording file. Manifest entries are read in order, each tagged by its
-  state; a lone recording is untagged.
+- ``[paths]``: the input, dataset, checkpoint and teacher paths each
+  subcommand names. ``preprocess``'s ``input`` and the baselines'
+  ``*_manifest`` keys take the same three forms: a directory holding
+  ``manifest.json``, a manifest, or one recording file. Manifest entries are
+  read in order, each tagged by its state; a lone recording is untagged.
 
 A section outside this list is a config error; a listed section that the
 subcommand does not read is ignored, so one file can serve several
@@ -338,34 +340,26 @@ def cmd_finetune_ad(args, cfg, run_dir: Path) -> int:
 
 def cmd_finetune_tle(args, cfg, run_dir: Path) -> int:
     """Fine-tune the checkpoint's encoder or, without ``[paths] checkpoint``,
-    a fresh ``[model]`` that starts where ``pretrain`` starts."""
+    a fresh ``[model]`` that starts where ``pretrain`` starts. With ``[paths]
+    teacher``, distil that model's predictions into it, weighed by ``[kd]``."""
     (data_path,) = paths_of(cfg, "dataset")
     plan = _train_plan(cfg, trainer.finetune_tle_plan, args.seed)
-    ckpt_in = section(cfg, "paths").get("checkpoint")
-    if ckpt_in is not None:
-        model = mae_model.load_model(ckpt_in)
+    paths = section(cfg, "paths")
+    kd = build_from_section(KDConfig, section(cfg, "kd")) if "teacher" in paths else None
+    if "checkpoint" in paths:
+        model = mae_model.load_model(paths["checkpoint"])
     elif cfg.has_section("model"):
         model = _fresh_model(build_from_section(ModelConfig, section(cfg, "model")), args.seed)
     else:
         raise ConfigError("finetune-tle needs [paths] checkpoint or a [model] section")
+    teacher = None if kd is None else mae_model.load_model(paths["teacher"])
     windows = _load_dataset(data_path)
     student = mae_model.attach_regression_head(model, seed=derive_seed(args.seed, "reg_head"))
-    log = trainer.finetune_tle(student, windows, plan)
-    _save_training_outputs(student, log, run_dir, plan, cfg_note="finetune-tle")
-    return 0
-
-
-def cmd_distill(args, cfg, run_dir: Path) -> int:
-    (data_path, ckpt_in, teacher_path) = paths_of(cfg, "dataset", "checkpoint", "teacher")
-    plan = _train_plan(cfg, trainer.finetune_tle_plan, args.seed)
-    kd = build_from_section(KDConfig, section(cfg, "kd"))
-    student_base = mae_model.load_model(ckpt_in)
-    teacher = mae_model.load_model(teacher_path)
-    windows = _load_dataset(data_path)
-    student = mae_model.attach_regression_head(student_base,
-                                               seed=derive_seed(args.seed, "reg_head"))
-    log = trainer.finetune_kd(student, teacher, windows, plan, kd)
-    _save_training_outputs(student, log, run_dir, plan, cfg_note="distill")
+    if teacher is None:
+        log, note = trainer.finetune_tle(student, windows, plan), "finetune-tle"
+    else:
+        log, note = trainer.finetune_kd(student, teacher, windows, plan, kd), "distill"
+    _save_training_outputs(student, log, run_dir, plan, cfg_note=note)
     return 0
 
 
@@ -518,7 +512,6 @@ COMMANDS = {
     "pretrain": (cmd_pretrain, True),
     "finetune-ad": (cmd_finetune_ad, True),
     "finetune-tle": (cmd_finetune_tle, True),
-    "distill": (cmd_distill, True),
     "eval-ad": (cmd_eval_ad, True),
     "eval-tle": (cmd_eval_tle, True),
     "baseline": (cmd_baseline, True),

@@ -230,17 +230,6 @@ def sample_mask_batch(p: float, batch: int,
 # forward / backward
 
 
-def _stack(x: np.ndarray, p: dict, side: str, n_heads: int, keep_cache: bool):
-    """``nn_core.stack_fwd``; without ``keep_cache`` each block's activations,
-    which only backward reads, are freed as soon as the next block starts."""
-    if keep_cache:
-        return nn_core.stack_fwd(x, p, side, N_BLOCKS, n_heads)
-    for i in range(N_BLOCKS):
-        x, _ = nn_core.block_fwd(x, p, f"{side}.{i}", n_heads)
-    y, _ = nn_core.layernorm_fwd(x, p[f"{side}.norm.g"], p[f"{side}.norm.b"])
-    return y, None
-
-
 def _rows(idx: np.ndarray) -> np.ndarray:
     """Row index that pairs with per-row patch indices ``idx`` of shape (b, k):
     ``a[_rows(idx), idx]`` gathers whole patch rows, shape (b, k, d)."""
@@ -263,7 +252,8 @@ def _encode_batch(model: MaeModel, patches: np.ndarray,
         pos = model.enc_pos[visible_idx]
     tokens = nn_core.linear_fwd(vis_patches, p["patch_embed.w"], p["patch_embed.b"])
     tokens += pos
-    latents, stack_cache = _stack(tokens, p, "enc", cfg.e_heads, keep_cache)
+    latents, stack_cache = nn_core.stack_fwd(tokens, p, "enc", N_BLOCKS, cfg.e_heads,
+                                             keep_cache)
     return latents, (vis_patches, stack_cache)
 
 
@@ -287,7 +277,8 @@ def _decode_batch(model: MaeModel, latents: np.ndarray, masked_idx: np.ndarray,
     tokens[...] = p["mask_token"]
     tokens[_rows(visible_idx), visible_idx] = z
     tokens += model.dec_pos
-    hidden, stack_cache = _stack(tokens, p, "dec", cfg.d_heads, keep_cache)
+    hidden, stack_cache = nn_core.stack_fwd(tokens, p, "dec", N_BLOCKS, cfg.d_heads,
+                                            keep_cache)
     pred_patches = nn_core.linear_fwd(hidden, p["recon_head.w"], p["recon_head.b"])
     return pred_patches, (latents, hidden, stack_cache, masked_idx, visible_idx)
 

@@ -355,14 +355,19 @@ def block_bwd(dy: np.ndarray, cache, p: dict, prefix: str, n_heads: int):
     return dx, grads
 
 
-def stack_fwd(x: np.ndarray, p: dict, side: str, n_blocks: int, n_heads: int):
-    """n_blocks pre-norm blocks followed by a final layer norm."""
+def stack_fwd(x: np.ndarray, p: dict, side: str, n_blocks: int, n_heads: int,
+              keep_cache: bool = True):
+    """n_blocks pre-norm blocks followed by a final layer norm. Without
+    ``keep_cache`` the cache is None: each block's activations, which only
+    backward reads, are dropped before the next block starts."""
     caches = []
     for i in range(n_blocks):
         x, cache = block_fwd(x, p, f"{side}.{i}", n_heads)
-        caches.append(cache)
+        if keep_cache:
+            caches.append(cache)
+        del cache
     y, c_norm = layernorm_fwd(x, p[f"{side}.norm.g"], p[f"{side}.norm.b"])
-    return y, (caches, c_norm)
+    return y, ((caches, c_norm) if keep_cache else None)
 
 
 def stack_bwd(dy: np.ndarray, cache, p: dict, side: str, n_blocks: int, n_heads: int):

@@ -146,9 +146,9 @@ def gen_traffic(bridge: BridgeConfig, traffic: TrafficConfig,
     if not 60 <= duration_s < math.inf:
         raise ConfigError(f"traffic needs a finite duration of at least 60 s, got {duration_s}")
     rng = np.random.default_rng([seed, 1])
-    ambient = gen_ambient(bridge, duration_s, damaged=False,
-                          seed=int(np.random.default_rng([seed, 2]).integers(2 ** 63)))
-    signal = ambient.samples.copy()
+    # the vehicles go onto the ambient samples in place: nothing else holds them
+    signal = gen_ambient(bridge, duration_s, damaged=False,
+                         seed=int(np.random.default_rng([seed, 2]).integers(2 ** 63))).samples
     n = signal.shape[0]
     labels = np.zeros(n, dtype=np.int64)
 

@@ -15,8 +15,8 @@ import pytest
 from shm_fomo import baselines, cli, mae_model, trainer
 from shm_fomo.anomaly_head import FILTER_LENGTHS
 from shm_fomo.errors import ConfigError, DataError
-from shm_fomo.io_formats import (RECORDING_MAGIC, load_dataset, load_manifest, load_recording,
-                                 read_container, save_dataset, save_manifest,
+from shm_fomo.io_formats import (RECORDING_MAGIC, config_hash, load_dataset, load_manifest,
+                                 load_recording, read_container, save_dataset, save_manifest,
                                  save_recording_binary, write_container)
 from shm_fomo.mae_model import ModelConfig, attach_regression_head, build_model, save_model
 from shm_fomo.signal_pipeline import PipelineConfig, build_dataset
@@ -149,13 +149,18 @@ def test_preprocess_of_one_recording_file(tmp_path):
         assert np.array_equal(got.image, w.image)
 
 
-def test_describe(tmp_path, capsys):
+@pytest.mark.parametrize("head", [False, True], ids=["pretrained", "regression-head"])
+def test_describe(tmp_path, capsys, head):
     model = build_model(ModelConfig(e_dim=48, d_dim=32), seed=0)
+    if head:   # a TLE checkpoint: the encoder and its head, no decoder
+        model = attach_regression_head(model, seed=1)
     ckpt = tmp_path / "m.ckpt"
     save_model(model, ckpt, provenance="deadbeef")
     assert cli.run(["describe", str(ckpt)]) == 0
     text = capsys.readouterr().out
     assert "encoder 48, decoder 32" in text
+    assert f"decoder present   {not head}" in text
+    assert f"regression head   {head}" in text
     assert str(model.n_params()) in text
     assert "deadbeef" in text
     size = int([l for l in text.splitlines() if "file size" in l][0].split()[2])
@@ -197,6 +202,16 @@ class TestExitCodes:
         # the ablation's regimes are pretrain, finetune-tle and eval-tle runs
         assert main_exit_code(["ablation", "--config", "c.ini"], monkeypatch) == 2
         assert "invalid choice: 'ablation'" in capsys.readouterr().err
+
+    def test_distill_command_removed(self, tmp_path, monkeypatch, capsys):
+        # distillation is finetune-tle with [paths] teacher
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[kd]\nalpha_kd = 0.5\n" + KD_PATHS)
+        out = tmp_path / "runs"
+        assert main_exit_code(["distill", "--config", str(cfg), "--out", str(out)],
+                              monkeypatch) == 2
+        assert "invalid choice: 'distill'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_removed(self, monkeypatch, capsys):
         # [experiment] seed alone sets the seed, so the config hash names it
@@ -264,8 +279,8 @@ PHASE_DEFAULTS = {   # (base_lr, weight_decay, batch_size, warmup_epochs)
     "finetune_tle": (2.5e-6, 0.05, 8, 0),
     "finetune_kd": (2.5e-6, 0.05, 8, 0),
 }
-# the plan factory each phase's subcommand lays its section over; distill
-# fine-tunes with the regression defaults
+# the plan factory each phase's subcommand lays its section over;
+# finetune-tle with a teacher distils with the regression defaults
 PHASE_PLANS = {"pretrain": trainer.pretrain_plan, "finetune_ad": trainer.finetune_ad_plan,
                "finetune_tle": trainer.finetune_tle_plan,
                "finetune_kd": trainer.finetune_tle_plan}
@@ -324,6 +339,7 @@ def main_exit_code(argv, monkeypatch):
 
 
 PCA_PATHS = "[paths]\ntrain_manifest = x\ncalibration_manifest = x\ntest_manifest = x\n"
+# a teacher makes finetune-tle read [kd], before any of these paths
 KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
 
 
@@ -340,9 +356,9 @@ KD_PATHS = "[paths]\ndataset = x\ncheckpoint = x\nteacher = x\n"
     ("pretrain", "[train]\nseed = 3\n[paths]\ndataset = x\n"),
     ("pretrain", "[model]\ne_dim = 24\nd_dim = 32\n[paths]\ndataset = x\n"),
     ("pretrain", "[train]\nphase = pretrain\n[paths]\ndataset = x\n"),
-    ("distill", "[kd]\nalpha_kd = 1.5\n" + KD_PATHS),
-    ("distill", "[kd]\nalpha_kd = -0.5\n" + KD_PATHS),
-    ("distill", "[kd]\nalpha_task = 0.5\n" + KD_PATHS),
+    ("finetune-tle", "[kd]\nalpha_kd = 1.5\n" + KD_PATHS),
+    ("finetune-tle", "[kd]\nalpha_kd = -0.5\n" + KD_PATHS),
+    ("finetune-tle", "[kd]\nalpha_task = 0.5\n" + KD_PATHS),
     ("synth-gen", "[synht]\nduration_s = 10\n"),
     ("synth-gen", "[synth]\nduration_s = 10\n[Synth]\ncount = 2\n"),
     ("synth-gen", "[synth]\nduration_s = 10\ncount = -2\n"),
@@ -838,6 +854,31 @@ def test_finetune_tle_from_a_checkpoint_ignores_the_model_section(tmp_path, traf
     (start,) = starts
     assert start.keys() == want.keys()
     assert all(np.array_equal(start[key], want[key]) for key in want)
+
+
+def test_finetune_tle_with_a_teacher_is_finetune_kd(tmp_path, traffic_data):
+    base = build_model(ModelConfig(e_dim=24, d_dim=16), seed=3)
+    teacher = attach_regression_head(build_model(ModelConfig(e_dim=48, d_dim=32), seed=4),
+                                     seed=5)
+    save_model(base, tmp_path / "student.ckpt")
+    save_model(teacher, tmp_path / "teacher.ckpt")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[experiment]\nseed = 6\n[train]\nepochs = 2\nbatch_size = 8\n"
+                   "[kd]\nalpha_kd = 0.25\n"
+                   f"[paths]\ndataset = {traffic_data[1]}\n"
+                   f"checkpoint = {tmp_path / 'student.ckpt'}\n"
+                   f"teacher = {tmp_path / 'teacher.ckpt'}\n")
+    out = tmp_path / "runs"
+    assert run_cli(["finetune-tle", "--config", str(cfg)], out) == 0
+    got = mae_model.load_model(only_run_dir(out, "finetune-tle") / "checkpoint.ckpt")
+    student = attach_regression_head(base, seed=cli.derive_seed(6, "reg_head"))
+    plan = trainer.finetune_tle_plan(epochs=2, batch_size=8,
+                                     seed=cli.derive_seed(6, "trainer"))
+    trainer.finetune_kd(student, teacher, load_dataset(traffic_data[1]), plan,
+                        trainer.KDConfig(alpha_kd=0.25))
+    assert got.params.keys() == student.params.keys()
+    assert all(np.array_equal(got.params[key], student.params[key]) for key in got.params)
+    assert got.provenance == config_hash({"plan": plan, "note": "distill"})
 
 
 def _eval_tle_without_targets(tmp_path, data):

@@ -17,7 +17,8 @@ each one CLI run:
 - AD: ``pretrain`` (48/32), ``finetune-ad``, ``eval-ad`` and
   ``baseline-pca-ad``;
 - TLE: ``finetune-tle`` and ``eval-tle`` of the pretrained model, and
-  ``pretrain-student`` (24/16), ``distill`` and ``eval-tle-student``;
+  ``pretrain-student`` (24/16), ``distill`` (``finetune-tle`` of the
+  student with the fine-tuned model as its teacher) and ``eval-tle-student``;
 - the pretraining ablation at 24/16, in three regimes: ``no_pretrain``
   fine-tunes a fresh model, ``pretrain_uc`` and ``pretrain_all`` fine-tune
   ``pretrain-uc`` (the TLE training set) and ``pretrain-all`` (that set
@@ -169,7 +170,7 @@ def run_recipe(out: Path, s: dict) -> dict:
     student_base = r.run("pretrain-student", "pretrain",
                          seed + small + plan(s["pretrain"], batch, pretraining=True)
                          + paths(dataset=data["tle-train"])) / "checkpoint.ckpt"
-    student = r.run("distill", "distill", seed + plan(s["finetune_tle"], 8)
+    student = r.run("distill", "finetune-tle", seed + plan(s["finetune_tle"], 8)
                     + "[kd]\nalpha_kd = 0.5\n"
                     + paths(dataset=data["tle-train"], checkpoint=student_base,
                             teacher=teacher)) / "checkpoint.ckpt"
